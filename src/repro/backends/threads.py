@@ -4,8 +4,9 @@ CPython threads share the address space, so numpy input arrays and the
 output array are accessed with zero copies — the same memory model the
 paper's OpenMP implementation uses.  The GIL serializes *Python*
 bytecode, but the vectorized merge kernel spends its time inside numpy C
-loops (``searchsorted``, fancy assignment) which release the GIL, so
-large segments genuinely overlap on multi-core hosts.
+code (the copies into the output slice and the stable sort that merges
+them) which releases the GIL on numeric dtypes, so large segments
+genuinely overlap on multi-core hosts.
 """
 
 from __future__ import annotations

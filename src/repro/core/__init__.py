@@ -10,8 +10,9 @@ merge_path
     The diagonal binary search of Theorem 14 and partitioning into
     per-processor segments — scalar and vectorized forms.
 sequential
-    In-segment merge kernels: two-pointer, galloping, and the numpy
-    ``searchsorted``-based vectorized kernel.
+    In-segment merge kernels: two-pointer, galloping, and the
+    vectorized production kernel (copy both runs into the output, then
+    one linear-time stable-sort merge).
 parallel_merge
     Algorithm 1 (Parallel Merge) over pluggable execution backends.
 segmented_merge

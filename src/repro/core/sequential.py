@@ -15,11 +15,15 @@ matching the merge-path tie-break):
     TimSort.  Wins asymptotically on clustered data (e.g. the LB
     experiment's disjoint-range adversarial inputs); same worst case.
 ``merge_vectorized``
-    numpy ``searchsorted`` rank-placement merge: each element's output
-    position is its index plus its rank in the other array.  O(N log N)
-    comparisons but C-speed and branch-free; this is the production
-    kernel and plays the role numba-jitted loops play in CPU merge-path
-    libraries.
+    Copy ``A`` then ``B`` into the output and run numpy's stable sort
+    over it.  On numeric dtypes wider than 16 bits that sort is
+    timsort: it finds the two sorted runs and merges them with
+    galloping in linear time, with the GIL released and a scratch
+    buffer no larger than the smaller run (narrower types get NumPy's
+    radix sort, also linear).  Stability keeps ``A`` before equal
+    ``B``.  This is the production kernel, the ``seq_merge`` leaf under
+    the merge-path split, and plays the role numba-jitted loops play in
+    CPU merge-path libraries.
 
 All kernels share the :func:`merge_into` dispatcher that writes into a
 caller-provided output slice, which is how parallel workers write their
@@ -222,32 +226,17 @@ def merge_vectorized(
     check: bool = True,
     stats: MergeStats | None = None,
 ) -> np.ndarray:
-    """Branch-free stable merge via rank placement (production kernel).
+    """Linear-time stable merge into a new array (production kernel).
 
-    Element ``A[i]`` lands at output index ``i + |{b in B : b < A[i]}|``
-    (``searchsorted(..., 'left')`` so equal B elements come after it);
-    element ``B[j]`` lands at ``j + |{a in A : a <= B[j]}|``
-    (``searchsorted(..., 'right')`` so equal A elements come before it).
-    Together the two position sets are a perfect tiling of the output.
+    Allocates the output and runs :func:`merge_vectorized_into` on it:
+    ``A`` and ``B`` are copied in, in that order, and a stable sort
+    merges the two runs.  Ties keep ``A`` before equal ``B`` because
+    the sort is stable and ``A`` comes first.  ``stats`` counts as
+    :func:`merge_vectorized_into` does.
     """
     a, b = _prepare(a, b, check)
     out = np.empty(len(a) + len(b), dtype=result_dtype(a, b))
-    if len(a) == 0:
-        out[:] = b
-    elif len(b) == 0:
-        out[:] = a
-    else:
-        pos_a = np.arange(len(a), dtype=np.intp) + np.searchsorted(b, a, side="left")
-        pos_b = np.arange(len(b), dtype=np.intp) + np.searchsorted(a, b, side="right")
-        out[pos_a] = a
-        out[pos_b] = b
-    if stats is not None:
-        # Rank placement performs ceil(log2) comparisons per element.
-        la, lb = len(a), len(b)
-        if la and lb:
-            stats.comparisons += la * max(1, int(np.ceil(np.log2(lb + 1))))
-            stats.comparisons += lb * max(1, int(np.ceil(np.log2(la + 1))))
-        stats.moves += la + lb
+    merge_vectorized_into(out, a, b, stats=stats)
     return out
 
 
@@ -259,6 +248,27 @@ KERNELS: dict[str, Callable[..., np.ndarray]] = {
 }
 
 
+def _in_place(out: np.ndarray, arr: np.ndarray, offset: int, side: str) -> bool:
+    """Whether ``arr`` already is the view ``out[offset:offset + len(arr)]``.
+
+    Raises :class:`~repro.errors.InputError` when ``arr`` overlaps
+    ``out`` in any other way.
+    """
+    if not len(arr) or not np.may_share_memory(out, arr):
+        return False
+    start = out.__array_interface__["data"][0] + offset * out.strides[0]
+    if (
+        arr.dtype == out.dtype
+        and (len(arr) == 1 or arr.strides == out.strides)
+        and arr.__array_interface__["data"][0] == start
+    ):
+        return True
+    raise InputError(
+        f"output slice overlaps input {side}; only the exact [A | B] "
+        "in-place layout may alias"
+    )
+
+
 def merge_vectorized_into(
     out: np.ndarray,
     a: np.ndarray,
@@ -266,27 +276,39 @@ def merge_vectorized_into(
     *,
     stats: MergeStats | None = None,
 ) -> None:
-    """Rank-placement merge writing directly into ``out`` (zero copy).
+    """Linear-time stable merge written directly into ``out``.
 
-    Same semantics as :func:`merge_vectorized`, but scatters straight
-    into the caller's slice — the hot path of Algorithm 1 workers,
-    where an intermediate allocation + copy would roughly match the
-    merge's own memory traffic.
+    Copies ``a`` into ``out[:len(a)]`` and ``b`` after it, then sorts
+    ``out`` in place with ``kind="stable"``.  For two sorted runs the
+    stable sort is a single galloping timsort merge: O(|A|+|B|) work,
+    the GIL released on numeric dtypes, and a scratch buffer of at most
+    ``min(|A|, |B|)`` elements.  (NumPy sorts types of 16 bits or less
+    by radix sort instead, also linear, with an ``|A|+|B|`` buffer; a
+    non-contiguous ``out`` is sorted through a contiguous copy.)  The
+    result equals ``np.sort(np.concatenate([a, b]), kind="stable")``
+    bit for bit, for every dtype and value (NaN, signed zeros,
+    infinities).
+
+    ``out`` may be exactly the ``[a | b]`` layout (``a`` already at
+    ``out[:len(a)]`` and ``b`` right after it), in which case that side
+    is not copied.  Any other overlap of ``out`` with ``a`` or ``b``
+    raises :class:`~repro.errors.InputError`: copying the first side
+    would overwrite the second before it was read.
+
+    ``stats.comparisons`` counts ``|A| + |B| - 1`` when both sides are
+    non-empty — the worst case of a linear merge, an upper bound on what
+    galloping performs — and ``stats.moves`` counts output writes.
     """
-    if len(a) == 0:
-        out[:] = b
-    elif len(b) == 0:
-        out[:] = a
-    else:
-        pos_a = np.arange(len(a), dtype=np.intp) + np.searchsorted(b, a, side="left")
-        pos_b = np.arange(len(b), dtype=np.intp) + np.searchsorted(a, b, side="right")
-        out[pos_a] = a
-        out[pos_b] = b
+    la, lb = len(a), len(b)
+    if not _in_place(out, a, 0, "A"):
+        out[:la] = a
+    if not _in_place(out, b, la, "B"):
+        out[la:] = b
+    if la and lb:
+        out.sort(kind="stable")
     if stats is not None:
-        la, lb = len(a), len(b)
         if la and lb:
-            stats.comparisons += la * max(1, int(np.ceil(np.log2(lb + 1))))
-            stats.comparisons += lb * max(1, int(np.ceil(np.log2(la + 1))))
+            stats.comparisons += la + lb - 1
         stats.moves += la + lb
 
 
@@ -303,8 +325,9 @@ def merge_into(
     ``out`` must have length ``len(a) + len(b)``.  This is the worker
     primitive of Algorithm 1: each processor calls it on its disjoint
     output slice, so no locking is ever needed.  The vectorized kernel
-    writes in place; the Python kernels produce-then-copy (they are
-    step-counting tools, not production paths).
+    copies both runs into ``out`` and merges them there; the Python
+    kernels produce-then-copy (they are step-counting tools, not
+    production paths).
     """
     if len(out) != len(a) + len(b):
         raise InputError(
