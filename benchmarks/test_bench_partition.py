@@ -3,7 +3,10 @@ vs vectorized diagonal-search ablation."""
 
 import pytest
 
-from repro.core.merge_path import partition_merge_path
+from repro.core.merge_path import (
+    diagonal_intersections_vectorized,
+    partition_merge_path,
+)
 from repro.experiments.partition_cost import run as run_t14
 from repro.workloads.generators import sorted_uniform_ints
 
@@ -29,13 +32,16 @@ def test_t14_table_regeneration(benchmark):
 
 @pytest.mark.parametrize("p", [8, 64])
 def test_bench_partition_scalar(benchmark, pair, p):
-    """Scalar per-diagonal binary search (ablation arm 1)."""
+    """Scalar per-diagonal binary search (ablation arm 1 — production)."""
     a, b = pair
-    benchmark(partition_merge_path, a, b, p, check=False, vectorized=False)
+    benchmark(partition_merge_path, a, b, p, check=False)
 
 
 @pytest.mark.parametrize("p", [8, 64])
 def test_bench_partition_vectorized(benchmark, pair, p):
-    """Lockstep multi-diagonal search (ablation arm 2 — production)."""
+    """Lockstep multi-diagonal search (ablation arm 2) on the same
+    diagonals."""
     a, b = pair
-    benchmark(partition_merge_path, a, b, p, check=False, vectorized=True)
+    n = len(a) + len(b)
+    cuts = [(k * n) // p for k in range(1, p)]
+    benchmark(diagonal_intersections_vectorized, a, b, cuts)

@@ -64,7 +64,11 @@ def run(
         framed_times.append(_timed_once(framed))
     t_raw = _median(raw_times)
     t_framed = _median(framed_times)
-    wall_pct = 100.0 * (t_framed - t_raw) / t_raw
+    # Judge each framed call against the raw call just before it, so a
+    # host slowdown longer than one pair cancels out of the overhead.
+    wall_pct = 100.0 * (
+        _median([f / r for r, f in zip(raw_times, framed_times)]) - 1.0
+    )
 
     sa = sorted_uniform_ints(counted_elements, seed + 2)
     sb = sorted_uniform_ints(counted_elements, seed + 3)

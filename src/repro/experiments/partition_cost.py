@@ -60,9 +60,7 @@ def run(
         n = int(n_str)
         for p in ps:
             stats = MergeStats()
-            part = partition_merge_path(
-                a, b, p, check=False, vectorized=False, stats=stats
-            )
+            part = partition_merge_path(a, b, p, check=False, stats=stats)
             max_probes = max(part.search_steps, default=0)
             bound = max_search_steps(len(a), len(b))
             within = max_probes <= bound

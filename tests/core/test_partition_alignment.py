@@ -9,7 +9,10 @@ alignment contract the PRAM consistency property relies on.
 import numpy as np
 import pytest
 
-from repro.core.merge_path import partition_merge_path
+from repro.core.merge_path import (
+    diagonal_intersections_vectorized,
+    partition_merge_path,
+)
 from repro.workloads.adversarial import ADVERSARIAL_PAIRS
 
 
@@ -52,9 +55,10 @@ class TestBoundaryFormula:
     def test_vectorized_and_scalar_agree_p_gt_n(self):
         a = np.array([1, 3])
         b = np.array([2])
-        pv = partition_merge_path(a, b, 9, vectorized=True)
-        ps = partition_merge_path(a, b, 9, vectorized=False)
-        assert pv.segments == ps.segments
+        part = partition_merge_path(a, b, 9)
+        cuts = [s.out_start for s in part.segments[1:]]
+        ivals = diagonal_intersections_vectorized(a, b, cuts)
+        assert [s.a_start for s in part.segments[1:]] == ivals.tolist()
 
 
 class TestProgramAgreement:

@@ -144,14 +144,18 @@ class TestEntryPointFlush:
         """Satellite: vectorized diagonal search honors the stats sink."""
         import numpy as np
 
-        from repro.core.merge_path import partition_merge_path
+        from repro.core.merge_path import (
+            diagonal_intersections_vectorized,
+            partition_merge_path,
+        )
 
         a = np.arange(0, 4096, 2)
         b = np.arange(1, 4096, 2)
         s_vec = MergeStats()
         s_scalar = MergeStats()
-        partition_merge_path(a, b, 8, vectorized=True, stats=s_vec)
-        partition_merge_path(a, b, 8, vectorized=False, stats=s_scalar)
+        diagonal_intersections_vectorized(a, b, [512 * k for k in range(1, 8)],
+                                          stats=s_vec)
+        partition_merge_path(a, b, 8, stats=s_scalar)
         assert s_vec.search_probes > 0
         assert s_scalar.search_probes > 0
 

@@ -128,7 +128,7 @@ class TestPartitionProperties:
     @given(a=sorted_ints, b=sorted_ints, p=small_p)
     def test_search_cost_bound(self, a, b, p):
         stats = MergeStats()
-        partition_merge_path(a, b, p, vectorized=False, stats=stats)
+        partition_merge_path(a, b, p, stats=stats)
         bound = max_search_steps(len(a), len(b))
         assert stats.search_probes <= (p - 1) * max(bound, 0)
 
