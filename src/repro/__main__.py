@@ -281,8 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "processes→threads→serial chain (default)")
     p_ext.add_argument("--fan-in", type=int, default=None, dest="fan_in",
                        help="runs merged per pass (default: all at once)")
-    p_ext.add_argument("--kernel", default="auto",
-                       help="block-merge kernel (default: autotuned)")
     p_ext.add_argument("--seed", type=int, default=7)
     p_ext.add_argument("--directory", default=None,
                        help="spill directory (default: a temporary one)")
@@ -476,7 +474,6 @@ def _cmd_extsort(ns: argparse.Namespace) -> int:
                 block_elements=ns.block,
                 backend=backend,
                 workers=ns.workers,
-                kernel=ns.kernel,
                 metrics=registry,
             )
         except InputError as exc:

@@ -25,7 +25,15 @@ provides four interchangeable realizations:
 Use :func:`get_backend` to resolve a backend by name.
 """
 
-from .base import Backend, TaskBatch, TaskResult, get_backend, available_backends
+from .base import (
+    Backend,
+    TaskBatch,
+    TaskResult,
+    available_backends,
+    get_backend,
+    innermost_backend,
+    tasks_must_pickle,
+)
 from .serial import SerialBackend
 from .threads import ThreadBackend
 from .processes import ProcessBackend
@@ -38,6 +46,8 @@ __all__ = [
     "TaskResult",
     "get_backend",
     "available_backends",
+    "innermost_backend",
+    "tasks_must_pickle",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",

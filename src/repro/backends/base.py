@@ -21,6 +21,8 @@ __all__ = [
     "Backend",
     "TaskBatch",
     "TaskResult",
+    "innermost_backend",
+    "tasks_must_pickle",
     "get_backend",
     "available_backends",
     "register_backend",
@@ -86,6 +88,10 @@ class Backend(abc.ABC):
     #: lock-free — concurrent callers may undercount, never block.
     dispatches: int = 0
 
+    #: Whether tasks run in other processes and must therefore be
+    #: picklable (module-level callables over staged data, not closures).
+    out_of_process: bool = False
+
     @abc.abstractmethod
     def run_tasks(
         self, tasks: Sequence[Callable[[], Any]]
@@ -104,12 +110,6 @@ class Backend(abc.ABC):
         such as :class:`repro.resilience.ResilientBackend` re-execute
         exactly the failed indices.
         """
-
-    # Optional hook: backends (and resilience wrappers) that can run the
-    # zero-copy shared-memory merge path implement
-    # ``merge_partition(a, b, partition) -> ndarray | None``; returning
-    # None means "no fast path here, use the generic task route".
-    # :func:`repro.core.parallel_merge.merge_partition` probes for it.
 
     def run_batch(self, batch: TaskBatch) -> list[TaskResult]:
         """Dispatch one :class:`TaskBatch` (the batched-engine entry).
@@ -178,6 +178,27 @@ class Backend(abc.ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def innermost_backend(backend: Backend) -> Backend:
+    """Unwrap ``.inner`` chains (resilient / fault-injection wrappers)."""
+    seen: set[int] = set()
+    while True:
+        inner = getattr(backend, "inner", None)
+        if not isinstance(inner, Backend) or id(inner) in seen:
+            return backend
+        seen.add(id(backend))
+        backend = inner
+
+
+def tasks_must_pickle(backend: Backend) -> bool:
+    """Whether tasks dispatched on ``backend`` may cross a process boundary.
+
+    True for a process pool, for any wrapper over one, and for a
+    degradation chain with a process level; the execution engine then
+    stages data in shared memory and ships picklable offset jobs.
+    """
+    return innermost_backend(backend).out_of_process
 
 
 _REGISTRY: dict[str, Callable[..., Backend]] = {}

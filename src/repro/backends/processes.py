@@ -1,12 +1,12 @@
-"""Process-pool backend over POSIX shared memory.
+"""Process-pool backend.
 
 CPython's GIL prevents thread-level speedup for interpreter-bound code,
 so this backend reproduces the paper's shared-memory threads with
-*processes* plus ``multiprocessing.shared_memory``: the two input arrays
-and the output array live in named shared-memory blocks; each worker
-attaches, merges its merge-path segment with the vectorized kernel and
-writes its disjoint output slice in place.  No data is pickled per task
-— only segment coordinates travel over the pipe, mirroring the paper's
+*processes*.  Tasks must be picklable (module-level functions /
+``functools.partial``), so the execution engine
+(:mod:`repro.execution.engine`) stages a batch's arrays once in POSIX
+shared memory (:class:`repro.execution.arena.RoundArena`) and ships
+only segment coordinates over the pipe, mirroring the paper's
 observation that processors exchange nothing but partition indices.
 
 The pool is a ``concurrent.futures.ProcessPoolExecutor`` rather than a
@@ -19,38 +19,21 @@ death and fails every in-flight future with ``BrokenProcessPool``.
 the affected task indices, then discards the broken pool so the next
 batch (e.g. a retry by :class:`repro.resilience.ResilientBackend`) gets
 a fresh one.
-
-Three interfaces are provided:
-
-* :meth:`ProcessBackend.run_tasks` — the generic fork/join; tasks must
-  be picklable (module-level functions / ``functools.partial``).
-* :func:`merge_partition_shared` — the zero-copy fast path used by
-  :func:`repro.core.parallel_merge.parallel_merge` when this backend is
-  selected.
-* :class:`SharedMergeArena` — the staging object behind the fast path,
-  exposed so resilience wrappers can re-dispatch individual segment
-  tasks (they are picklable and idempotent) without re-staging the
-  arrays.
 """
 
 from __future__ import annotations
 
-import functools
 import multiprocessing as mp
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from ..errors import BatchError, TaskFailure
-from ..types import Partition
 from ..validation import check_positive
-from .base import Backend, TaskBatch, TaskResult
+from .base import Backend, TaskResult
 
-__all__ = ["ProcessBackend", "SharedMergeArena", "merge_partition_shared"]
+__all__ = ["ProcessBackend"]
 
 
 def _timed_call(index: int, task: Callable[[], Any]) -> tuple[int, Any, float]:
@@ -62,44 +45,11 @@ def _timed_call(index: int, task: Callable[[], Any]) -> tuple[int, Any, float]:
     return index, value, time.perf_counter() - t0
 
 
-def _merge_segment_shm(
-    args: tuple[str, str, str, str, int, int, int, int, int, int, int, int],
-) -> int:
-    """Merge one segment entirely inside a worker process.
-
-    Attaches to the three shared-memory blocks by name, views them as
-    numpy arrays and merges ``A[a0:a1]`` with ``B[b0:b1]`` into
-    ``S[o0:o1]``.  Returns the segment index for bookkeeping.  The call
-    is idempotent — same inputs, same disjoint output bytes — so a
-    supervisor may re-execute or even duplicate it freely (Theorem 14).
-    """
-    # Imported here so the module stays importable on platforms where
-    # shared memory is restricted; the backend raises at construction.
-    from ..core.sequential import merge_into
-
-    (name_a, name_b, name_out, dtype_str, a_total, b_total,
-     a0, a1, b0, b1, o0, o1) = args
-    dtype = np.dtype(dtype_str)
-    shm_a = shared_memory.SharedMemory(name=name_a)
-    shm_b = shared_memory.SharedMemory(name=name_b)
-    shm_out = shared_memory.SharedMemory(name=name_out)
-    try:
-        a = np.ndarray((a_total,), dtype=dtype, buffer=shm_a.buf)
-        b = np.ndarray((b_total,), dtype=dtype, buffer=shm_b.buf)
-        out = np.ndarray((a_total + b_total,), dtype=dtype, buffer=shm_out.buf)
-        merge_into(out[o0:o1], a[a0:a1], b[b0:b1], kernel="vectorized")
-    finally:
-        # Close (not unlink): the parent owns the blocks' lifetime.
-        shm_a.close()
-        shm_b.close()
-        shm_out.close()
-    return o0
-
-
 class ProcessBackend(Backend):
     """Fork/join over a ``ProcessPoolExecutor`` (fork context)."""
 
     name = "processes"
+    out_of_process = True
 
     def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None:
@@ -168,107 +118,8 @@ class ProcessBackend(Backend):
             raise BatchError(failures, total=len(tasks))
         return results
 
-    def merge_partition(
-        self, a: np.ndarray, b: np.ndarray, partition: Partition
-    ) -> np.ndarray:
-        """Zero-copy parallel merge of a pre-computed partition."""
-        return merge_partition_shared(a, b, partition, backend=self)
-
     def close(self) -> None:
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
-
-
-class SharedMergeArena:
-    """Shared-memory staging for one partitioned merge.
-
-    Copies ``a`` and ``b`` once into named shared-memory blocks
-    (analogous to the arrays already residing in RAM on the paper's
-    machine) and materializes one picklable, idempotent task per
-    non-empty segment.  ``result()`` copies the merged output back out;
-    ``close()`` releases the blocks.  Late writes from abandoned
-    speculative attempts are harmless: every task writes the same bytes
-    to its own disjoint slice.
-    """
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, partition: Partition) -> None:
-        dtype = np.promote_types(a.dtype, b.dtype)
-        self._dtype = dtype
-        self._total = len(a) + len(b)
-        itemsize = dtype.itemsize
-        self._shm_a = shared_memory.SharedMemory(
-            create=True, size=max(1, len(a) * itemsize))
-        self._shm_b = shared_memory.SharedMemory(
-            create=True, size=max(1, len(b) * itemsize))
-        self._shm_o = shared_memory.SharedMemory(
-            create=True, size=max(1, self._total * itemsize))
-        try:
-            np.ndarray((len(a),), dtype=dtype, buffer=self._shm_a.buf)[:] = a
-            np.ndarray((len(b),), dtype=dtype, buffer=self._shm_b.buf)[:] = b
-            self.jobs = [
-                (
-                    self._shm_a.name, self._shm_b.name, self._shm_o.name,
-                    dtype.str, len(a), len(b),
-                    s.a_start, s.a_end, s.b_start, s.b_end,
-                    s.out_start, s.out_end,
-                )
-                for s in partition.segments
-                if s.length > 0
-            ]
-        except BaseException:
-            self.close()
-            raise
-
-    def tasks(self) -> list[Callable[[], int]]:
-        """One picklable callable per non-empty segment."""
-        return [functools.partial(_merge_segment_shm, args) for args in self.jobs]
-
-    def result(self) -> np.ndarray:
-        """Copy the merged output out of shared memory."""
-        return np.ndarray(
-            (self._total,), dtype=self._dtype, buffer=self._shm_o.buf
-        ).copy()
-
-    def close(self) -> None:
-        for shm in (self._shm_a, self._shm_b, self._shm_o):
-            try:
-                shm.close()
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double unlink
-                pass
-
-    def __enter__(self) -> "SharedMergeArena":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def merge_partition_shared(
-    a: np.ndarray,
-    b: np.ndarray,
-    partition: Partition,
-    *,
-    max_workers: int | None = None,
-    backend: Backend | None = None,
-) -> np.ndarray:
-    """Merge a partition with worker processes over shared memory.
-
-    Stages the arrays in a :class:`SharedMergeArena`, fans the segment
-    tasks out on ``backend`` (a temporary :class:`ProcessBackend` when
-    none is given), and copies the shared output back into a regular
-    array before releasing the blocks.
-    """
-    own_backend = backend is None
-    be = backend if backend is not None else ProcessBackend(
-        max_workers=max_workers
-    )
-    with SharedMergeArena(a, b, partition) as arena:
-        try:
-            be.run_batch(TaskBatch(arena.tasks(), label="merge.shared"))
-        finally:
-            if own_backend:
-                be.close()
-        return arena.result()

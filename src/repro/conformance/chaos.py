@@ -258,8 +258,10 @@ def chaos_check(
 def _worker_death_check(seed: int):
     """A killed pool worker must fail fast on the bare backend and be
     recovered transparently by the resilient wrapper."""
-    from ..backends.processes import ProcessBackend, SharedMergeArena
+    from ..backends.processes import ProcessBackend
     from ..core.merge_path import partition_merge_path
+    from ..core.parallel_merge import merge_partition
+    from ..execution.arena import RoundArena
     from .runner import CheckResult
 
     rng = np.random.default_rng(seed)
@@ -273,7 +275,7 @@ def _worker_death_check(seed: int):
     bare = FaultyBackend(ProcessBackend(max_workers=2), injector)
     t0 = time.monotonic()
     try:
-        with SharedMergeArena(a, b, partition) as arena:
+        with RoundArena([(a, b, partition)]) as arena:
             try:
                 bare.run_tasks(arena.tasks())
             except BatchError as exc:
@@ -307,7 +309,7 @@ def _worker_death_check(seed: int):
                     seed=seed, speculate=False),
     )
     try:
-        merged = resilient.merge_partition(a, b, partition)
+        merged = merge_partition(a, b, partition, backend=resilient)
     except BackendError as exc:
         return CheckResult(
             "chaos-worker-death", "fail",

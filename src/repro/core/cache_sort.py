@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..backends import Backend, get_backend
+from ..backends import Backend
+from ..execution.context import Execution
 from ..types import MergeStats
 from ..validation import as_array, check_positive
 from .merge_sort import parallel_merge_sort
@@ -80,39 +81,27 @@ def cache_efficient_sort(
         return arr.copy()
 
     L = block_length(cache_elements, block_fraction)
-    own_backend = isinstance(backend, str)
-    be = get_backend(backend, max_workers=p) if own_backend else backend
-    try:
+    with Execution(backend, p, trace=trace, metrics=metrics,
+                   stats=stats) as ex:
         # Stage 1+2: cache-sized blocks, each sorted by all p processors.
-        runs: list[np.ndarray] = []
-        for lo in range(0, n, L):
-            chunk = arr[lo : lo + L]
-            runs.append(
-                parallel_merge_sort(chunk, p, backend=be, kernel=kernel,
-                                    stats=stats, trace=trace, metrics=metrics)
-            )
+        runs = [
+            parallel_merge_sort(arr[lo:lo + L], p, backend=ex.backend,
+                                kernel=kernel, stats=ex.stats, trace=trace,
+                                metrics=metrics)
+            for lo in range(0, n, L)
+        ]
 
         # Stage 3: binary tree of segmented (cache-efficient) merges.
         while len(runs) > 1:
-            next_runs: list[np.ndarray] = []
-            for i in range(0, len(runs) - 1, 2):
-                merged = segmented_parallel_merge(
-                    runs[i],
-                    runs[i + 1],
-                    p,
-                    L=L,
-                    backend=be,
-                    kernel=kernel,
-                    check=False,
-                    stats=stats,
-                    trace=trace,
+            next_runs = [
+                segmented_parallel_merge(
+                    runs[i], runs[i + 1], p, L=L, backend=ex.backend,
+                    kernel=kernel, check=False, stats=ex.stats, trace=trace,
                     metrics=metrics,
                 )
-                next_runs.append(merged)
+                for i in range(0, len(runs) - 1, 2)
+            ]
             if len(runs) % 2:
                 next_runs.append(runs[-1])
             runs = next_runs
-        return runs[0]
-    finally:
-        if own_backend:
-            be.close()
+    return runs[0]

@@ -27,8 +27,9 @@ import sys
 
 import numpy as np
 
-from ..backends import Backend, get_backend
+from ..backends import Backend, TaskBatch
 from ..errors import InputError
+from ..execution.context import Execution
 from ..validation import as_array, check_positive, check_sorted
 from .merge_path import partition_merge_path
 
@@ -172,17 +173,12 @@ def merge_inplace_parallel(
         )
     # Now every segment's pieces are adjacent at [out_start, out_end);
     # merge them independently.
-    own_backend = isinstance(backend, str)
-    be = get_backend(backend, max_workers=p) if own_backend else backend
-
     def make_task(seg):
         def task() -> None:
             _symmerge(arr, seg.out_start, seg.out_start + seg.a_len, seg.out_end)
 
         return task
 
-    try:
-        be.run_tasks([make_task(s) for s in part.segments if s.length > 0])
-    finally:
-        if own_backend:
-            be.close()
+    with Execution(backend, p) as ex:
+        ex.run(TaskBatch([make_task(s) for s in part.segments if s.length > 0],
+                         label="inplace.merge"))

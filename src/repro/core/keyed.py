@@ -20,8 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backends import Backend, get_backend
+from ..backends import Backend, TaskBatch
 from ..errors import InputError
+from ..execution.context import Execution
 from ..validation import as_array, check_mergeable, check_positive
 from .merge_path import partition_merge_path
 
@@ -142,13 +143,8 @@ def merge_by_key(
         return task
 
     tasks = [make_task(seg) for seg in partition.segments if seg.length > 0]
-    own_backend = isinstance(backend, str)
-    be = get_backend(backend, max_workers=p) if own_backend else backend
-    try:
-        be.run_tasks(tasks)
-    finally:
-        if own_backend:
-            be.close()
+    with Execution(backend, p) as ex:
+        ex.run(TaskBatch(tasks, label="keyed.merge"))
     return out_keys, out_vals
 
 
@@ -208,11 +204,6 @@ def merge_records(
         return task
 
     tasks = [make_task(seg) for seg in partition.segments if seg.length > 0]
-    own_backend = isinstance(backend, str)
-    be = get_backend(backend, max_workers=p) if own_backend else backend
-    try:
-        be.run_tasks(tasks)
-    finally:
-        if own_backend:
-            be.close()
+    with Execution(backend, p) as ex:
+        ex.run(TaskBatch(tasks, label="keyed.merge"))
     return out

@@ -11,8 +11,9 @@ input lists.  This module provides the CPU analogue as the package's
   split indices such that every processor owns a contiguous, disjoint
   slab of each input and a contiguous output range — the exact k-way
   analogue of Theorem 5's sub-array pairs.
-* :func:`kway_merge` merges each slab set with repeated pairwise
-  vectorized merges (a tournament tree), in parallel across slabs.
+* :func:`kway_merge` merges each slab set with one stable sort of the
+  slabs laid back to back (:func:`repro.core.sequential.merge_runs_into`),
+  in parallel across slabs.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backends import Backend, TaskBatch, get_backend
+from ..backends import Backend, TaskBatch
+from ..execution.context import Execution
 from ..validation import as_array, check_positive, check_sorted
 from .selection import kth_of_union_many
-from .sequential import merge_vectorized
+from .sequential import merge_runs_into
 
 __all__ = ["kway_partition", "kway_merge"]
 
@@ -78,7 +80,7 @@ def kway_merge(
 
     Ties are emitted in array order (array 0 first), consistent with the
     two-array A-before-B rule.  Each processor merges its slab set with
-    a pairwise tournament of vectorized merges.
+    :func:`~repro.core.sequential.merge_runs_into`.
     """
     check_positive(p, "p")
     arrays = [as_array(arr, f"arrays[{t}]") for t, arr in enumerate(arrays)]
@@ -101,51 +103,14 @@ def kway_merge(
 
     def make_task(k: int):
         def task() -> None:
-            slabs = [
-                arr[cuts[k][t] : cuts[k + 1][t]]
-                for t, arr in enumerate(arrays)
-                if cuts[k + 1][t] > cuts[k][t]
-            ]
-            out[offsets[k] : offsets[k + 1]] = _tournament(slabs, dtype)
+            merge_runs_into(out[offsets[k]:offsets[k + 1]], [
+                arr[cuts[k][t]:cuts[k + 1][t]] for t, arr in enumerate(arrays)
+            ])
 
         return task
 
     tasks = [make_task(k) for k in range(p) if offsets[k + 1] > offsets[k]]
-    own_backend = isinstance(backend, str)
-    if own_backend:
-        from ..execution.pool import POOLED_BACKENDS, shared_backend
-
-        if backend in POOLED_BACKENDS:
-            be: Backend = shared_backend(backend, p)
-            own_backend = False  # lifetime owned by the shared pool cache
-        else:
-            be = get_backend(backend, max_workers=p)
-    else:
-        be = backend
-    try:
-        be.run_batch(TaskBatch(tasks, label="kway.merge",
-                               meta={"slabs": len(tasks)}))
-    finally:
-        if own_backend:
-            be.close()
+    with Execution(backend, p) as ex:
+        ex.run(TaskBatch(tasks, label="kway.merge",
+                         meta={"slabs": len(tasks)}))
     return out
-
-
-def _tournament(slabs: list[np.ndarray], dtype: np.dtype) -> np.ndarray:
-    """Pairwise-merge a list of sorted slabs down to one array.
-
-    Adjacent pairing preserves array-order tie-breaking: a merge of
-    slabs (i..j) always places lower-indexed arrays' elements first
-    among equals, because the vectorized kernel is stable A-first.
-    """
-    if not slabs:
-        return np.empty(0, dtype=dtype)
-    while len(slabs) > 1:
-        nxt = [
-            merge_vectorized(slabs[i], slabs[i + 1], check=False)
-            for i in range(0, len(slabs) - 1, 2)
-        ]
-        if len(slabs) % 2:
-            nxt.append(slabs[-1])
-        slabs = nxt
-    return slabs[0].astype(dtype, copy=False)

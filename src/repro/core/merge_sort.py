@@ -25,15 +25,11 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..backends import Backend
+from ..execution.context import Execution
+from ..execution.engine import run_chunk_sorts, run_merge_round
 from ..obs.tracer import NULL_SPAN
 from ..types import MergeStats
 from ..validation import as_array, check_positive
-from .parallel_merge import (
-    _TracerScope,
-    _flush_telemetry,
-    _resolve_execution,
-    _snapshot,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
@@ -149,71 +145,51 @@ def parallel_merge_sort(
     if n <= 1:
         return arr
 
-    local_stats = stats
-    if metrics is not None and local_stats is None:
-        local_stats = MergeStats()
-    before = _snapshot(local_stats)
+    with Execution(
+        backend, p, op="sort", n=n, resilience=resilience,
+        telemetry=telemetry, trace=trace, metrics=metrics, stats=stats,
+    ) as ex:
+        # --- Round 0: independent chunk sorts, one batched dispatch.
+        chunks = min(p, n)
+        sort_chunk = None
+        if base_sort != "numpy":
+            def sort_chunk(chunk: np.ndarray) -> np.ndarray:
+                return _sequential_merge_sort(chunk, ex.stats)
 
-    be, owned, t_start = _resolve_execution(
-        backend, p, resilience, telemetry, metrics, n=n, trace=trace
-    )
-    d_start = be.dispatches
-    try:
-        with _TracerScope(be, trace):
-            from ..execution.engine import run_chunk_sorts, run_merge_round
+        span0 = (
+            trace.span("sort.round", round=0, pairs=0, chunks=chunks,
+                       run_length=(n + chunks - 1) // chunks)
+            if trace is not None
+            else NULL_SPAN
+        )
+        with span0:
+            runs = run_chunk_sorts(
+                arr, chunks, backend=ex.backend, base_sort=base_sort,
+                sort_chunk=sort_chunk, trace=trace, metrics=metrics,
+            )
 
-            # --- Round 0: independent chunk sorts, one batched dispatch.
-            chunks = min(p, n)
-            sort_chunk = None
-            if base_sort != "numpy":
-                def sort_chunk(chunk: np.ndarray) -> np.ndarray:
-                    return _sequential_merge_sort(chunk, local_stats)
-
-            span0 = (
-                trace.span("sort.round", round=0, pairs=0, chunks=chunks,
-                           run_length=(n + chunks - 1) // chunks)
+        # --- Merge rounds: every pair of a round rides one batch;
+        # an odd run out carries to the next round dispatch-free.
+        round_index = 1
+        while len(runs) > 1:
+            procs_per_pair = max(1, p // (len(runs) // 2))
+            round_span = (
+                trace.span("sort.round", round=round_index,
+                           pairs=len(runs) // 2,
+                           procs_per_pair=procs_per_pair)
                 if trace is not None
                 else NULL_SPAN
             )
-            with span0:
-                runs = run_chunk_sorts(
-                    arr, chunks, backend=be, base_sort=base_sort,
-                    sort_chunk=sort_chunk, trace=trace, metrics=metrics,
+            with round_span:
+                runs = run_merge_round(
+                    runs, procs_per_pair, backend=ex.backend, kernel=kernel,
+                    stats=ex.stats, trace=trace, metrics=metrics,
+                    round_index=round_index,
                 )
-
-            # --- Merge rounds: every pair of a round rides one batch;
-            # an odd run out carries to the next round dispatch-free.
-            round_index = 1
-            while len(runs) > 1:
-                procs_per_pair = max(1, p // (len(runs) // 2))
-                round_span = (
-                    trace.span("sort.round", round=round_index,
-                               pairs=len(runs) // 2,
-                               procs_per_pair=procs_per_pair)
-                    if trace is not None
-                    else NULL_SPAN
-                )
-                with round_span:
-                    runs = run_merge_round(
-                        runs, procs_per_pair, backend=be, kernel=kernel,
-                        stats=local_stats, trace=trace, metrics=metrics,
-                        round_index=round_index,
-                    )
-                if metrics is not None:
-                    metrics.counter("sort.rounds").inc()
-                round_index += 1
-            return runs[0]
-    finally:
-        _flush_telemetry(be, t_start, telemetry)
-        if metrics is not None:
-            metrics.counter("sort.calls").inc()
-            dispatched = be.dispatches - d_start
-            metrics.counter("exec.dispatches").inc(dispatched)
-            metrics.gauge("exec.dispatches_per_call").set(dispatched)
-            if local_stats is not None:
-                metrics.record_merge_delta(before, local_stats)
-        if owned:
-            be.close()
+            if metrics is not None:
+                metrics.counter("sort.rounds").inc()
+            round_index += 1
+    return runs[0]
 
 
 def _sequential_merge_sort(

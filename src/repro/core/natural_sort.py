@@ -17,11 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backends import Backend, get_backend
+from ..backends import Backend
+from ..execution.context import Execution
+from ..execution.engine import run_merge_round
 from ..types import MergeStats
 from ..validation import as_array, check_positive
-from .merge_path import partition_merge_path
-from .parallel_merge import merge_partition
 
 __all__ = ["find_natural_runs", "natural_merge_sort"]
 
@@ -100,26 +100,12 @@ def natural_merge_sort(
     if len(runs) == 1:
         return arr
 
-    own_backend = isinstance(backend, str)
-    be = get_backend(backend, max_workers=p) if own_backend else backend
-    try:
-        while len(runs) > 1:
-            procs = max(1, p // max(1, len(runs) // 2))
-            nxt: list[np.ndarray] = []
-            for i in range(0, len(runs) - 1, 2):
-                part = partition_merge_path(
-                    runs[i], runs[i + 1], procs, check=False, stats=stats
-                )
-                nxt.append(
-                    merge_partition(
-                        runs[i], runs[i + 1], part, backend=be,
-                        kernel=kernel, stats=stats,
-                    )
-                )
-            if len(runs) % 2:
-                nxt.append(runs[-1])
-            runs = nxt
-        return runs[0]
-    finally:
-        if own_backend:
-            be.close()
+    with Execution(backend, p) as ex:
+        round_index = 1
+        while len(runs) > 1:  # one batched dispatch per round
+            runs = run_merge_round(
+                runs, max(1, p // (len(runs) // 2)), backend=ex.backend,
+                kernel=kernel, stats=stats, round_index=round_index,
+            )
+            round_index += 1
+    return runs[0]

@@ -19,63 +19,23 @@ only read-only inputs, matching the Remark after Algorithm 1.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
-from ..backends import Backend, TaskBatch, get_backend
-from ..obs.tracer import NULL_SPAN
+from ..backends import Backend
+from ..execution.context import Execution
+from ..execution.engine import run_segments
 from ..types import MergeStats, Partition
 from ..validation import as_array, check_mergeable, check_positive
 from .merge_path import partition_merge_path
-from .sequential import merge_into, result_dtype
+from .sequential import result_dtype
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
     from ..resilience import ExecutionTelemetry, RetryPolicy
 
 __all__ = ["parallel_merge", "merge", "merge_partition"]
-
-
-class _TracerScope:
-    """Temporarily install a tracer on a backend (and its inner chain).
-
-    Backends carry an optional ``tracer`` attribute consulted on every
-    task execution; entry points install the caller's tracer for the
-    duration of the call and restore the previous state afterwards, so
-    a pooled backend shared across calls is never left traced.
-    """
-
-    def __init__(self, backend: Backend, tracer: "Tracer | None") -> None:
-        self._saved: list[tuple[Backend, object]] = []
-        if tracer is None:
-            return
-        seen: set[int] = set()
-        be: object = backend
-        while isinstance(be, Backend) and id(be) not in seen:
-            seen.add(id(be))
-            self._saved.append((be, be.__dict__.get("tracer", _TracerScope)))
-            be.tracer = tracer
-            be = getattr(be, "inner", None)
-
-    def __enter__(self) -> "_TracerScope":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        for be, prev in self._saved:
-            if prev is _TracerScope:  # attribute was absent (class default)
-                be.__dict__.pop("tracer", None)
-            else:
-                be.tracer = prev
-
-
-def _snapshot(stats: MergeStats | None) -> tuple[int, int, int]:
-    """Field snapshot used to flush only this call's delta to metrics."""
-    if stats is None:
-        return (0, 0, 0)
-    return (stats.comparisons, stats.moves, stats.search_probes)
 
 
 def merge_partition(
@@ -91,168 +51,22 @@ def merge_partition(
 ) -> np.ndarray:
     """Execute the merge phase of Algorithm 1 over a ready partition.
 
-    Each segment becomes one task on ``backend``; tasks write disjoint
-    slices of the shared output array.  The per-task closures capture
-    only views — no element data is copied (except on the process
-    backend, which stages arrays in shared memory once).
-
-    Backends that can do better than the generic closure route — the
-    process backend and the resilience wrappers around it — advertise a
-    ``merge_partition(a, b, partition)`` hook (see
-    :class:`repro.backends.Backend`); it is probed first and a
-    non-``None`` return is the result.  The hook path uses the
-    vectorized kernel and does not feed ``stats``; when ``trace`` is
-    given the hook is skipped so every segment yields a
-    ``segment.merge`` span on the worker that ran it.
+    Each non-empty segment becomes one task of a single batch on
+    ``backend`` (:func:`repro.execution.engine.run_segments`); tasks
+    write disjoint slices of the output array.  In-process tasks capture
+    only views — no element data is copied; on a process pool the
+    arrays are staged once in shared memory.
 
     ``metrics`` publishes the Theorem 14 load-balance gauges
     (``balance.work_spread`` from the partition,
-    ``balance.task_time_imbalance`` from measured per-task times) and
-    counts dispatched segments.
+    ``balance.task_time_imbalance`` from measured per-task times),
+    counts dispatched segments and the call's dispatches.
     """
-    if metrics is not None:
-        metrics.counter("merge.segments").inc(
-            sum(1 for seg in partition.segments if seg.length > 0)
-        )
-        metrics.gauge("balance.work_spread").set(partition.max_imbalance)
-    fast_path = getattr(backend, "merge_partition", None)
-    if fast_path is not None and trace is None:
-        merged = fast_path(a, b, partition)
-        if merged is not None:
-            return merged
-
     out = np.empty(partition.total_length, dtype=result_dtype(a, b))
-    per_task_stats: list[MergeStats | None] = [
-        MergeStats() if stats is not None else None for _ in partition.segments
-    ]
-
-    def make_task(seg, seg_stats):
-        def task() -> None:
-            span = (
-                trace.span(
-                    "segment.merge",
-                    index=seg.index,
-                    worker=seg.index,
-                    a_start=seg.a_start, a_end=seg.a_end,
-                    b_start=seg.b_start, b_end=seg.b_end,
-                    out_start=seg.out_start, out_end=seg.out_end,
-                    length=seg.length,
-                )
-                if trace is not None
-                else NULL_SPAN
-            )
-            with span:
-                merge_into(
-                    out[seg.out_start : seg.out_end],
-                    a[seg.a_start : seg.a_end],
-                    b[seg.b_start : seg.b_end],
-                    kernel=kernel,
-                    stats=seg_stats,
-                )
-                if seg_stats is not None:
-                    span.set(comparisons=seg_stats.comparisons,
-                             moves=seg_stats.moves)
-
-        return task
-
-    tasks = [
-        make_task(seg, st)
-        for seg, st in zip(partition.segments, per_task_stats)
-        if seg.length > 0
-    ]
-    results = backend.run_batch(  # blocks: the Algorithm 1 barrier
-        TaskBatch(tasks, label="merge.partition",
-                  meta={"segments": len(tasks)})
-    )
-    if stats is not None:
-        for st in per_task_stats:
-            if st is not None:
-                stats.merge(st)
-    if metrics is not None and results:
-        times = [r.elapsed_s for r in results]
-        mean = sum(times) / len(times)
-        if mean > 0:
-            metrics.gauge("balance.task_time_imbalance").set(max(times) / mean)
+    with Execution(backend, stats=stats, trace=trace, metrics=metrics) as ex:
+        run_segments(ex, [(out, a, b, partition)],
+                     label="merge.partition", kernel=kernel)
     return out
-
-
-def _resolve_execution(
-    backend: Backend | str,
-    p: int,
-    resilience: "RetryPolicy | bool | None",
-    telemetry: "ExecutionTelemetry | None",
-    metrics: "MetricsRegistry | None" = None,
-    *,
-    n: int | None = None,
-    trace: "Tracer | None" = None,
-) -> tuple[Backend, bool, int]:
-    """Shared backend setup for the parallel entry points.
-
-    Returns ``(backend, owned, telemetry_start)``: the (possibly
-    resiliently wrapped) backend, whether the caller must close it, and
-    how many telemetry batches it had already recorded (so only this
-    call's batches are copied into the caller's sink afterwards).
-
-    String-named pooled backends (``serial``/``threads``/``processes``)
-    resolve to the process-wide shared instances of
-    :mod:`repro.execution.pool` — their worker pools persist across
-    calls and are **not** closed by the caller (``owned`` stays False
-    unless a resilience wrapper is added, in which case only the
-    wrapper is owned).  When ``n`` is given, the call is untraced and
-    the name is pooled, the adaptive autotuner may reroute the name to
-    a faster backend for that size (:mod:`repro.execution.autotune`);
-    explicit ``Backend`` instances and traced calls are never rerouted.
-    Traced calls also skip the shared pools and get a dedicated cold
-    pool (closed afterwards): a warm pool may multiplex every segment
-    onto one OS thread, which would gut the per-worker trace view.
-
-    When ``metrics`` is given, any telemetry sink on the resolved
-    backend that is not already bound to a registry is bound to it, so
-    resilience counters (retries, timeouts, speculations, ...) land in
-    the same unified registry as the kernel counts.
-    """
-    from ..execution.autotune import get_autotuner
-    from ..execution.pool import POOLED_BACKENDS, shared_backend
-
-    owned = isinstance(backend, str)
-    if owned:
-        name = backend
-        if n is not None and trace is None:
-            name = get_autotuner().choose_backend(name, n)
-        if trace is not None or name not in POOLED_BACKENDS:
-            # Traced calls get a dedicated cold pool: a warm shared pool
-            # may multiplex every segment onto one OS thread, which
-            # would make the per-worker trace view meaningless.
-            be = get_backend(name, max_workers=p)
-        else:
-            be: Backend = shared_backend(name, p)
-            owned = False  # lifetime belongs to the shared pool cache
-    else:
-        be = backend
-    if resilience:
-        from ..resilience import ResilientBackend, RetryPolicy
-
-        policy = resilience if isinstance(resilience, RetryPolicy) else None
-        be = ResilientBackend(be, policy, owns_inner=owned)
-        owned = True
-        if telemetry is not None:
-            be.telemetry = telemetry
-    sink = getattr(be, "telemetry", None)
-    if metrics is not None and sink is not None and sink.metrics is None:
-        sink.metrics = metrics
-    start = len(sink.batches) if sink is not None else 0
-    return be, owned, start
-
-
-def _flush_telemetry(
-    be: Backend, start: int, telemetry: "ExecutionTelemetry | None"
-) -> None:
-    """Copy batches recorded since ``start`` into the caller's sink."""
-    sink = getattr(be, "telemetry", None)
-    if telemetry is None or sink is None or sink is telemetry:
-        return
-    for batch in sink.batches[start:]:
-        telemetry.record(batch)
 
 
 def parallel_merge(
@@ -338,44 +152,17 @@ def parallel_merge(
     if check:
         check_mergeable(a, b)
 
-    local_stats = stats
-    if metrics is not None and local_stats is None:
-        local_stats = MergeStats()
-    before = _snapshot(local_stats)
-
-    n = len(a) + len(b)
-    if kernel == "auto":
-        from ..execution.autotune import get_autotuner
-
-        kernel = get_autotuner().resolve_kernel(
-            kernel, max(1, n // (p * oversubscribe))
+    with Execution(
+        backend, p, op="merge", n=len(a) + len(b), resilience=resilience,
+        telemetry=telemetry, trace=trace, metrics=metrics, stats=stats,
+    ) as ex:
+        partition = partition_merge_path(
+            a, b, p * oversubscribe, check=False, stats=ex.stats, tracer=trace
         )
-
-    partition = partition_merge_path(
-        a, b, p * oversubscribe, check=False, stats=local_stats, tracer=trace
-    )
-
-    be, owned, t_start = _resolve_execution(
-        backend, p, resilience, telemetry, metrics, n=n, trace=trace
-    )
-    d_start = be.dispatches
-    try:
-        with _TracerScope(be, trace):
-            return merge_partition(
-                a, b, partition, backend=be, kernel=kernel, stats=local_stats,
-                trace=trace, metrics=metrics,
-            )
-    finally:
-        _flush_telemetry(be, t_start, telemetry)
-        if metrics is not None:
-            metrics.counter("merge.calls").inc()
-            dispatched = be.dispatches - d_start
-            metrics.counter("exec.dispatches").inc(dispatched)
-            metrics.gauge("exec.dispatches_per_call").set(dispatched)
-            if local_stats is not None:
-                metrics.record_merge_delta(before, local_stats)
-        if owned:
-            be.close()
+        out = np.empty(partition.total_length, dtype=result_dtype(a, b))
+        run_segments(ex, [(out, a, b, partition)],
+                     label="merge.partition", kernel=kernel)
+    return out
 
 
 def merge(

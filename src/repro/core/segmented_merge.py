@@ -23,14 +23,15 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from ..backends import Backend, TaskBatch, get_backend
+from ..backends import Backend
 from ..errors import InputError
+from ..execution.context import Execution
+from ..execution.engine import run_segments
 from ..obs.tracer import NULL_SPAN
 from ..types import MergeStats, Partition, Segment
 from ..validation import as_array, check_mergeable, check_positive
 from .merge_path import diagonal_intersection, partition_merge_path
-from .parallel_merge import _TracerScope, _snapshot
-from .sequential import merge_into, result_dtype
+from .sequential import result_dtype
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
@@ -158,98 +159,32 @@ def segmented_parallel_merge(
     if check:
         check_mergeable(a, b)
 
-    local_stats = stats
-    if metrics is not None and local_stats is None:
-        local_stats = MergeStats()
-    before = _snapshot(local_stats)
-
     out = np.empty(len(a) + len(b), dtype=result_dtype(a, b))
-    own_backend = isinstance(backend, str)
-    if own_backend:
-        from ..execution.pool import POOLED_BACKENDS, shared_backend
-
-        if backend in POOLED_BACKENDS:
-            be: Backend = shared_backend(backend, p)
-            own_backend = False  # lifetime owned by the shared pool cache
-        else:
-            be = get_backend(backend, max_workers=p)
-    else:
-        be = backend
-    d_start = be.dispatches
-
-    def make_task(block: Segment, seg: Segment, seg_stats: MergeStats | None):
-        def task() -> None:
-            span = (
+    with Execution(backend, p, op="spm", trace=trace, metrics=metrics,
+                   stats=stats) as ex:
+        for plan in plan_segments(a, b, p, L, check=False):
+            block = plan.block
+            block_span = (
                 trace.span(
-                    "segment.merge",
-                    index=seg.index, block=block.index,
-                    out_start=block.out_start + seg.out_start,
-                    out_end=block.out_start + seg.out_end,
-                    length=seg.length,
+                    "spm.block",
+                    index=block.index,
+                    out_start=block.out_start, out_end=block.out_end,
+                    a_consumed=block.a_len, b_consumed=block.b_len,
                 )
                 if trace is not None
                 else NULL_SPAN
             )
-            with span:
-                merge_into(
-                    out[block.out_start + seg.out_start : block.out_start + seg.out_end],
-                    a[block.a_start + seg.a_start : block.a_start + seg.a_end],
-                    b[block.b_start + seg.b_start : block.b_start + seg.b_end],
-                    kernel=kernel,
-                    stats=seg_stats,
+            with block_span:  # per-block barrier (step 3 of Algorithm 2)
+                run_segments(ex, [(
+                    out[block.out_start:block.out_end],
+                    a[block.a_start:block.a_end],
+                    b[block.b_start:block.b_end],
+                    plan.partition,
+                )], label="spm.block", kernel=kernel,
+                    meta={"block": block.index})
+            if metrics is not None:
+                metrics.counter("spm.blocks").inc()
+                metrics.histogram("spm.block_a_share").observe(
+                    block.a_len / block.length
                 )
-
-        return task
-
-    try:
-        with _TracerScope(be, trace):
-            for plan in plan_segments(a, b, p, L, check=False):
-                block = plan.block
-                block_span = (
-                    trace.span(
-                        "spm.block",
-                        index=block.index,
-                        out_start=block.out_start, out_end=block.out_end,
-                        a_consumed=block.a_len, b_consumed=block.b_len,
-                    )
-                    if trace is not None
-                    else NULL_SPAN
-                )
-                with block_span:
-                    per_seg_stats = [
-                        MergeStats() if local_stats is not None else None
-                        for _ in plan.partition.segments
-                    ]
-                    tasks = [
-                        make_task(block, seg, st)
-                        for seg, st in zip(plan.partition.segments, per_seg_stats)
-                        if seg.length > 0
-                    ]
-                    if tasks:
-                        # per-block barrier (step 3 of Algorithm 2)
-                        be.run_batch(TaskBatch(
-                            tasks, label="spm.block",
-                            meta={"block": block.index},
-                        ))
-                    if local_stats is not None:
-                        for st in per_seg_stats:
-                            if st is not None:
-                                local_stats.merge(st)
-                if metrics is not None:
-                    metrics.counter("spm.blocks").inc()
-                    if block.length > 0:
-                        metrics.histogram("spm.block_a_share").observe(
-                            block.a_len / block.length
-                        )
-    finally:
-        if metrics is not None:
-            metrics.counter("spm.calls").inc()
-            # One dispatch per cache block (the per-block barrier).
-            dispatched = be.dispatches - d_start
-            metrics.counter("exec.dispatches").inc(dispatched)
-            metrics.gauge("exec.dispatches_per_call").set(dispatched)
-            if local_stats is not None:
-                metrics.record_merge_delta(before, local_stats)
-        if own_backend:
-            be.close()
     return out

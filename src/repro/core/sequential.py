@@ -46,6 +46,7 @@ __all__ = [
     "merge_vectorized",
     "merge_vectorized_into",
     "merge_into",
+    "merge_runs_into",
     "KERNELS",
     "result_dtype",
 ]
@@ -343,3 +344,22 @@ def merge_into(
             f"unknown kernel {kernel!r}; choose from {sorted(KERNELS)}"
         ) from None
     out[:] = fn(a, b, check=False, stats=stats)
+
+
+def merge_runs_into(out: np.ndarray, runs: Sequence[np.ndarray]) -> None:
+    """Stable merge of ``T`` sorted ``runs`` written into ``out``.
+
+    The k-way form of :func:`merge_vectorized_into`: copies the runs
+    back to back into ``out`` and stable-sorts it in place.  Timsort
+    finds the ``T`` runs and merges them in ``O(n log T)``, and
+    stability emits equal keys in run order (run 0 first), so the
+    result equals ``np.sort(np.concatenate(runs), kind="stable")`` bit
+    for bit.
+    """
+    pos = 0
+    for run in runs:
+        out[pos:pos + len(run)] = run
+        pos += len(run)
+    if pos != len(out):
+        raise InputError(f"output length {len(out)} != total run length {pos}")
+    out.sort(kind="stable")

@@ -1,22 +1,22 @@
-"""Batched execution engine + adaptive autotuner for the hot paths.
+"""The execution layer between :mod:`repro.core` and :mod:`repro.backends`.
 
-This package is the dispatch layer between the algorithms in
-:mod:`repro.core` and the executors in :mod:`repro.backends`:
-
-* :mod:`~repro.execution.engine` — fuse every segment task of a phase
-  (a whole sort round, all chunk sorts) into one
-  :class:`~repro.backends.TaskBatch` → one fork/join barrier, so a sort
+* :mod:`~repro.execution.context` — :class:`Execution`, the one call
+  context every entry point runs in: backend resolution (shared pools,
+  autotune reroute, resilience wrap), tracer installation, batch
+  dispatch and the per-call metrics flush.
+* :mod:`~repro.execution.engine` — :func:`run_segments`, the one runner
+  that turns partitioned merges into a single
+  :class:`~repro.backends.TaskBatch` (one fork/join barrier), so a sort
   call performs ``O(log N)`` dispatches instead of ``O(p · log N)``.
 * :mod:`~repro.execution.pool` — process-wide persistent backends for
   string-named requests; worker pools are built once per host process,
   never per call.
-* :mod:`~repro.execution.arena` — shared-memory staging of whole rounds
-  for the process backend (two blocks per round, picklable offset
-  jobs).
+* :mod:`~repro.execution.arena` — shared-memory staging of whole
+  batches for the process backend (two blocks per batch, picklable
+  offset jobs).
 * :mod:`~repro.execution.autotune` — measured per-host crossover
   thresholds (serial↔threads↔processes, two-pointer↔vectorized),
-  persisted and consulted by the core entry points for string-named
-  backends on untraced calls.
+  persisted and consulted for string-named backends on untraced calls.
 * :mod:`~repro.execution.tuning` — the pure policy half of the tuner
   (probe samples → thresholds → routing decisions, host
   fingerprinting), shared by the cold-start path above and the
@@ -41,7 +41,8 @@ from .tuning import (
     tuning_env,
 )
 from .arena import ChunkSortArena, RoundArena
-from .engine import run_chunk_sorts, run_merge_round
+from .context import Execution
+from .engine import run_chunk_sorts, run_merge_round, run_segments
 from .pool import close_shared_backends, is_shared, shared_backend
 
 __all__ = [
@@ -60,8 +61,10 @@ __all__ = [
     "tuning_env",
     "ChunkSortArena",
     "RoundArena",
+    "Execution",
     "run_chunk_sorts",
     "run_merge_round",
+    "run_segments",
     "close_shared_backends",
     "is_shared",
     "shared_backend",

@@ -1,18 +1,17 @@
-"""Shared-memory staging for whole batched phases on the process backend.
+"""Shared-memory staging for whole batches on the process backend.
 
-:class:`repro.backends.processes.SharedMergeArena` stages *one* merge —
-two blocks in, one block out.  A batched sort round merges many pairs at
-once, and staging each pair separately would cost one shared-memory
-allocation trio per pair per round.  The arenas here amortize that to
-**two blocks per round** regardless of pair count:
+Process-pool tasks must be picklable, so closures over the caller's
+arrays cannot ship.  The arenas here copy a batch's inputs once into
+**two** shared blocks, whatever the pair count, and hand out picklable
+jobs that carry only integer offsets into them:
 
 :class:`RoundArena`
-    One input block holding every run of the round back to back, one
-    output block holding every merged pair back to back.  Each segment
-    task carries only integer offsets into the two blocks, so the jobs
-    stay picklable and idempotent — same disjoint bytes on re-execution,
-    which is what lets :class:`repro.resilience.ResilientBackend` retry
-    or speculate them freely (Theorem 14).
+    One input block holding every run of the batch back to back, one
+    output block holding every merged pair back to back.  A one-pair
+    arena stages a single partitioned merge.  Jobs are idempotent —
+    same disjoint bytes on re-execution — which is what lets
+    :class:`repro.resilience.ResilientBackend` retry or speculate them
+    freely (Theorem 14).
 
 :class:`ChunkSortArena`
     Round 0 of the sort: the unsorted array in one block, each chunk
@@ -169,14 +168,19 @@ class RoundArena(_TwoBlockArena):
     def tasks(self) -> list[Callable[[], int]]:
         return [functools.partial(_merge_segment_offsets, j) for j in self.jobs]
 
-    def results(self) -> list[np.ndarray]:
-        """Merged output of each pair, in input order (copied out)."""
+    def results(
+        self, outs: Sequence[np.ndarray] | None = None
+    ) -> list[np.ndarray]:
+        """Each pair's merged output, in input order, copied out of
+        shared memory into ``outs`` (fresh arrays when not given)."""
         item = self._dtype.itemsize
-        return [
-            np.ndarray((hi - lo,), dtype=self._dtype,
-                       buffer=self._shm_out.buf, offset=lo * item).copy()
-            for lo, hi in self._pair_slices
-        ]
+        if outs is None:
+            outs = [np.empty(hi - lo, dtype=self._dtype)
+                    for lo, hi in self._pair_slices]
+        for out, (lo, hi) in zip(outs, self._pair_slices):
+            out[...] = np.ndarray((hi - lo,), dtype=self._dtype,
+                                  buffer=self._shm_out.buf, offset=lo * item)
+        return list(outs)
 
 
 class ChunkSortArena(_TwoBlockArena):

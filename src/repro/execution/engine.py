@@ -1,73 +1,148 @@
-"""The batched execution engine: one dispatch per phase, not per pair.
+"""The execution engine: Algorithm 1's merge phase as one batch.
 
-Before this module, ``parallel_merge_sort`` dispatched each pair of a
-merge round separately — ``pairs`` fork/join barriers per round,
-``O(p · log N)`` backend dispatches per sort call.  Since every segment
-task of a round is independent of every other (disjoint output slices
-across pairs *and* within them — Theorem 14), the whole round is one
-logical fork/join: gather all segments of all pairs into a single
-:class:`~repro.backends.TaskBatch`, submit once, barrier once.  That is
-how GPU merge-path implementations launch a round (one grid, all
-blocks), and it drops dispatch count to ``O(log N)`` per sort call.
+Every operation of the paper has one shape: cut merge paths at
+diagonals, then merge each disjoint output slice independently, with a
+single barrier at the end (Theorem 14).  :func:`run_segments` is the
+only code that turns partitioned merges — ``(out, a, b, partition)``
+jobs — into a :class:`~repro.backends.TaskBatch`.  It
 
-Two helpers constitute the engine:
+* resolves ``kernel="auto"`` from the largest segment;
+* builds one task per non-empty segment of every job — a closure with
+  a ``segment.merge`` span and a private ``MergeStats`` sink, or, when
+  tasks must be picklable (:func:`~repro.backends.tasks_must_pickle`),
+  a picklable offset job over a :class:`~repro.execution.arena.RoundArena`
+  that stages all jobs in two shared-memory blocks;
+* publishes ``merge.segments`` and ``balance.work_spread``, runs the
+  batch through the call's :class:`~repro.execution.context.Execution`
+  and folds the per-task stats.
 
-:func:`run_merge_round`
-    All pairs of one round → one batch.  An odd run out is carried to
-    the next round *at zero dispatch cost* (it used to ride along as
-    either a degenerate 1-task batch or an extra list pass).
-:func:`run_chunk_sorts`
-    Round 0 (the per-processor local sorts) → one batch; on the process
-    backend the array is staged once in shared memory
-    (:class:`~repro.execution.arena.ChunkSortArena`) so chunk data is
-    not pickled.
-
-Both route through :meth:`Backend.run_batch`, so every round shows up
-as one ``exec.batch`` span and one tick of the ``dispatches`` counter —
-which is exactly what the ``exec.dispatches_per_call`` metric audits.
+Its callers differ only in how they plan: ``merge_partition`` (one job),
+a sort round (:func:`run_merge_round`: every pair of the round, so a
+sort costs one dispatch per round, ``O(log N)`` per call), and an SPM
+block (one job per cache block).  :func:`run_chunk_sorts` is round 0 of
+the sort: every chunk's local sort as one batch.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from contextlib import nullcontext
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from ..backends import Backend, TaskBatch
-from ..backends.processes import ProcessBackend
+from ..backends import Backend, TaskBatch, tasks_must_pickle
 from ..obs.tracer import NULL_SPAN
-from ..types import MergeStats
+from ..types import MergeStats, Partition
 from ..core.merge_path import partition_merge_path
 from ..core.sequential import merge_into, result_dtype
 from .arena import ChunkSortArena, RoundArena
 from .autotune import get_autotuner
+from .context import Execution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
 
-__all__ = ["run_merge_round", "run_chunk_sorts"]
+__all__ = ["run_segments", "run_merge_round", "run_chunk_sorts"]
+
+#: One partitioned merge: ``partition`` cuts the merge of ``a`` and
+#: ``b`` into segments that fill ``out``.
+Job = tuple[np.ndarray, np.ndarray, np.ndarray, Partition]
 
 
-def _innermost(backend: Backend) -> Backend:
-    """Unwrap resilience/fault wrappers to find the executing backend."""
-    seen: set[int] = set()
-    be = backend
-    while id(be) not in seen:
-        seen.add(id(be))
-        inner = getattr(be, "inner", None)
-        if not isinstance(inner, Backend):
-            break
-        be = inner
-    return be
+def run_segments(
+    ex: Execution,
+    jobs: Sequence[Job],
+    *,
+    label: str,
+    kernel: str = "vectorized",
+    meta: dict[str, Any] | None = None,
+) -> None:
+    """Merge every segment of every job in **one** batched dispatch.
+
+    ``meta`` is recorded on the batch (and on each ``segment.merge``
+    span).  Staged jobs run the vectorized kernel in worker processes,
+    which feed neither the call's ``MergeStats`` nor its tracer.
+    """
+    meta = dict(meta or ())
+    per_task_stats: list[MergeStats] = []
+    staged = tasks_must_pickle(ex.backend)
+    with (
+        RoundArena([(a, b, part) for _, a, b, part in jobs]) if staged
+        else nullcontext()
+    ) as arena:
+        tasks = (
+            arena.tasks() if staged
+            else _closures(ex, jobs, kernel, meta, per_task_stats)
+        )
+        meta["segments"] = len(tasks)
+        if ex.metrics is not None:
+            ex.metrics.counter("merge.segments").inc(len(tasks))
+            ex.metrics.gauge("balance.work_spread").set(
+                max(part.max_imbalance for *_, part in jobs)
+            )
+        ex.run(TaskBatch(tasks, label=label, meta=meta))  # the barrier
+        if staged:
+            arena.results([out for out, *_ in jobs])
+    for st in per_task_stats:
+        ex.stats.merge(st)
 
 
-def _publish_times(metrics: "MetricsRegistry | None", results) -> None:
-    if metrics is None or not results:
-        return
-    times = [r.elapsed_s for r in results]
-    mean = sum(times) / len(times)
-    if mean > 0:
-        metrics.gauge("balance.task_time_imbalance").set(max(times) / mean)
+def _closures(
+    ex: Execution,
+    jobs: Sequence[Job],
+    kernel: str,
+    meta: dict[str, Any],
+    per_task_stats: list[MergeStats],
+) -> list:
+    """One in-process task per non-empty segment, each with its own
+    ``segment.merge`` span and (when counting) ``MergeStats`` sink."""
+    if kernel == "auto":
+        kernel = get_autotuner().resolve_kernel(kernel, max(
+            1, max(p.total_length // len(p.segments) for *_, p in jobs)
+        ))
+    trace = ex.trace
+
+    def make_task(out, a, b, seg, worker, seg_stats):
+        def task() -> None:
+            span = (
+                trace.span(
+                    "segment.merge",
+                    index=seg.index, worker=worker,
+                    a_start=seg.a_start, a_end=seg.a_end,
+                    b_start=seg.b_start, b_end=seg.b_end,
+                    out_start=seg.out_start, out_end=seg.out_end,
+                    length=seg.length, **meta,
+                )
+                if trace is not None
+                else NULL_SPAN
+            )
+            with span:
+                merge_into(
+                    out[seg.out_start:seg.out_end],
+                    a[seg.a_start:seg.a_end],
+                    b[seg.b_start:seg.b_end],
+                    kernel=kernel,
+                    stats=seg_stats,
+                )
+                if seg_stats is not None:
+                    span.set(comparisons=seg_stats.comparisons,
+                             moves=seg_stats.moves)
+
+        return task
+
+    tasks = []
+    for job, (out, a, b, part) in enumerate(jobs):
+        for seg in part.segments:
+            if seg.length == 0:
+                continue
+            seg_stats = None
+            if ex.stats is not None:
+                seg_stats = MergeStats()
+                per_task_stats.append(seg_stats)
+            tasks.append(make_task(out, a, b, seg,
+                                   job * len(part.segments) + seg.index,
+                                   seg_stats))
+    return tasks
 
 
 def run_merge_round(
@@ -84,109 +159,28 @@ def run_merge_round(
     """Merge adjacent pairs of ``runs`` in **one** batched dispatch.
 
     Partitions every pair with Algorithm 1 (``procs_per_pair`` segments
-    each), fuses all segment tasks into a single
-    :class:`~repro.backends.TaskBatch`, and returns the next round's
-    runs.  An odd trailing run is carried over untouched — it costs no
-    task and no dispatch.
-
-    On an (innermost) process backend with no tracer the round is staged
-    through a :class:`RoundArena`: two shared-memory blocks for the
-    whole round, picklable offset jobs, still one dispatch.
+    each) and returns the next round's runs.  An odd trailing run is
+    carried over untouched — it costs no task and no dispatch.
     """
     if len(runs) < 2:
         return list(runs)
-    pairs = [(runs[i], runs[i + 1]) for i in range(0, len(runs) - 1, 2)]
-    tail = runs[-1] if len(runs) % 2 else None
-
-    partitions = [
-        partition_merge_path(
-            a, b, procs_per_pair, check=False, stats=stats, tracer=trace
-        )
-        for a, b in pairs
-    ]
-    if metrics is not None:
-        metrics.counter("merge.segments").inc(sum(
-            1 for part in partitions for s in part.segments if s.length > 0
-        ))
-        metrics.gauge("balance.work_spread").set(
-            max(part.max_imbalance for part in partitions)
-        )
-
-    seg_hint = max(1, max(p.total_length for p in partitions) // procs_per_pair)
-    resolved_kernel = get_autotuner().resolve_kernel(kernel, seg_hint)
-    meta = {"round": round_index, "pairs": len(pairs),
-            "procs_per_pair": procs_per_pair}
-
-    if trace is None and isinstance(_innermost(backend), ProcessBackend):
-        with RoundArena(
-            [(a, b, part) for (a, b), part in zip(pairs, partitions)]
-        ) as arena:
-            results = backend.run_batch(
-                TaskBatch(arena.tasks(), label="sort.round", meta=meta)
+    with Execution(backend, stats=stats, trace=trace, metrics=metrics) as ex:
+        jobs = []
+        for i in range(0, len(runs) - 1, 2):
+            a, b = runs[i], runs[i + 1]
+            part = partition_merge_path(
+                a, b, procs_per_pair, check=False, stats=ex.stats, tracer=trace
             )
-            _publish_times(metrics, results)
-            merged = arena.results()
-        if tail is not None:
-            merged.append(tail)
-        return merged
-
-    outs = [
-        np.empty(part.total_length, dtype=result_dtype(a, b))
-        for (a, b), part in zip(pairs, partitions)
-    ]
-    per_task_stats: list[MergeStats | None] = []
-    tasks = []
-
-    def make_task(a, b, out, seg, seg_stats, worker):
-        def task() -> None:
-            span = (
-                trace.span(
-                    "segment.merge",
-                    index=seg.index, worker=worker, round=round_index,
-                    a_start=seg.a_start, a_end=seg.a_end,
-                    b_start=seg.b_start, b_end=seg.b_end,
-                    out_start=seg.out_start, out_end=seg.out_end,
-                    length=seg.length,
-                )
-                if trace is not None
-                else NULL_SPAN
-            )
-            with span:
-                merge_into(
-                    out[seg.out_start:seg.out_end],
-                    a[seg.a_start:seg.a_end],
-                    b[seg.b_start:seg.b_end],
-                    kernel=resolved_kernel,
-                    stats=seg_stats,
-                )
-                if seg_stats is not None:
-                    span.set(comparisons=seg_stats.comparisons,
-                             moves=seg_stats.moves)
-
-        return task
-
-    for pair_idx, ((a, b), part, out) in enumerate(zip(pairs, partitions, outs)):
-        for seg in part.segments:
-            if seg.length == 0:
-                continue
-            seg_stats = MergeStats() if stats is not None else None
-            per_task_stats.append(seg_stats)
-            tasks.append(make_task(
-                a, b, out, seg, seg_stats,
-                worker=pair_idx * procs_per_pair + seg.index,
-            ))
-
-    results = backend.run_batch(
-        TaskBatch(tasks, label="sort.round", meta=meta)
-    )
-    _publish_times(metrics, results)
-    if stats is not None:
-        for st in per_task_stats:
-            if st is not None:
-                stats.merge(st)
-    if tail is not None:
-        outs.append(tail)
-    return outs
+            out = np.empty(part.total_length, dtype=result_dtype(a, b))
+            jobs.append((out, a, b, part))
+        run_segments(ex, jobs, label="sort.round", kernel=kernel, meta={
+            "round": round_index, "pairs": len(jobs),
+            "procs_per_pair": procs_per_pair,
+        })
+    merged = [out for out, *_ in jobs]
+    if len(runs) % 2:
+        merged.append(runs[-1])
+    return merged
 
 
 def run_chunk_sorts(
@@ -202,54 +196,45 @@ def run_chunk_sorts(
     """Round 0 of the sort: every chunk's local sort as one batch.
 
     ``sort_chunk`` is the per-chunk callable (defaults to a stable numpy
-    sort).  On an (innermost) untraced process backend with the default
-    numpy sort the chunks are staged through a
-    :class:`ChunkSortArena` — previously round 0 on processes required
-    pickling every chunk's data through closure tasks.
+    sort).  When tasks must be picklable and the default numpy sort is
+    used, the chunks are staged through a :class:`ChunkSortArena`.
     """
     n = len(arr)
     chunks = min(chunks, n)
     bounds = [(k * n) // chunks for k in range(chunks + 1)]
 
-    if (
-        trace is None
-        and sort_chunk is None
-        and base_sort == "numpy"
-        and isinstance(_innermost(backend), ProcessBackend)
-    ):
-        with ChunkSortArena(arr, bounds) as arena:
-            results = backend.run_batch(
-                TaskBatch(arena.tasks(), label="sort.chunks",
-                          meta={"round": 0, "chunks": chunks})
-            )
-            _publish_times(metrics, results)
-            return arena.results()
+    with Execution(backend, trace=trace, metrics=metrics) as ex:
+        if (
+            sort_chunk is None
+            and base_sort == "numpy"
+            and tasks_must_pickle(ex.backend)
+        ):
+            with ChunkSortArena(arr, bounds) as arena:
+                ex.run(TaskBatch(arena.tasks(), label="sort.chunks",
+                                 meta={"round": 0, "chunks": chunks}))
+                return arena.results()
 
-    if sort_chunk is None:
-        def sort_chunk(chunk: np.ndarray) -> np.ndarray:
-            return np.sort(chunk, kind="mergesort")
+        if sort_chunk is None:
+            def sort_chunk(chunk: np.ndarray) -> np.ndarray:
+                return np.sort(chunk, kind="mergesort")
 
-    views = [arr[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        views = [arr[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
-    def make_task(idx: int, chunk: np.ndarray):
-        def task() -> np.ndarray:
-            span = (
-                trace.span("sort.chunk", index=idx, worker=idx,
-                           length=len(chunk))
-                if trace is not None
-                else NULL_SPAN
-            )
-            with span:
-                return sort_chunk(chunk)
+        def make_task(idx: int, chunk: np.ndarray):
+            def task() -> np.ndarray:
+                span = (
+                    trace.span("sort.chunk", index=idx, worker=idx,
+                               length=len(chunk))
+                    if trace is not None
+                    else NULL_SPAN
+                )
+                with span:
+                    return sort_chunk(chunk)
 
-        return task
+            return task
 
-    results = backend.run_batch(
-        TaskBatch(
+        results = ex.run(TaskBatch(
             [make_task(i, c) for i, c in enumerate(views)],
             label="sort.chunks", meta={"round": 0, "chunks": len(views)},
-        )
-    )
-    _publish_times(metrics, results)
-    ordered = sorted(results, key=lambda r: r.index)
-    return [r.value for r in ordered]
+        ))
+    return [r.value for r in sorted(results, key=lambda r: r.index)]

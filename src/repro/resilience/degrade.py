@@ -40,11 +40,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from ..backends.base import Backend
+from ..backends.base import Backend, tasks_must_pickle
 from ..errors import BackendError, BackendUnavailableError, InputError
-from ..types import Partition
 from .breaker import CLOSED, CircuitBreaker, RecoveryPolicy
 from .policy import RetryPolicy
 from .resilient import ResilientBackend
@@ -359,6 +356,16 @@ class DegradingBackend(Backend):
             entry, "name", type(entry).__name__
         )
 
+    @property
+    def out_of_process(self) -> bool:
+        """True when some level is a process pool: a batch may be
+        replayed on any level, so its tasks must be picklable."""
+        return any(
+            entry == "processes" if isinstance(entry, str)
+            else tasks_must_pickle(entry)
+            for entry in self._entries
+        )
+
     def _breaker(self, index: int) -> CircuitBreaker:
         breaker = self._breakers.get(index)
         if breaker is None:
@@ -546,30 +553,6 @@ class DegradingBackend(Backend):
     def run_tasks(self, tasks: Sequence[Callable[[], Any]]) -> list:
         tasks = list(tasks)
         return self._dispatch(lambda lvl: lvl.run_tasks(tasks), "a task batch")
-
-    def merge_partition(
-        self, a: np.ndarray, b: np.ndarray, partition: Partition
-    ) -> np.ndarray:
-        """Partitioned merge that survives level failures.
-
-        Stages the arrays in a shared-memory arena so the segment tasks
-        are picklable (process levels) yet equally runnable in-process
-        (thread/serial levels), and replays the whole idempotent batch
-        on the next level if one gives out mid-merge.
-        """
-        from ..backends.processes import SharedMergeArena
-
-        def op(level: ResilientBackend) -> np.ndarray:
-            with SharedMergeArena(a, b, partition) as arena:
-                tasks = arena.tasks()
-                if tasks:
-                    level.run_tasks(tasks)
-                return arena.result()
-
-        # One fork/join from the caller's point of view, exactly like
-        # run_batch — level replays underneath don't multiply it.
-        self.dispatches += 1
-        return self._dispatch(op, "a partitioned merge")
 
     def close(self) -> None:
         for level in self._levels.values():

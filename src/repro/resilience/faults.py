@@ -28,6 +28,7 @@ second attempt.
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import os
 import random
 import signal
@@ -36,8 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..backends.base import Backend, TaskResult
-from .resilient import innermost_backend
+from ..backends.base import Backend, TaskResult, tasks_must_pickle
 
 __all__ = [
     "InjectedFault",
@@ -87,7 +87,10 @@ def _apply_fault(
             f"injected hang expired after {decision.sleep_s:.3g}s"
         )
     if decision.kind == "death":
-        if in_process:
+        # ``in_process`` says the batch may run on a process pool; only
+        # a pool worker (never the parent, e.g. on a chain's thread
+        # level) is killed for real.
+        if in_process and multiprocessing.parent_process() is not None:
             os.kill(os.getpid(), signal.SIGKILL)
         raise SimulatedWorkerDeath("injected worker death")
     return task()
@@ -234,9 +237,7 @@ class FaultyBackend(Backend):
     def run_tasks(self, tasks: Sequence[Callable[[], Any]]) -> list[TaskResult]:
         # Death faults only truly kill workers on process pools; elsewhere
         # they degrade to an in-process SimulatedWorkerDeath exception.
-        from ..backends.processes import ProcessBackend
-
-        in_process = isinstance(innermost_backend(self.inner), ProcessBackend)
+        in_process = tasks_must_pickle(self.inner)
         wrapped: list[Callable[[], Any]] = []
         for task in tasks:
             decision = self._next_decision(task)

@@ -42,26 +42,12 @@ import threading
 import time
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from ..backends.base import Backend, TaskResult, get_backend
+from ..backends.base import Backend, TaskResult, get_backend, innermost_backend
 from ..errors import BatchError, TaskFailure
-from ..types import Partition
 from .policy import RetryPolicy
 from .telemetry import BatchTelemetry, ExecutionTelemetry, TaskTelemetry
 
 __all__ = ["ResilientBackend", "innermost_backend"]
-
-
-def innermost_backend(backend: Backend) -> Backend:
-    """Unwrap ``.inner`` chains (resilient / fault-injection wrappers)."""
-    seen: set[int] = set()
-    while True:
-        inner = getattr(backend, "inner", None)
-        if not isinstance(inner, Backend) or id(inner) in seen:
-            return backend
-        seen.add(id(backend))
-        backend = inner
 
 
 def _classify(exc: BaseException) -> tuple[str, str, BaseException]:
@@ -359,31 +345,6 @@ class ResilientBackend(Backend):
                 if threshold is not None and st.speculations < pol.max_speculative:
                     horizon = min(horizon, t0 + threshold)
         return max(0.002, horizon - now)
-
-    # ------------------------------------------------------------------
-    # Shared-memory merge fast path (see Backend.merge_partition hook)
-    # ------------------------------------------------------------------
-    def merge_partition(
-        self, a: np.ndarray, b: np.ndarray, partition: Partition
-    ) -> np.ndarray | None:
-        """Resilient zero-copy merge when the innermost backend is a
-        process pool; ``None`` (= use the generic task path) otherwise.
-
-        The arena's segment tasks are picklable and idempotent, so the
-        full retry/timeout/speculation machinery applies to them —
-        including surviving a killed worker process.  The whole arena
-        ships as one :class:`~repro.backends.TaskBatch`: however many
-        per-task retries or speculative duplicates the supervisor
-        launches underneath, the caller sees a single dispatch.
-        """
-        from ..backends import TaskBatch
-        from ..backends.processes import ProcessBackend, SharedMergeArena
-
-        if not isinstance(innermost_backend(self), ProcessBackend):
-            return None
-        with SharedMergeArena(np.asarray(a), np.asarray(b), partition) as arena:
-            self.run_batch(TaskBatch(arena.tasks(), label="merge.shared"))
-            return arena.result()
 
     def close(self) -> None:
         if self._owns_inner:

@@ -14,8 +14,8 @@ from repro.backends import (
     available_backends,
     get_backend,
 )
-from repro.backends.processes import merge_partition_shared
 from repro.core.merge_path import partition_merge_path
+from repro.core.parallel_merge import merge_partition
 from repro.errors import BackendError, InputError
 
 
@@ -123,7 +123,11 @@ class TestProcessBackend:
         a = np.sort(g.integers(0, 1000, 500)).astype(np.int64)
         b = np.sort(g.integers(0, 1000, 400)).astype(np.int64)
         part = partition_merge_path(a, b, 4)
-        out = merge_partition_shared(a, b, part, max_workers=2)
+        be = ProcessBackend(max_workers=2)
+        try:
+            out = merge_partition(a, b, part, backend=be)
+        finally:
+            be.close()
         np.testing.assert_array_equal(
             out, np.sort(np.concatenate([a, b]), kind="mergesort")
         )
@@ -134,7 +138,7 @@ class TestProcessBackend:
         part = partition_merge_path(a, b, 3)
         be = ProcessBackend(max_workers=2)
         try:
-            out = be.merge_partition(a, b, part)
+            out = merge_partition(a, b, part, backend=be)
         finally:
             be.close()
         np.testing.assert_array_equal(out, np.arange(100))
@@ -161,6 +165,20 @@ class TestProcessBackend:
         np.testing.assert_array_equal(
             out, np.sort(np.concatenate([a, b]), kind="mergesort")
         )
+
+    def test_traced_merge_is_staged_not_pickled(self):
+        """A traced call cannot ship closures to a process pool either:
+        it stages through shared memory like an untraced one."""
+        from repro.core.parallel_merge import parallel_merge
+        from repro.obs import Tracer
+
+        a = np.arange(0, 100, 2)
+        b = np.arange(1, 101, 2)
+        tracer = Tracer()
+        out = parallel_merge(a, b, 2, backend="processes", trace=tracer)
+        np.testing.assert_array_equal(out, np.arange(100))
+        batches = [s for s in tracer.spans() if s.name == "exec.batch"]
+        assert [s.args["label"] for s in batches] == ["merge.partition"]
 
 
 def _return_7():

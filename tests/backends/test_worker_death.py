@@ -15,12 +15,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends.processes import (
-    ProcessBackend,
-    SharedMergeArena,
-    merge_partition_shared,
-)
+from repro.backends.processes import ProcessBackend
 from repro.core.merge_path import partition_merge_path
+from repro.core.parallel_merge import merge_partition
+from repro.execution.arena import RoundArena
 from repro.errors import BatchError
 from repro.resilience import (
     FaultInjector,
@@ -97,7 +95,7 @@ class TestResilientRecovery:
                         speculate=False),
         )
         try:
-            merged = rb.merge_partition(a, b, partition)
+            merged = merge_partition(a, b, partition, backend=rb)
             assert np.array_equal(
                 merged, np.sort(np.concatenate([a, b]), kind="stable")
             )
@@ -109,7 +107,11 @@ class TestResilientRecovery:
     def test_merge_partition_shared_still_works_plain(self, arrays):
         a, b = arrays
         partition = partition_merge_path(a, b, 3, check=False)
-        merged = merge_partition_shared(a, b, partition, max_workers=2)
+        backend = ProcessBackend(max_workers=2)
+        try:
+            merged = merge_partition(a, b, partition, backend=backend)
+        finally:
+            backend.close()
         assert np.array_equal(
             merged, np.sort(np.concatenate([a, b]), kind="stable")
         )
@@ -119,11 +121,11 @@ class TestResilientRecovery:
         partition = partition_merge_path(a, b, 3, check=False)
         backend = ProcessBackend(max_workers=2)
         try:
-            with SharedMergeArena(a, b, partition) as arena:
+            with RoundArena([(a, b, partition)]) as arena:
                 tasks = arena.tasks()
                 backend.run_tasks(tasks)
                 backend.run_tasks(tasks)  # run every segment twice
-                merged = arena.result()
+                (merged,) = arena.results()
             assert np.array_equal(
                 merged, np.sort(np.concatenate([a, b]), kind="stable")
             )

@@ -52,14 +52,23 @@ class TestKwayMerge:
     @pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
     @pytest.mark.parametrize("p", [1, 2, 4])
     def test_random(self, t, p):
+        """Bit for bit the stable sort of the concatenated runs, for
+        random, duplicate-heavy and NaN / signed-zero / infinite keys."""
         g = np.random.default_rng(t * 10 + p)
-        arrays = [
-            np.sort(g.integers(0, 50, int(g.integers(0, 30)))) for _ in range(t)
-        ]
-        out = kway_merge(arrays, p, backend="serial")
-        np.testing.assert_array_equal(
-            np.sort(np.concatenate(arrays)) if arrays else [], out
-        )
+        specials = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.5, -2.0])
+        for draw in (
+            lambda size: g.integers(0, 50, size),
+            lambda size: g.integers(0, 3, size).astype(np.int32),
+            lambda size: g.choice(specials, size),
+        ):
+            arrays = [
+                np.sort(draw(int(g.integers(0, 30))), kind="stable")
+                for _ in range(t)
+            ]
+            out = kway_merge(arrays, p, backend="serial")
+            ref = np.sort(np.concatenate(arrays), kind="stable")
+            assert out.dtype == ref.dtype
+            assert out.tobytes() == ref.tobytes()
 
     def test_empty_list(self):
         assert len(kway_merge([], 1)) == 0

@@ -1,8 +1,11 @@
 """Tests for the adaptive (natural-run) merge sort."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.backends import SerialBackend
 from repro.core.natural_sort import find_natural_runs, natural_merge_sort
 from repro.errors import InputError
 from repro.types import MergeStats
@@ -83,6 +86,16 @@ class TestNaturalMergeSort:
         np.testing.assert_array_equal(
             natural_merge_sort(x, 4), parallel_merge_sort(x, 4, backend="serial")
         )
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 13])
+    def test_one_dispatch_per_round(self, k):
+        """k natural runs merge in ceil(log2 k) rounds, each one batch."""
+        x = np.concatenate([np.arange(100) for _ in range(k)])
+        assert len(find_natural_runs(x.copy())) == k + 1
+        be = SerialBackend()
+        out = natural_merge_sort(x, 4, backend=be)
+        np.testing.assert_array_equal(out, np.sort(x))
+        assert be.dispatches == math.ceil(math.log2(k))
 
     def test_bad_p(self):
         with pytest.raises(InputError):

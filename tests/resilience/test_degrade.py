@@ -7,7 +7,7 @@ import pytest
 
 from repro.backends.serial import SerialBackend
 from repro.core.merge_path import partition_merge_path
-from repro.core.parallel_merge import parallel_merge
+from repro.core.parallel_merge import merge_partition, parallel_merge
 from repro.errors import BackendError, BackendUnavailableError
 from repro.resilience import (
     DEGRADATION_CHAIN,
@@ -141,7 +141,7 @@ class TestDegradingBackend:
         dg = DegradingBackend([_doomed(), "serial"], policy=_FAST)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradationWarning)
-            merged = dg.merge_partition(a, b, part)
+            merged = merge_partition(a, b, part, backend=dg)
         assert np.array_equal(
             merged, np.sort(np.concatenate([a, b]), kind="stable")
         )

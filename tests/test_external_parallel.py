@@ -106,8 +106,7 @@ class TestBlockMergeIdempotence:
         tasks = [
             functools.partial(_merge_block_task, (
                 tuple(r.path for r in runs), plan.cuts[j], plan.cuts[j + 1],
-                out_path, plan.offsets[j], plan.offsets[j + 1],
-                "vectorized", 16,
+                out_path, plan.offsets[j], plan.offsets[j + 1], 16,
             ))
             for j in range(plan.blocks)
         ]
@@ -124,11 +123,23 @@ class TestParallelRoundTrip:
     @pytest.mark.parametrize("backend", ["serial", "threads"])
     @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float64])
     def test_matches_numpy_sort(self, backend, dtype):
+        """Bit for bit the stable sort, for random, duplicate-heavy and
+        (floats) NaN / signed-zero / infinite keys."""
         g = np.random.default_rng(4)
-        x = g.integers(-500, 500, 3000).astype(dtype)
-        out = external_sort(x, 256, parallel=True, backend=backend, workers=4)
-        np.testing.assert_array_equal(out, np.sort(x, kind="stable"))
-        assert out.dtype == x.dtype
+        inputs = [
+            g.integers(-500, 500, 3000).astype(dtype),
+            g.integers(0, 3, 3000).astype(dtype),
+        ]
+        if np.dtype(dtype).kind == "f":
+            inputs.append(g.choice(
+                np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.5, -2.0]),
+                3000,
+            ).astype(dtype))
+        for x in inputs:
+            out = external_sort(x, 256, parallel=True, backend=backend,
+                                workers=4)
+            assert out.dtype == x.dtype
+            assert out.tobytes() == np.sort(x, kind="stable").tobytes()
 
     def test_processes_backend(self):
         g = np.random.default_rng(5)
