@@ -20,52 +20,18 @@ def data():
 
 
 def test_external_io_table(benchmark, data):
-    """Transfers vs the I/O-model lower bound at several budgets."""
+    """Transfers vs the I/O-model lower bound at several budgets.
+
+    Every budget merges all runs in one SPM-planned pass, so transfers
+    stay within a small constant of the bound.
+    """
 
     def run_all():
         rows = []
         for mem in (N // 32, N // 8, N // 2):
             io = IOCounter(block_elements=BLOCK)
-            out = external_sort(data, mem, io=io)
-            assert np.all(out[:-1] <= out[1:])
-            bound = aggarwal_vitter_bound(N, mem, BLOCK)
-            rows.append([mem, io.read_blocks, io.write_blocks,
-                         io.total_blocks, round(bound, 1),
-                         round(io.total_blocks / bound, 2) if bound else "-"])
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    print()
-    print(render_table(
-        ["memory_elems", "read_blocks", "write_blocks", "total",
-         "AV_bound", "total/bound"],
-        rows,
-    ))
-    # measured transfers stay within a small constant of the bound
-    for row in rows:
-        if row[5] != "-":
-            assert float(row[5]) < 15
-
-
-def test_bench_external_sort(benchmark, data):
-    out = benchmark(external_sort, data, N // 8)
-    assert len(out) == N
-
-
-def test_parallel_external_io_table(benchmark, data):
-    """SPM-planned parallel path: transfers vs the bound per budget.
-
-    The parallel fan-in merges all runs in one planned pass, so its
-    transfer count is *lower* than the serial multi-pass heap path at
-    the same budget — the table makes the comparison visible.
-    """
-
-    def run_all():
-        rows = []
-        for mem in (N // 32, N // 8):
-            io = IOCounter(block_elements=BLOCK)
-            out = external_sort(data, mem, parallel=True, io=io,
-                                backend="threads", workers=4)
+            out = external_sort(data, mem, io=io, backend="threads",
+                                workers=4)
             assert np.array_equal(out, np.sort(data, kind="stable"))
             bound = aggarwal_vitter_bound(N, mem, BLOCK)
             rows.append([mem, io.read_blocks, io.write_blocks,
@@ -82,12 +48,11 @@ def test_parallel_external_io_table(benchmark, data):
     ))
     for row in rows:
         if row[5] != "-":
-            assert float(row[5]) < 8  # single planned pass: tighter than serial
+            assert float(row[5]) < 8  # one planned pass per budget
 
 
-def test_bench_parallel_external_sort(benchmark, data):
-    out = benchmark(external_sort, data, N // 8, parallel=True,
-                    backend="threads", workers=4)
+def test_bench_external_sort(benchmark, data):
+    out = benchmark(external_sort, data, N // 8, backend="threads", workers=4)
     assert len(out) == N
 
 

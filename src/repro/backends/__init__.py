@@ -38,7 +38,6 @@ from .serial import SerialBackend
 from .threads import ThreadBackend
 from .processes import ProcessBackend
 from .simulated import SimulatedBackend
-from .mpi import MPIBackend, mpi_available
 
 __all__ = [
     "Backend",
@@ -52,6 +51,4 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "SimulatedBackend",
-    "MPIBackend",
-    "mpi_available",
 ]

@@ -248,12 +248,7 @@ def _ensure_builtin() -> None:
     from .threads import ThreadBackend
     from .processes import ProcessBackend
 
-    from .mpi import MPIBackend
-
     register_backend("serial", SerialBackend)
     register_backend("threads", ThreadBackend)
     register_backend("processes", ProcessBackend)
     register_backend("simulated", SimulatedBackend)
-    # constructing the MPI backend without mpi4py raises BackendError
-    # with installation guidance; registration itself is always safe.
-    register_backend("mpi", MPIBackend)

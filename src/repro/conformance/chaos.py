@@ -131,7 +131,7 @@ class ChaosBackendCache(BackendCache):
                 max_retries=3, timeout_s=None, backoff_base_s=0.002,
                 backoff_cap_s=0.01, seed=seed, speculate=False,
             )
-        else:  # simulated / mpi: resilience layer only, no injection
+        else:  # simulated: resilience layer only, no injection
             injector = FaultInjector(seed, armed=False)
             policy = RetryPolicy(max_retries=1, seed=seed, speculate=False)
         return injector, policy

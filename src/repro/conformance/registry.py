@@ -194,8 +194,7 @@ def build_registry(
         # several runs and exercise the planner + block-merge fan-in.
         memory = max(4, min(64, max(1, len(x)) // 4))
         return external_sort(
-            x, memory, parallel=True, backend=cache.get("serial"),
-            workers=max(1, p),
+            x, memory, backend=cache.get("serial"), workers=max(1, p)
         )
 
     impls = [

@@ -42,7 +42,10 @@ def kway_partition(
     Returns ``cuts``: ``p + 1`` rows of per-array split indices.
     ``cuts[k][t] .. cuts[k+1][t]`` is array ``t``'s contribution to
     output range ``k``.  Row 0 is all zeros; row ``p`` is the array
-    lengths.  Output range sizes differ by at most one element.
+    lengths.  Output range sizes differ by at most one element.  With
+    ``check=False`` only per-array ``searchsorted`` touches the inputs,
+    so memory maps are never read whole (the external sort's block
+    planner cuts disk runs this way).
     """
     check_positive(p, "p")
     arrays = [as_array(arr, f"arrays[{t}]") for t, arr in enumerate(arrays)]

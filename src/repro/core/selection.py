@@ -10,8 +10,9 @@ the merge path's k-th step, and the split ``(i, j)`` returned here is
 exactly the path's intersection with grid diagonal ``k``.
 
 :func:`kth_of_union_many` generalizes to unions of many sorted arrays by
-binary-searching the *value* domain with vectorized rank queries — the
-device the k-way extension uses.
+binary-searching the *value* domain with per-array rank queries — the
+one co-ranking step behind :func:`repro.core.kway.kway_partition`, the
+k-way merge and the external sort's block planner.
 """
 
 from __future__ import annotations
@@ -80,10 +81,13 @@ def kth_of_union_many(
 ) -> tuple[object, list[int]]:
     """k-th smallest (1-based) of the union of many sorted arrays.
 
-    Binary search over the merged *rank space*: candidate values are
-    drawn from the arrays themselves, and each probe costs one
-    ``searchsorted`` per array, giving
-    ``O(log N · Σ log |arrays_t|)`` total.
+    Binary search over the *value* domain with pivots probed from the
+    arrays themselves: each round takes the middle element of the
+    largest remaining candidate window and ranks it in every array with
+    ``searchsorted``, so a round costs ``O(Σ log |arrays_t|)`` and the
+    window shrinks by half — ``O(T log N)`` rounds.  Only per-array
+    ``searchsorted`` touches the inputs, so memory maps work and are
+    never loaded whole (the external planner relies on this).
 
     Returns ``(value, splits)`` where ``splits[t]`` elements of
     ``arrays[t]`` fall among the ``k`` smallest.  Ties are broken by
@@ -97,27 +101,32 @@ def kth_of_union_many(
     if not 1 <= k <= total:
         raise InputError(f"k must be in [1, {total}], got {k}")
 
-    # The k-th smallest value via linear-time selection over the pooled
-    # elements.  (A polylogarithmic multiselection exists — Deo et al.
-    # [7] — but this substrate favours robustness across dtypes; the
-    # cost matches the Ω(N) lower bound of the merge that follows.)
-    pooled = np.concatenate([arr for arr in arrays if len(arr)])
-    value = np.partition(pooled, k - 1)[k - 1]
-
-    # Split counts: everything strictly below `value` is in, then ties
-    # are admitted array-by-array until k elements are reached.
-    splits = [int(np.searchsorted(arr, value, side="left")) for arr in arrays]
-    remaining = k - sum(splits)
-    for t, arr in enumerate(arrays):
-        if remaining <= 0:
+    los = [0] * len(arrays)
+    his = [len(arr) for arr in arrays]
+    # Each round halves the largest window, so this many rounds (or an
+    # empty window without a hit) is unreachable for sorted inputs.
+    budget = 4 * sum(max(1, h).bit_length() for h in his) + 8
+    for _ in range(budget):
+        t = max(range(len(arrays)), key=lambda i: his[i] - los[i])
+        if his[t] <= los[t]:
             break
-        ties = int(np.searchsorted(arr, value, side="right")) - splits[t]
-        take = min(ties, remaining)
-        splits[t] += take
-        remaining -= take
-    if remaining != 0:
-        raise AssertionError("rank bookkeeping failed")  # pragma: no cover
-    return value, splits
+        value = arrays[t][(los[t] + his[t]) // 2]
+        lefts = [int(np.searchsorted(a, value, side="left")) for a in arrays]
+        rights = [int(np.searchsorted(a, value, side="right")) for a in arrays]
+        if sum(lefts) >= k:  # the k-th value is strictly below the pivot
+            his = [min(h, le) for h, le in zip(his, lefts)]
+        elif sum(rights) < k:  # the k-th value is strictly above it
+            los = [max(lo, ri) for lo, ri in zip(los, rights)]
+        else:
+            # Everything strictly below `value` is in; ties are admitted
+            # array-by-array until k elements are reached.
+            remaining = k - sum(lefts)
+            for i in range(len(arrays)):
+                take = min(rights[i] - lefts[i], remaining)
+                lefts[i] += take
+                remaining -= take
+            return value, lefts
+    raise AssertionError("k-th selection failed to converge (unsorted input?)")
 
 
 def topk_of_union(

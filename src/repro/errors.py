@@ -88,10 +88,9 @@ class BackendUnavailableError(BackendError):
     """A requested backend cannot run in this environment.
 
     Raised instead of a bare ``ImportError`` when a backend's supporting
-    dependency is missing (e.g. the ``mpi`` backend without mpi4py) or
-    its runtime prerequisites are absent.  The message names the missing
-    piece and points at the degradation chain
-    (``mpi → processes → threads → serial``) so callers can fall back
+    dependency is missing or its runtime prerequisites are absent.  The
+    message names the missing piece and points at the degradation chain
+    (``processes → threads → serial``) so callers can fall back
     deliberately via :func:`repro.resilience.resolve_backend`.
     """
 
@@ -101,7 +100,7 @@ class BackendUnavailableError(BackendError):
         self.missing = missing
         fallback = hint or (
             "fall back along the degradation chain "
-            "(mpi → processes → threads → serial), e.g. via "
+            "(processes → threads → serial), e.g. via "
             "repro.resilience.resolve_backend()"
         )
         super().__init__(

@@ -15,9 +15,9 @@ exit (or explicitly via :func:`close_shared_backends`, which the test
 suite uses for isolation).
 
 Only the pooled builtin backends are cached — ``serial``, ``threads``
-and ``processes``.  Exotic names (``simulated``, ``mpi``) keep the old
-construct-per-call behavior since their instances carry per-call state
-or unavailability semantics.
+and ``processes``.  Other names (``simulated``) keep the old
+construct-per-call behavior since their instances carry per-call
+state.
 """
 
 from __future__ import annotations

@@ -171,14 +171,11 @@ def run_bench_suite(*, quick: bool = False, seed: int = 7) -> dict:
             M = max(1, n // 8)
             results.append(_bench_case(
                 "external_sort", n, p,
-                lambda: external_sort(x, M, parallel=True,
-                                      backend="threads", workers=p),
-                lambda tr: external_sort(x, M, parallel=True,
-                                         backend="threads", workers=p,
-                                         trace=tr),
-                lambda reg: external_sort(x, M, parallel=True,
-                                          backend="threads", workers=p,
-                                          metrics=reg),
+                lambda: external_sort(x, M, backend="threads", workers=p),
+                lambda tr: external_sort(x, M, backend="threads",
+                                         workers=p, trace=tr),
+                lambda reg: external_sort(x, M, backend="threads",
+                                          workers=p, metrics=reg),
                 n,
                 # the out-of-core pipeline's unit of parallel work is
                 # the batch task (runs / block merges), not an in-RAM

@@ -20,7 +20,7 @@ Components
     worker deaths for testing the layer (and the conformance chaos
     tier).
 :func:`resolve_backend` / :class:`DegradingBackend`
-    Graceful degradation along ``mpi → processes → threads → serial``
+    Graceful degradation along ``processes → threads → serial``
     with health probes and :class:`DegradationWarning` diagnostics.
 """
 

@@ -1,4 +1,4 @@
-"""Graceful backend degradation: mpi → processes → threads → serial.
+"""Graceful backend degradation: processes → threads → serial.
 
 Two entry points:
 
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 #: Default fallback order, fastest-but-most-fragile first.
-DEGRADATION_CHAIN: tuple[str, ...] = ("mpi", "processes", "threads", "serial")
+DEGRADATION_CHAIN: tuple[str, ...] = ("processes", "threads", "serial")
 
 
 class DegradationWarning(UserWarning):
@@ -246,8 +246,8 @@ def resolve_backend(
 ) -> ResilientBackend:
     """Resolve the best healthy backend at or below ``preferred``.
 
-    Construction failures (missing ``mpi4py``, restricted shared
-    memory) and failed health probes both demote: each hop emits a
+    Construction failures (a missing optional dependency, restricted
+    shared memory) and failed health probes both demote: each hop emits a
     :class:`DegradationWarning` naming the skipped backend and the
     reason, and the first healthy level is returned wrapped in a
     :class:`ResilientBackend` (with ``policy``, default policy when

@@ -22,7 +22,7 @@ from repro.errors import BackendError, InputError
 class TestRegistry:
     def test_all_builtin_names(self):
         assert available_backends() == (
-            "mpi", "processes", "serial", "simulated", "threads"
+            "processes", "serial", "simulated", "threads"
         )
 
     def test_get_backend_constructs(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import uuid
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ def reference_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the A-before-equal-B order every kernel must produce.
     """
     return np.sort(np.concatenate([a, b]), kind="mergesort")
+
+
+def spill_runs(directory, x, memory: int) -> list:
+    """Sorted ``memory``-element runs of ``x``, each saved as a ``RunFile``."""
+    from repro.external import RunFile
+
+    x = np.asarray(x)
+    runs = []
+    for lo in range(0, len(x), memory):
+        run = np.sort(x[lo:lo + memory], kind="stable")
+        path = os.path.join(str(directory), f"run-{uuid.uuid4().hex}.npy")
+        np.save(path, run)
+        runs.append(RunFile(path, len(run), str(run.dtype)))
+    return runs
 
 
 def tagged_reference_merge(a, b) -> list[tuple]:

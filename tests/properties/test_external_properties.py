@@ -9,7 +9,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.external import external_sort, form_runs, kth_of_runs, plan_blocks
+from repro.core.selection import kth_of_union_many
+from repro.external import external_sort, plan_blocks
+
+from ..conftest import spill_runs
 
 small_ints = st.lists(
     st.integers(min_value=-40, max_value=40), min_size=0, max_size=200
@@ -23,7 +26,7 @@ class TestParallelRoundTripProperties:
     @given(xs=small_ints, mem=st.integers(4, 64), dtype=dtypes)
     def test_matches_numpy_sort(self, xs, mem, dtype):
         x = np.array(xs, dtype=dtype)
-        out = external_sort(x, mem, parallel=True, backend="serial")
+        out = external_sort(x, mem, backend="serial")
         np.testing.assert_array_equal(out, np.sort(x, kind="stable"))
         if len(x):
             assert out.dtype == x.dtype
@@ -33,11 +36,10 @@ class TestParallelRoundTripProperties:
     def test_presorted_and_reversed_inputs(self, xs, mem):
         x = np.sort(np.array(xs, dtype=np.int64))
         np.testing.assert_array_equal(
-            external_sort(x, mem, parallel=True, backend="serial"), x
+            external_sort(x, mem, backend="serial"), x
         )
         np.testing.assert_array_equal(
-            external_sort(x[::-1].copy(), mem, parallel=True,
-                          backend="serial"), x
+            external_sort(x[::-1].copy(), mem, backend="serial"), x
         )
 
     @settings(max_examples=25, deadline=None)
@@ -48,7 +50,7 @@ class TestParallelRoundTripProperties:
         cuts — exact-rank tie distribution must still partition it."""
         x = np.full(n, v, dtype=np.int64)
         np.testing.assert_array_equal(
-            external_sort(x, mem, parallel=True, backend="serial"), x
+            external_sort(x, mem, backend="serial"), x
         )
 
 
@@ -59,7 +61,7 @@ class TestPlanProperties:
     def test_plan_partitions_total(self, xs, mem, budget, tmp_path_factory):
         x = np.array(xs, dtype=np.int64)
         d = tmp_path_factory.mktemp("plan")
-        runs = form_runs(x, mem, str(d))
+        runs = spill_runs(d, x, mem)
         plan = plan_blocks(runs, budget)
         plan.validate([r.length for r in runs])
         assert plan.total == len(x)
@@ -86,10 +88,10 @@ class TestPlanProperties:
     def test_kth_matches_sorted_union(self, xs, mem, k_frac, tmp_path_factory):
         x = np.array(xs, dtype=np.int64)
         d = tmp_path_factory.mktemp("kth")
-        runs = form_runs(x, mem, str(d))
+        runs = spill_runs(d, x, mem)
         readers = [r.open_memmap() for r in runs]
         k = max(1, min(len(x), int(round(k_frac * len(x)))))
-        value, splits = kth_of_runs(readers, k)
+        value, splits = kth_of_union_many(readers, k)
         union = np.sort(x)
         assert value == union[k - 1]
         assert sum(splits) == k

@@ -23,13 +23,18 @@ from repro.resilience import (
 )
 
 
-def _mpi_available() -> bool:
-    try:
-        import mpi4py  # noqa: F401
+def _needs_absent_module(**kwargs):
+    raise ImportError("No module named 'absentdep'", name="absentdep")
 
-        return True
-    except ImportError:
-        return False
+
+@pytest.fixture
+def absent_dep_backend(monkeypatch):
+    """Register a backend whose constructor imports an absent module."""
+    from repro.backends import base
+
+    base.available_backends()  # register the builtins first
+    monkeypatch.setitem(base._REGISTRY, "needs-absentdep", _needs_absent_module)
+    return "needs-absentdep"
 
 
 def _doomed():
@@ -51,10 +56,9 @@ class TestProbe:
     def test_threads_is_healthy(self):
         assert probe_backend("threads", max_workers=2) is None
 
-    @pytest.mark.skipif(_mpi_available(), reason="mpi4py installed here")
-    def test_mpi_reports_missing_dependency(self):
-        defect = probe_backend("mpi")
-        assert defect is not None and "mpi4py" in defect
+    def test_missing_dependency_reported(self, absent_dep_backend):
+        defect = probe_backend(absent_dep_backend)
+        assert defect is not None and "absentdep" in defect
 
     def test_unknown_backend_reports_defect(self):
         defect = probe_backend("no-such-backend")
@@ -70,20 +74,22 @@ class TestResolveBackend:
         assert innermost_backend(rb).name == "serial"
         rb.close()
 
-    @pytest.mark.skipif(_mpi_available(), reason="mpi4py installed here")
-    def test_mpi_degrades_down_the_chain_with_warnings(self):
+    def test_missing_dependency_degrades_down_the_chain_with_warnings(
+        self, absent_dep_backend
+    ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rb = resolve_backend("mpi", policy=_FAST, max_workers=2)
+            rb = resolve_backend(absent_dep_backend, policy=_FAST,
+                                 max_workers=2)
         assert innermost_backend(rb).name in ("processes", "threads", "serial")
         degradations = [
             w for w in caught if issubclass(w.category, DegradationWarning)
         ]
-        assert degradations and "mpi4py" in str(degradations[0].message)
+        assert degradations and "absentdep" in str(degradations[0].message)
         rb.close()
 
     def test_default_chain_order(self):
-        assert DEGRADATION_CHAIN == ("mpi", "processes", "threads", "serial")
+        assert DEGRADATION_CHAIN == ("processes", "threads", "serial")
 
     def test_unknown_preferred_falls_back_to_chain(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -172,13 +178,12 @@ class TestDegradingBackend:
 
 
 class TestUnavailableError:
-    @pytest.mark.skipif(_mpi_available(), reason="mpi4py installed here")
-    def test_get_backend_mpi_names_missing_dep_and_chain(self):
+    def test_get_backend_names_missing_dep_and_chain(self, absent_dep_backend):
         from repro.backends import get_backend
 
         with pytest.raises(BackendUnavailableError) as exc_info:
-            get_backend("mpi")
+            get_backend(absent_dep_backend)
         err = exc_info.value
-        assert err.backend == "mpi"
-        assert "mpi4py" in err.missing
+        assert err.backend == absent_dep_backend
+        assert "absentdep" in err.missing
         assert "resolve_backend" in str(err)

@@ -10,9 +10,19 @@ from repro.external import (
     IOCounter,
     aggarwal_vitter_bound,
     external_sort,
-    form_runs,
-    merge_run_files,
+    external_sort_file,
 )
+
+from .conftest import spill_runs
+
+
+def _sort_file(tmp_path, x, memory, **kwargs):
+    """``external_sort_file`` over ``x`` saved to ``tmp_path/in.npy``."""
+    in_path = os.path.join(str(tmp_path), "in.npy")
+    np.save(in_path, np.asarray(x))
+    return external_sort_file(in_path, memory_elements=memory,
+                              directory=str(tmp_path), backend="serial",
+                              **kwargs)
 
 
 class TestIOCounter:
@@ -75,27 +85,27 @@ class TestIOCounterMerge:
 
 class TestRunFileWindows:
     def test_read_range_window(self, tmp_path):
-        [run] = form_runs(np.arange(100), 100, str(tmp_path))
+        [run] = spill_runs(tmp_path, np.arange(100), 100)
         io = IOCounter(block_elements=8)
         window = run.read_range(10, 26, io=io)
         np.testing.assert_array_equal(window, np.arange(10, 26))
         assert io.read_blocks == 2  # 16 elements in 8-element blocks
 
     def test_read_range_bounds_checked(self, tmp_path):
-        [run] = form_runs(np.arange(10), 100, str(tmp_path))
+        [run] = spill_runs(tmp_path, np.arange(10), 100)
         with pytest.raises(InputError):
             run.read_range(5, 11)
         with pytest.raises(InputError):
             run.read_range(-1, 5)
 
     def test_unlink_idempotent(self, tmp_path):
-        [run] = form_runs(np.arange(10), 100, str(tmp_path))
+        [run] = spill_runs(tmp_path, np.arange(10), 100)
         run.unlink()
         assert not os.path.exists(run.path)
         run.unlink()  # second unlink is a no-op, not an error
 
     def test_open_memmap_searchsorted(self, tmp_path):
-        [run] = form_runs(np.arange(0, 200, 2), 200, str(tmp_path))
+        [run] = spill_runs(tmp_path, np.arange(0, 200, 2), 200)
         mm = run.open_memmap()
         assert int(np.searchsorted(mm, 100)) == 50
 
@@ -123,51 +133,41 @@ class TestFormRuns:
     def test_run_count_and_sortedness(self, tmp_path):
         g = np.random.default_rng(0)
         x = g.integers(0, 999, 1000)
-        runs = form_runs(x, 256, str(tmp_path))
-        assert len(runs) == 4
-        total = 0
-        for r in runs:
-            data = r.read_all()
-            assert np.all(data[:-1] <= data[1:])
-            total += len(data)
-        assert total == 1000
-
-    def test_iterable_input(self, tmp_path):
-        runs = form_runs((i % 7 for i in range(100)), 30, str(tmp_path))
-        assert sum(r.length for r in runs) == 100
+        final, rep = _sort_file(tmp_path, x, 256)
+        assert rep.runs == 4
+        data = final.read_all()
+        assert np.all(data[:-1] <= data[1:])
+        assert len(data) == 1000
 
     def test_io_charged(self, tmp_path):
         io = IOCounter(block_elements=64)
-        form_runs(np.arange(256), 128, str(tmp_path), io=io)
+        _, rep = _sort_file(tmp_path, np.arange(256), 256, io=io)
+        assert rep.runs == 1 and rep.passes == 0  # formation only
         assert io.read_blocks == 4   # 256 elements in
         assert io.write_blocks == 4  # 256 elements out
 
-    def test_missing_directory(self):
+    def test_missing_directory(self, tmp_path):
+        in_path = os.path.join(str(tmp_path), "in.npy")
+        np.save(in_path, np.arange(4))
         with pytest.raises(InputError):
-            form_runs(np.arange(4), 2, "/nonexistent/dir")
-
-    def test_chunked_reader(self, tmp_path):
-        [run] = form_runs(np.arange(100), 100, str(tmp_path))
-        chunks = list(run.read_chunks(13))
-        assert [len(c) for c in chunks[:-1]] == [13] * 7
-        np.testing.assert_array_equal(np.concatenate(chunks), np.arange(100))
+            external_sort_file(in_path, memory_elements=2,
+                               directory="/nonexistent/dir")
 
 
 class TestMergeRunFiles:
     def test_merges_sorted(self, tmp_path):
         g = np.random.default_rng(1)
         x = g.integers(0, 99, 600)
-        runs = form_runs(x, 100, str(tmp_path))
-        merged = merge_run_files(runs, str(tmp_path), window_elements=16)
-        np.testing.assert_array_equal(merged.read_all(), np.sort(x))
+        final, rep = _sort_file(tmp_path, x, 100, block_elements=16)
+        assert rep.runs == 6 and rep.passes == 1
+        np.testing.assert_array_equal(final.read_all(), np.sort(x))
 
     def test_single_run_passthrough(self, tmp_path):
-        [run] = form_runs(np.arange(10), 100, str(tmp_path))
-        assert merge_run_files([run], str(tmp_path), window_elements=4) is run
-
-    def test_empty_list_rejected(self, tmp_path):
-        with pytest.raises(InputError):
-            merge_run_files([], str(tmp_path), window_elements=4)
+        final, rep = _sort_file(tmp_path, np.arange(10)[::-1], 100)
+        assert rep.passes == 0 and rep.blocks == 0
+        np.testing.assert_array_equal(final.read_all(), np.arange(10))
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["in.npy", os.path.basename(final.path)])
 
 
 class TestExternalSort:
@@ -188,7 +188,7 @@ class TestExternalSort:
         g = np.random.default_rng(5)
         x = g.integers(0, 999, 800)
         io = IOCounter(block_elements=32)
-        out = external_sort(x, 100, fan_in=2, window_elements=25, io=io)
+        out = external_sort(x, 100, fan_in=2, io=io)
         np.testing.assert_array_equal(out, np.sort(x))
         # 8 runs -> 3 passes: each pass reads+writes all data once,
         # plus run formation; transfers must reflect multiple passes
@@ -230,57 +230,55 @@ class TestExternalSort:
 
 
 class _DiskFull(IOCounter):
-    """IOCounter that raises after a write budget — a seeded disk-full."""
+    """IOCounter whose fold of worker shards fails after a budget — a
+    seeded disk-full surfacing in the driver."""
 
-    def __init__(self, write_calls: int) -> None:
+    def __init__(self, merge_calls: int) -> None:
         super().__init__(block_elements=16)
         self.calls = 0
-        self.limit = write_calls
+        self.limit = merge_calls
 
-    def charge_write(self, elements: int) -> None:
+    def merge(self, other: IOCounter) -> None:
         self.calls += 1
         if self.calls > self.limit:
             raise RuntimeError("disk full (injected)")
-        super().charge_write(elements)
+        super().merge(other)
 
 
 class TestLeakOnFailure:
     def test_merge_failure_leaves_directory_clean(self, tmp_path):
         """A merge pass that raises mid-way must not leak run files into
-        the caller's directory (the try/finally unlink satellite)."""
+        the caller's directory."""
         x = np.random.default_rng(10).integers(0, 999, 300)
-        # 300 elems / 64 per run = 5 runs = 5 formation writes; the 6th
-        # write charge is the first merge output window -> boom.
-        io = _DiskFull(write_calls=5)
+        # 300 elems / 64 per run = 5 runs = 5 formation folds; the 6th
+        # fold is the first block of the first merge pass -> boom.
+        io = _DiskFull(merge_calls=5)
         with pytest.raises(RuntimeError, match="disk full"):
             external_sort(x, 64, directory=str(tmp_path), io=io)
+        assert io.calls == 6
         assert os.listdir(tmp_path) == []
 
     def test_formation_failure_leaves_directory_clean(self, tmp_path):
         x = np.random.default_rng(11).integers(0, 999, 300)
-        io = _DiskFull(write_calls=2)  # dies while still forming runs
+        io = _DiskFull(merge_calls=2)  # dies while still forming runs
         with pytest.raises(RuntimeError, match="disk full"):
             external_sort(x, 64, directory=str(tmp_path), io=io)
+        assert io.calls == 3
         assert os.listdir(tmp_path) == []
 
 
 class TestMergeRunStability:
     def test_ties_resolve_by_run_order(self, tmp_path):
-        """Equal values must come out in run order (earlier run first) —
-        the k-way analogue of the A-before-B rule, carried by the heap's
-        (value, run_index) keys."""
-        import numpy as np
-        from repro.external.runs import form_runs
-        from repro.external.sort import merge_run_files
-
-        # two runs of identical values; verify by merging runs whose
-        # *lengths* differ so misordering would change the prefix
-        r1 = form_runs(np.array([5, 5, 5]), 10, str(tmp_path))[0]
-        r2 = form_runs(np.array([5]), 10, str(tmp_path))[0]
-        merged = merge_run_files([r1, r2], str(tmp_path), window_elements=2)
-        assert merged.length == 4
-        # and with distinct markers: values equal, dtype float halves
-        a = form_runs(np.array([1.0, 2.0]), 10, str(tmp_path))[0]
-        b = form_runs(np.array([1.0, 3.0]), 10, str(tmp_path))[0]
-        out = merge_run_files([a, b], str(tmp_path), window_elements=2)
-        np.testing.assert_array_equal(out.read_all(), [1.0, 1.0, 2.0, 3.0])
+        """Equal keys come out in run order (earlier run first), bit for
+        bit: signed zeros and NaNs with distinct payloads are equal
+        keys, so the stable sort is the only order that matches — also
+        where a block boundary cuts through a tie group."""
+        nan_a = np.frombuffer(np.uint64(0x7FF8000000000001).tobytes(),
+                              dtype=np.float64)[0]
+        nan_b = np.frombuffer(np.uint64(0x7FF8000000000002).tobytes(),
+                              dtype=np.float64)[0]
+        g = np.random.default_rng(12)
+        x = g.choice(np.array([-0.0, 0.0, nan_a, nan_b, 1.0]), 200)
+        final, rep = _sort_file(tmp_path, x, 32, block_elements=7)
+        assert rep.runs == 7 and rep.blocks > rep.runs
+        assert final.read_all().tobytes() == np.sort(x, kind="stable").tobytes()

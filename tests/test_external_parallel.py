@@ -6,32 +6,29 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.selection import kth_of_union_many
 from repro.errors import InputError
 from repro.external import (
     IOCounter,
     external_sort,
     external_sort_file,
-    form_runs,
-    kth_of_runs,
     plan_blocks,
 )
-from repro.external.parallel import _merge_block_task
+from repro.external.parallel import _form_run_task, _merge_block_task
 from repro.obs import MetricsRegistry
 
-
-def _make_runs(tmp_path, x, mem):
-    return form_runs(np.asarray(x), mem, str(tmp_path))
+from .conftest import spill_runs
 
 
 class TestKthOfRuns:
     def test_matches_pooled_oracle(self, tmp_path):
         g = np.random.default_rng(0)
         x = g.integers(0, 40, 500)  # duplicate-heavy on purpose
-        runs = _make_runs(tmp_path, x, 64)
+        runs = spill_runs(tmp_path, x, 64)
         readers = [r.open_memmap() for r in runs]
         union = np.sort(x, kind="stable")
         for k in (1, 7, 250, 499, 500):
-            value, splits = kth_of_runs(readers, k)
+            value, splits = kth_of_union_many(readers, k)
             assert sum(splits) == k
             assert value == union[k - 1]
             # the k smallest of the union are exactly the split prefixes
@@ -41,27 +38,27 @@ class TestKthOfRuns:
             np.testing.assert_array_equal(prefix, union[:k])
 
     def test_ties_admitted_earlier_run_first(self, tmp_path):
-        r1 = _make_runs(tmp_path, [5, 5, 5], 10)[0]
-        r2 = _make_runs(tmp_path, [5, 5], 10)[0]
+        r1 = spill_runs(tmp_path, [5, 5, 5], 10)[0]
+        r2 = spill_runs(tmp_path, [5, 5], 10)[0]
         readers = [r1.open_memmap(), r2.open_memmap()]
-        _, splits = kth_of_runs(readers, 2)
+        _, splits = kth_of_union_many(readers, 2)
         assert splits == [2, 0]  # run 0's equal elements come first
-        _, splits = kth_of_runs(readers, 4)
+        _, splits = kth_of_union_many(readers, 4)
         assert splits == [3, 1]
 
     def test_k_out_of_range(self, tmp_path):
-        [run] = _make_runs(tmp_path, [1, 2, 3], 10)
+        [run] = spill_runs(tmp_path, [1, 2, 3], 10)
         with pytest.raises(InputError):
-            kth_of_runs([run.open_memmap()], 0)
+            kth_of_union_many([run.open_memmap()], 0)
         with pytest.raises(InputError):
-            kth_of_runs([run.open_memmap()], 4)
+            kth_of_union_many([run.open_memmap()], 4)
 
 
 class TestPlanBlocks:
     def test_partition_is_valid_and_budgeted(self, tmp_path):
         g = np.random.default_rng(1)
         x = g.integers(0, 10, 1000)  # heavy duplicates stress tie cuts
-        runs = _make_runs(tmp_path, x, 128)
+        runs = spill_runs(tmp_path, x, 128)
         plan = plan_blocks(runs, 100)
         plan.validate([r.length for r in runs])
         assert plan.total == 1000
@@ -72,13 +69,13 @@ class TestPlanBlocks:
         assert max(sizes) - min(sizes) <= 1
 
     def test_single_block_when_budget_large(self, tmp_path):
-        runs = _make_runs(tmp_path, np.arange(50), 10)
+        runs = spill_runs(tmp_path, np.arange(50), 10)
         plan = plan_blocks(runs, 1_000_000)
         assert plan.blocks == 1
         assert plan.offsets == (0, 50)
 
     def test_probe_io_charged(self, tmp_path):
-        runs = _make_runs(tmp_path, np.random.default_rng(2).integers(0, 999, 600), 64)
+        runs = spill_runs(tmp_path, np.random.default_rng(2).integers(0, 999, 600), 64)
         io = IOCounter(block_elements=16)
         plan = plan_blocks(runs, 50, io=io)
         assert plan.probe_elements > 0
@@ -96,7 +93,7 @@ class TestBlockMergeIdempotence:
         the property that makes retry/speculation safe."""
         g = np.random.default_rng(3)
         x = g.integers(0, 99, 400)
-        runs = _make_runs(tmp_path, x, 64)
+        runs = spill_runs(tmp_path, x, 64)
         plan = plan_blocks(runs, 100)
         out_path = os.path.join(str(tmp_path), "out.npy")
         out = np.lib.format.open_memmap(
@@ -105,7 +102,7 @@ class TestBlockMergeIdempotence:
         del out
         tasks = [
             functools.partial(_merge_block_task, (
-                tuple(r.path for r in runs), plan.cuts[j], plan.cuts[j + 1],
+                tuple(runs), plan.cuts[j], plan.cuts[j + 1],
                 out_path, plan.offsets[j], plan.offsets[j + 1], 16,
             ))
             for j in range(plan.blocks)
@@ -117,6 +114,33 @@ class TestBlockMergeIdempotence:
         for t in tasks:  # replay every block (a retry storm)
             t()
         np.testing.assert_array_equal(np.load(out_path), first)
+
+
+    def test_run_formation_rewrites_in_place(self, tmp_path):
+        """A duplicate run-formation task (retry or speculation) rewrites
+        the same bytes into the pre-sized run file: same inode, never
+        truncated under a reader's memory map, and never recreated once
+        the driver has reclaimed the run."""
+        x = np.random.default_rng(4).integers(0, 99, 300)
+        in_path = os.path.join(str(tmp_path), "in.npy")
+        np.save(in_path, x)
+        run_path = os.path.join(str(tmp_path), "run.npy")
+        run = np.lib.format.open_memmap(run_path, mode="w+",
+                                        dtype=x.dtype, shape=(100,))
+        del run
+        task = functools.partial(_form_run_task,
+                                 (in_path, 100, 200, run_path, 16))
+        task()
+        inode = os.stat(run_path).st_ino
+        reader = np.load(run_path, mmap_mode="r")
+        task()
+        assert os.stat(run_path).st_ino == inode
+        np.testing.assert_array_equal(reader, np.sort(x[100:200]))
+        del reader
+        os.unlink(run_path)
+        with pytest.raises(FileNotFoundError):
+            task()
+        assert not os.path.exists(run_path)
 
 
 class TestParallelRoundTrip:
@@ -136,39 +160,35 @@ class TestParallelRoundTrip:
                 3000,
             ).astype(dtype))
         for x in inputs:
-            out = external_sort(x, 256, parallel=True, backend=backend,
-                                workers=4)
+            out = external_sort(x, 256, backend=backend, workers=4)
             assert out.dtype == x.dtype
             assert out.tobytes() == np.sort(x, kind="stable").tobytes()
 
     def test_processes_backend(self):
         g = np.random.default_rng(5)
         x = g.integers(0, 10**6, 20_000)
-        out = external_sort(x, 2048, parallel=True, backend="processes",
-                            workers=4)
+        out = external_sort(x, 2048, backend="processes", workers=4)
         np.testing.assert_array_equal(out, np.sort(x, kind="stable"))
 
     @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65])
     def test_edges(self, n):
         x = np.random.default_rng(n).integers(0, 9, n)
-        out = external_sort(x, 64, parallel=True, backend="serial")
+        out = external_sort(x, 64, backend="serial")
         np.testing.assert_array_equal(out, np.sort(x))
 
     def test_duplicate_heavy_blocks_stay_budgeted(self, tmp_path):
         """All-equal input is the worst case for value-based splits;
         exact-rank tie distribution must still respect the budget."""
         x = np.full(2000, 7, dtype=np.int64)
-        out = external_sort(x, 128, parallel=True, backend="serial",
-                            directory=str(tmp_path))
+        out = external_sort(x, 128, backend="serial", directory=str(tmp_path))
         np.testing.assert_array_equal(out, x)
 
     def test_presorted_and_reversed(self):
         x = np.arange(5000)
         np.testing.assert_array_equal(
-            external_sort(x, 256, parallel=True, backend="serial"), x)
+            external_sort(x, 256, backend="serial"), x)
         np.testing.assert_array_equal(
-            external_sort(x[::-1].copy(), 256, parallel=True,
-                          backend="serial"), x)
+            external_sort(x[::-1].copy(), 256, backend="serial"), x)
 
     def test_io_accounting_deterministic(self):
         g = np.random.default_rng(6)
@@ -176,8 +196,7 @@ class TestParallelRoundTrip:
         totals = set()
         for _ in range(3):
             io = IOCounter(block_elements=128)
-            external_sort(x, 1024, parallel=True, backend="threads",
-                          workers=4, io=io)
+            external_sort(x, 1024, backend="threads", workers=4, io=io)
             totals.add((io.read_blocks, io.write_blocks))
         assert len(totals) == 1  # per-shard fold: schedule-independent
 
@@ -229,6 +248,32 @@ class TestExternalSortFile:
                                backend="serial")
         assert os.listdir(tmp_path) == ["in.npy"]
 
+    def test_fan_in_checked_before_any_io(self, tmp_path, monkeypatch):
+        """A bad ``fan_in`` is rejected with the other arguments: no run
+        formation batch is dispatched and no spill file is created."""
+        from repro.obs import Tracer
+
+        x = np.random.default_rng(9).integers(0, 99, 400)
+        in_path = os.path.join(str(tmp_path), "in.npy")
+        np.save(in_path, x)
+        spills = []
+        real_open = np.lib.format.open_memmap
+
+        def open_spy(path, mode="r+", *args, **kwargs):
+            if mode == "w+":
+                spills.append(path)
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(np, "save", lambda path, *a, **k: spills.append(path))
+        monkeypatch.setattr(np.lib.format, "open_memmap", open_spy)
+        tracer = Tracer()
+        with pytest.raises(InputError, match="fan_in"):
+            external_sort_file(in_path, memory_elements=64,
+                               directory=str(tmp_path), fan_in=1,
+                               backend="serial", trace=tracer)
+        assert spills == []
+        assert not [s for s in tracer.spans() if s.name == "exec.batch"]
+
     def test_out_path_honored(self, tmp_path):
         x = np.random.default_rng(10).integers(0, 99, 300)
         in_path = os.path.join(str(tmp_path), "in.npy")
@@ -279,7 +324,7 @@ class TestChaosIdempotence:
             owns_inner=True,
         )
         try:
-            out = external_sort(x, 256, parallel=True, backend=be)
+            out = external_sort(x, 256, backend=be)
         finally:
             be.close()
         np.testing.assert_array_equal(out, np.sort(x, kind="stable"))
@@ -305,7 +350,7 @@ class TestChaosIdempotence:
             owns_inner=True,
         )
         try:
-            out = external_sort(x, 128, parallel=True, backend=be, workers=4)
+            out = external_sort(x, 128, backend=be, workers=4)
         finally:
             be.close()
         np.testing.assert_array_equal(out, np.sort(x, kind="stable"))
