@@ -14,7 +14,7 @@ flags
 * any address never written (a coverage hole: the barrier would return
   an uninitialized region).
 
-The tracking array piggybacks on the *actual* production kernels
+The tracking array piggybacks on the *actual* production kernel
 (:func:`repro.core.sequential.merge_into`) and the *actual* thread
 pool, so what is audited is the code that runs in production, not a
 model of it.
@@ -167,7 +167,6 @@ def audited_parallel_merge(
     p: int,
     *,
     backend: str = "threads",
-    kernel: str = "vectorized",
     partition: Partition | None = None,
 ) -> list[RaceFinding]:
     """Run Algorithm 1 on the real ``backend`` with write tracking.
@@ -201,7 +200,6 @@ def audited_parallel_merge(
                     out[seg.out_start : seg.out_end],
                     a[seg.a_start : seg.a_end],
                     b[seg.b_start : seg.b_end],
-                    kernel=kernel,
                 )
             finally:
                 audit.set_task(None)
@@ -229,7 +227,6 @@ def audited_batched_round(
     procs_per_pair: int,
     *,
     backend: str = "threads",
-    kernel: str = "vectorized",
     corrupt_task_slices: dict[int, tuple[int, int]] | None = None,
 ) -> list[RaceFinding]:
     """Race-audit one *batched* merge round across every pair at once.
@@ -288,7 +285,6 @@ def audited_batched_round(
                             out[off + seg.out_start : off + seg.out_end],
                             a[seg.a_start : seg.a_end],
                             b[seg.b_start : seg.b_end],
-                            kernel=kernel,
                         )
                     finally:
                         audit.set_task(None)

@@ -20,14 +20,6 @@ The :class:`Controller` wires them into one supervise-and-retune loop:
 
 Deterministic retune rules (in order; each fires at most once per step):
 
-* A :class:`~repro.resilience.RecoveryEvent` for a tuner-routable level
-  (``processes``) → restore the ``process_cutover`` Rule 1 displaced
-  (or recalibrate if the fall predates this controller): the breaker
-  re-probe proved the level healthy, so stop pinning work below it.
-* A degradation event whose fallen backend routes through the tuner
-  (``processes``) → ``seed(process_cutover=NEVER)``: stop promoting
-  threads→processes onto a level that just died.  Re-probing would be
-  wasted work — the event already proves the level is unhealthy.
 * Host fingerprint changed (cores added/removed, ``REPRO_*`` override
   flipped) → drop the cache and recalibrate: every cached crossover
   was measured on a machine that no longer exists.
@@ -37,6 +29,13 @@ Deterministic retune rules (in order; each fires at most once per step):
 * ``p99_ns_per_elem`` FAIL (and nothing above already retuned) → full
   recalibration: latency is out of budget for no structural reason the
   other rules recognise, so re-measure the crossovers.
+
+Degradation and :class:`~repro.resilience.RecoveryEvent` events are
+recorded (:attr:`ControlDecision.events` / ``.recoveries`` and the
+``control.degradations`` / ``control.recoveries`` counters) but retune
+nothing: the tuner only chooses between serial and the requested pooled
+backend, so a fallen or recovered level leaves its one threshold where
+it was, and the degradation chain itself routes around a dead level.
 
 The controller's own activity lands in the same registry it reads
 (``control.*`` metrics), so the loop is observable with the tools this
@@ -51,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..execution.autotune import Autotuner, get_autotuner
-from ..execution.tuning import NEVER, HostFingerprint
 from ..obs.tracer import NULL_SPAN
 from ..resilience.degrade import (
     DegradationEvent,
@@ -157,9 +155,6 @@ class Controller:
         self._unsubscribe_recovery: Callable[[], None] | None = None
         self._last_snapshot: dict[str, Any] | None = None
         self._fingerprint = self.autotuner.fingerprint()
-        #: ``process_cutover`` value Rule 1 displaced with NEVER, so the
-        #: recovery rule can restore it instead of guessing.
-        self._saved_process_cutover: int | None = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -212,7 +207,7 @@ class Controller:
             report = evaluate_slo(self.slo, delta)
             events = self._drain_events()
             recoveries = self._drain_recoveries()
-            actions = self._decide(report, events, recoveries)
+            actions = self._decide(report)
             self._publish(report, events, actions, recoveries)
             self._last_snapshot = self.registry.snapshot()
             decision = ControlDecision(
@@ -223,58 +218,11 @@ class Controller:
                      events=len(events), recoveries=len(recoveries))
         return decision
 
-    def _decide(
-        self,
-        report: SLOReport,
-        events: tuple[DegradationEvent, ...],
-        recoveries: tuple[RecoveryEvent, ...] = (),
-    ) -> tuple[ControlAction, ...]:
+    def _decide(self, report: SLOReport) -> tuple[ControlAction, ...]:
         actions: list[ControlAction] = []
         retuned = False
 
-        # Rule 0: a recovered tuner-routable level gets its cutover back.
-        # (Before Rule 1 so that recover-then-fall in one window still
-        # lands on NEVER — the most recent state wins.)
-        recovered = {rec.backend for rec in recoveries}
-        if "processes" in recovered:
-            if self.autotuner.thresholds().process_cutover == NEVER:
-                restored = self._saved_process_cutover
-                self._saved_process_cutover = None
-                if restored is not None:
-                    self.autotuner.seed(process_cutover=restored)
-                    actions.append(ControlAction(
-                        kind="seed",
-                        reason="processes level recovered; restoring the "
-                               "threads→processes promotion",
-                        details={"process_cutover": restored},
-                    ))
-                else:
-                    # We never saw the fall (started mid-outage): no
-                    # saved value to restore, so re-measure instead.
-                    self.autotuner.calibrate()
-                    actions.append(ControlAction(
-                        kind="recalibrate",
-                        reason="processes level recovered with no saved "
-                               "cutover; re-probing host crossovers",
-                    ))
-                retuned = True
-
-        # Rule 1: a fallen tuner-routable level must stop receiving work.
-        fallen = {ev.backend for ev in events}
-        if "processes" in fallen:
-            prior = self.autotuner.thresholds().process_cutover
-            if prior != NEVER:
-                self._saved_process_cutover = prior
-                self.autotuner.seed(process_cutover=NEVER)
-                actions.append(ControlAction(
-                    kind="seed",
-                    reason="processes level degraded; disabling the "
-                           "threads→processes promotion",
-                    details={"process_cutover": "NEVER"},
-                ))
-                retuned = True
-
-        # Rule 2: the machine changed under us.
+        # Rule 1: the machine changed under us.
         current = self.autotuner.fingerprint()
         if current != self._fingerprint:
             self._fingerprint = current
@@ -288,7 +236,7 @@ class Controller:
             ))
             retuned = True
 
-        # Rule 3: dispatch overhead out of budget → widen the serial lane.
+        # Rule 2: dispatch overhead out of budget → widen the serial lane.
         clause = report.clause("max_dispatches_per_call")
         if clause is not None and clause.status == FAIL:
             cutover = self.autotuner.thresholds().serial_cutover
@@ -303,7 +251,7 @@ class Controller:
                 ))
                 retuned = True
 
-        # Rule 4: unexplained tail latency → re-measure the crossovers.
+        # Rule 3: unexplained tail latency → re-measure the crossovers.
         clause = report.clause("p99_ns_per_elem")
         if clause is not None and clause.status == FAIL and not retuned:
             self.autotuner.calibrate()

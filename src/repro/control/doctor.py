@@ -146,8 +146,6 @@ def run_doctor(
                 "cache_state": tuner.cache_state(),
                 "thresholds": {
                     "serial_cutover": th.serial_cutover,
-                    "process_cutover": th.process_cutover,
-                    "tiny_kernel_cutover": th.tiny_kernel_cutover,
                     "source": th.source,
                 },
             }
@@ -200,8 +198,6 @@ def render_doctor(doc: DoctorReport) -> str:
     th = at.get("thresholds", {})
     lines.append(
         f"  thresholds: serial<{_cut(th.get('serial_cutover'))} "
-        f"processes>={_cut(th.get('process_cutover'))} "
-        f"tiny<{th.get('tiny_kernel_cutover')} "
         f"[{th.get('source')}]"
     )
     for note in doc.canary_notes:

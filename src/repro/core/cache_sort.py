@@ -37,7 +37,6 @@ def cache_efficient_sort(
     cache_elements: int,
     *,
     backend: Backend | str = "threads",
-    kernel: str = "vectorized",
     block_fraction: int = 3,
     stats: MergeStats | None = None,
     trace: "Tracer | None" = None,
@@ -54,7 +53,7 @@ def cache_efficient_sort(
     cache_elements:
         Cache capacity ``C`` in *elements*; stage 1 blocks are ``C/3``
         elements so input + output of a block-local sort co-reside.
-    backend, kernel:
+    backend:
         As in :func:`repro.core.parallel_merge.parallel_merge`.
     block_fraction:
         The ``C/3`` divisor, exposed for the sizing ablation.
@@ -86,8 +85,7 @@ def cache_efficient_sort(
         # Stage 1+2: cache-sized blocks, each sorted by all p processors.
         runs = [
             parallel_merge_sort(arr[lo:lo + L], p, backend=ex.backend,
-                                kernel=kernel, stats=ex.stats, trace=trace,
-                                metrics=metrics)
+                                stats=ex.stats, trace=trace, metrics=metrics)
             for lo in range(0, n, L)
         ]
 
@@ -96,8 +94,7 @@ def cache_efficient_sort(
             next_runs = [
                 segmented_parallel_merge(
                     runs[i], runs[i + 1], p, L=L, backend=ex.backend,
-                    kernel=kernel, check=False, stats=ex.stats, trace=trace,
-                    metrics=metrics,
+                    check=False, stats=ex.stats, trace=trace, metrics=metrics,
                 )
                 for i in range(0, len(runs) - 1, 2)
             ]

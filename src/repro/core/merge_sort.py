@@ -91,8 +91,6 @@ def parallel_merge_sort(
     p: int,
     *,
     backend: Backend | str = "threads",
-    kernel: str = "vectorized",
-    base_sort: str = "numpy",
     stats: MergeStats | None = None,
     resilience: "RetryPolicy | bool | None" = None,
     telemetry: "ExecutionTelemetry | None" = None,
@@ -109,13 +107,6 @@ def parallel_merge_sort(
         Processor count; also the initial chunk count.
     backend:
         Execution backend (instance or name) shared across rounds.
-    kernel:
-        In-segment merge kernel for the merge rounds.
-    base_sort:
-        ``"numpy"`` (default, ``np.sort`` per chunk — stand-in for each
-        core's local sequential sort) or ``"merge"`` (recursive
-        sequential merge sort in Python; used by tests to keep the whole
-        pipeline within counted kernels).
     stats:
         Optional operation-count sink covering the merge rounds.
     resilience:
@@ -151,10 +142,6 @@ def parallel_merge_sort(
     ) as ex:
         # --- Round 0: independent chunk sorts, one batched dispatch.
         chunks = min(p, n)
-        sort_chunk = None
-        if base_sort != "numpy":
-            def sort_chunk(chunk: np.ndarray) -> np.ndarray:
-                return _sequential_merge_sort(chunk, ex.stats)
 
         span0 = (
             trace.span("sort.round", round=0, pairs=0, chunks=chunks,
@@ -164,8 +151,7 @@ def parallel_merge_sort(
         )
         with span0:
             runs = run_chunk_sorts(
-                arr, chunks, backend=ex.backend, base_sort=base_sort,
-                sort_chunk=sort_chunk, trace=trace, metrics=metrics,
+                arr, chunks, backend=ex.backend, trace=trace, metrics=metrics,
             )
 
         # --- Merge rounds: every pair of a round rides one batch;
@@ -182,8 +168,8 @@ def parallel_merge_sort(
             )
             with round_span:
                 runs = run_merge_round(
-                    runs, procs_per_pair, backend=ex.backend, kernel=kernel,
-                    stats=ex.stats, trace=trace, metrics=metrics,
+                    runs, procs_per_pair, backend=ex.backend, stats=ex.stats,
+                    trace=trace, metrics=metrics,
                     round_index=round_index,
                 )
             if metrics is not None:
@@ -191,16 +177,3 @@ def parallel_merge_sort(
             round_index += 1
     return runs[0]
 
-
-def _sequential_merge_sort(
-    chunk: np.ndarray, stats: MergeStats | None
-) -> np.ndarray:
-    """Plain recursive merge sort over the counted two-pointer kernel."""
-    from .sequential import merge_two_pointer
-
-    if len(chunk) <= 1:
-        return chunk
-    mid = len(chunk) // 2
-    left = _sequential_merge_sort(chunk[:mid], stats)
-    right = _sequential_merge_sort(chunk[mid:], stats)
-    return merge_two_pointer(left, right, check=False, stats=stats)

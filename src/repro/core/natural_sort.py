@@ -77,7 +77,6 @@ def natural_merge_sort(
     p: int = 1,
     *,
     backend: Backend | str = "serial",
-    kernel: str = "vectorized",
     stats: MergeStats | None = None,
 ) -> np.ndarray:
     """Adaptive sort: detect natural runs, then parallel-merge them up.
@@ -105,7 +104,7 @@ def natural_merge_sort(
         while len(runs) > 1:  # one batched dispatch per round
             runs = run_merge_round(
                 runs, max(1, p // (len(runs) // 2)), backend=ex.backend,
-                kernel=kernel, stats=stats, round_index=round_index,
+                stats=stats, round_index=round_index,
             )
             round_index += 1
     return runs[0]

@@ -44,7 +44,6 @@ def merge_partition(
     partition: Partition,
     *,
     backend: Backend,
-    kernel: str = "vectorized",
     stats: MergeStats | None = None,
     trace: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
@@ -64,8 +63,7 @@ def merge_partition(
     """
     out = np.empty(partition.total_length, dtype=result_dtype(a, b))
     with Execution(backend, stats=stats, trace=trace, metrics=metrics) as ex:
-        run_segments(ex, [(out, a, b, partition)],
-                     label="merge.partition", kernel=kernel)
+        run_segments(ex, [(out, a, b, partition)], label="merge.partition")
     return out
 
 
@@ -75,7 +73,6 @@ def parallel_merge(
     p: int,
     *,
     backend: Backend | str = "threads",
-    kernel: str = "vectorized",
     check: bool = True,
     oversubscribe: int = 1,
     stats: MergeStats | None = None,
@@ -101,18 +98,14 @@ def parallel_merge(
         autotuner (e.g. ``"threads"`` → ``"serial"`` below the measured
         fork/join crossover; disable with ``REPRO_AUTOTUNE=0``).
         Explicit instances are used verbatim and never rerouted.
-    kernel:
-        In-segment merge kernel (see
-        :data:`repro.core.sequential.KERNELS`), or ``"auto"`` to let the
-        autotuner pick per segment length.
     check:
         Validate input sortedness (O(N) vectorized scan).
     oversubscribe:
         Segments per worker (default 1, the paper's static schedule).
         Values > 1 cut ``p * oversubscribe`` segments so a pooled
         backend can balance dynamically — useful when per-segment cost
-        varies (e.g. NUMA effects, or the galloping kernel on clustered
-        data); Corollary 7 makes it unnecessary for uniform cost.
+        varies (e.g. NUMA effects or a noisy neighbour on one core);
+        Corollary 7 makes it unnecessary for uniform cost.
     stats:
         Optional operation-count sink (partition probes + merge ops).
     resilience:
@@ -160,8 +153,7 @@ def parallel_merge(
             a, b, p * oversubscribe, check=False, stats=ex.stats, tracer=trace
         )
         out = np.empty(partition.total_length, dtype=result_dtype(a, b))
-        run_segments(ex, [(out, a, b, partition)],
-                     label="merge.partition", kernel=kernel)
+        run_segments(ex, [(out, a, b, partition)], label="merge.partition")
     return out
 
 
@@ -171,7 +163,6 @@ def merge(
     *,
     p: int = 1,
     backend: Backend | str = "auto",
-    kernel: str = "auto",
     check: bool = True,
 ) -> np.ndarray:
     """Friendly top-level merge.
@@ -182,11 +173,12 @@ def merge(
 
     Defaults are adaptive: ``backend="auto"`` resolves to ``"serial"``
     for ``p == 1`` and ``"threads"`` otherwise, then the autotuner
-    (:mod:`repro.execution.autotune`) reroutes by measured per-host
-    crossovers; ``kernel="auto"`` picks the two-pointer loop for tiny
-    segments and the vectorized kernel everywhere else.  Pass explicit
-    names (or set ``REPRO_AUTOTUNE=0``) to pin the configuration.
+    (:mod:`repro.execution.autotune`) sends calls below the measured
+    per-host serial crossover to ``"serial"``.  Pass a backend instance
+    (or set ``REPRO_AUTOTUNE=0``) to pin the configuration.  Every
+    segment runs the one linear kernel,
+    :func:`~repro.core.sequential.merge_into`.
     """
     if backend == "auto":
         backend = "serial" if p == 1 else "threads"
-    return parallel_merge(a, b, p, backend=backend, kernel=kernel, check=check)
+    return parallel_merge(a, b, p, backend=backend, check=check)

@@ -128,7 +128,6 @@ def segmented_parallel_merge(
     cache_elements: int | None = None,
     L: int | None = None,
     backend: Backend | str = "threads",
-    kernel: str = "vectorized",
     check: bool = True,
     stats: MergeStats | None = None,
     trace: "Tracer | None" = None,
@@ -180,8 +179,7 @@ def segmented_parallel_merge(
                     a[block.a_start:block.a_end],
                     b[block.b_start:block.b_end],
                     plan.partition,
-                )], label="spm.block", kernel=kernel,
-                    meta={"block": block.index})
+                )], label="spm.block", meta={"block": block.index})
             if metrics is not None:
                 metrics.counter("spm.blocks").inc()
                 metrics.histogram("spm.block_a_share").observe(

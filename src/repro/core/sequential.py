@@ -9,7 +9,7 @@ matching the merge-path tie-break):
     The textbook element-at-a-time merge.  This is the exact loop the
     paper's step counts refer to — one comparison + one move per output
     element — and is what the PRAM programs model.  Pure Python; used
-    for step accounting and small inputs.
+    for step accounting.
 ``merge_galloping``
     Exponential (galloping) search when one run repeatedly wins, as in
     TimSort.  Wins asymptotically on clustered data (e.g. the LB
@@ -25,9 +25,10 @@ matching the merge-path tie-break):
     the merge-path split, and plays the role numba-jitted loops play in
     CPU merge-path libraries.
 
-All kernels share the :func:`merge_into` dispatcher that writes into a
-caller-provided output slice, which is how parallel workers write their
-disjoint output ranges without any synchronization.
+Only the vectorized kernel runs in production: :func:`merge_into` writes
+it into a caller-provided output slice, which is how parallel workers
+write their disjoint output ranges without any synchronization.  The two
+Python kernels are step-counting tools and references (``KERNELS``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "merge_two_pointer",
     "merge_galloping",
     "merge_vectorized",
-    "merge_vectorized_into",
     "merge_into",
     "merge_runs_into",
     "KERNELS",
@@ -229,19 +229,19 @@ def merge_vectorized(
 ) -> np.ndarray:
     """Linear-time stable merge into a new array (production kernel).
 
-    Allocates the output and runs :func:`merge_vectorized_into` on it:
-    ``A`` and ``B`` are copied in, in that order, and a stable sort
-    merges the two runs.  Ties keep ``A`` before equal ``B`` because
-    the sort is stable and ``A`` comes first.  ``stats`` counts as
-    :func:`merge_vectorized_into` does.
+    Allocates the output and runs :func:`merge_into` on it: ``A`` and
+    ``B`` are copied in, in that order, and a stable sort merges the two
+    runs.  Ties keep ``A`` before equal ``B`` because the sort is stable
+    and ``A`` comes first.  ``stats`` counts as :func:`merge_into` does.
     """
     a, b = _prepare(a, b, check)
     out = np.empty(len(a) + len(b), dtype=result_dtype(a, b))
-    merge_vectorized_into(out, a, b, stats=stats)
+    merge_into(out, a, b, stats=stats)
     return out
 
 
-#: Registry of kernels by name, used by benchmarks and the ablation study.
+#: Registry of kernels by name, used by benchmarks, the ablation study
+#: and the conformance registry.  Production paths call :func:`merge_into`.
 KERNELS: dict[str, Callable[..., np.ndarray]] = {
     "two_pointer": merge_two_pointer,
     "galloping": merge_galloping,
@@ -270,14 +270,18 @@ def _in_place(out: np.ndarray, arr: np.ndarray, offset: int, side: str) -> bool:
     )
 
 
-def merge_vectorized_into(
+def merge_into(
     out: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
     *,
     stats: MergeStats | None = None,
 ) -> None:
-    """Linear-time stable merge written directly into ``out``.
+    """Linear-time stable merge of ``a`` and ``b`` written into ``out``.
+
+    This is the worker primitive of Algorithm 1: each processor calls it
+    on its disjoint output slice, so no locking is ever needed.
+    ``out`` must have length ``len(a) + len(b)``.
 
     Copies ``a`` into ``out[:len(a)]`` and ``b`` after it, then sorts
     ``out`` in place with ``kind="stable"``.  For two sorted runs the
@@ -301,6 +305,10 @@ def merge_vectorized_into(
     galloping performs — and ``stats.moves`` counts output writes.
     """
     la, lb = len(a), len(b)
+    if len(out) != la + lb:
+        raise InputError(
+            f"output slice length {len(out)} != |A|+|B| = {la + lb}"
+        )
     if not _in_place(out, a, 0, "A"):
         out[:la] = a
     if not _in_place(out, b, la, "B"):
@@ -313,43 +321,10 @@ def merge_vectorized_into(
         stats.moves += la + lb
 
 
-def merge_into(
-    out: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    kernel: str = "vectorized",
-    stats: MergeStats | None = None,
-) -> None:
-    """Merge ``a`` and ``b`` into the pre-allocated slice ``out``.
-
-    ``out`` must have length ``len(a) + len(b)``.  This is the worker
-    primitive of Algorithm 1: each processor calls it on its disjoint
-    output slice, so no locking is ever needed.  The vectorized kernel
-    copies both runs into ``out`` and merges them there; the Python
-    kernels produce-then-copy (they are step-counting tools, not
-    production paths).
-    """
-    if len(out) != len(a) + len(b):
-        raise InputError(
-            f"output slice length {len(out)} != |A|+|B| = {len(a) + len(b)}"
-        )
-    if kernel == "vectorized":
-        merge_vectorized_into(out, a, b, stats=stats)
-        return
-    try:
-        fn = KERNELS[kernel]
-    except KeyError:
-        raise InputError(
-            f"unknown kernel {kernel!r}; choose from {sorted(KERNELS)}"
-        ) from None
-    out[:] = fn(a, b, check=False, stats=stats)
-
-
 def merge_runs_into(out: np.ndarray, runs: Sequence[np.ndarray]) -> None:
     """Stable merge of ``T`` sorted ``runs`` written into ``out``.
 
-    The k-way form of :func:`merge_vectorized_into`: copies the runs
+    The k-way form of :func:`merge_into`: copies the runs
     back to back into ``out`` and stable-sorts it in place.  Timsort
     finds the ``T`` runs and merges them in ``O(n log T)``, and
     stability emits equal keys in run order (run 0 first), so the

@@ -14,13 +14,13 @@
 * :mod:`~repro.execution.arena` — shared-memory staging of whole
   batches for the process backend (two blocks per batch, picklable
   offset jobs).
-* :mod:`~repro.execution.autotune` — measured per-host crossover
-  thresholds (serial↔threads↔processes, two-pointer↔vectorized),
-  persisted and consulted for string-named backends on untraced calls.
+* :mod:`~repro.execution.autotune` — the measured per-host serial
+  cutover (below it a pooled request runs serially), persisted and
+  consulted for string-named backends on untraced calls.
 * :mod:`~repro.execution.tuning` — the pure policy half of the tuner
-  (probe samples → thresholds → routing decisions, host
-  fingerprinting), shared by the cold-start path above and the
-  continuous controller in :mod:`repro.control`.
+  (probe samples → thresholds, host fingerprinting), shared by the
+  cold-start path above and the continuous controller in
+  :mod:`repro.control`.
 """
 
 from .autotune import (
@@ -35,8 +35,6 @@ from .tuning import (
     HostFingerprint,
     ProbeSuite,
     TuningState,
-    decide_backend,
-    decide_kernel,
     derive_thresholds,
     tuning_env,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "HostFingerprint",
     "ProbeSuite",
     "TuningState",
-    "decide_backend",
-    "decide_kernel",
     "derive_thresholds",
     "tuning_env",
     "ChunkSortArena",

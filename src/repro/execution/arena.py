@@ -66,7 +66,7 @@ def _merge_segment_offsets(
         seg_len = (a1 - a0) + (b1 - b0)
         out = np.ndarray((seg_len,), dtype=dtype, buffer=shm_out.buf,
                          offset=(out_off + o0) * item)
-        merge_into(out, a[a0:a1], b[b0:b1], kernel="vectorized")
+        merge_into(out, a[a0:a1], b[b0:b1])
     finally:
         shm_in.close()
         shm_out.close()

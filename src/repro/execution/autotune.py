@@ -3,23 +3,22 @@
 The paper's speedups assume p hardware threads and N large enough that
 partitioning cost (p·log N probes) vanishes against merge work (N/p per
 core).  On a real host neither is guaranteed: below some N the serial
-vectorized kernel beats any fork/join, below some segment length the
-pure-Python two-pointer loop beats the vectorized kernel's fixed cost of
-numpy calls (the copies and the sort call), and the threads/processes
-choice depends on core count and fork cost.  Those crossover points are
-*host properties*, so we measure them once per host with quick timing
-probes, persist them, and consult them on every call made with a string
-backend name.  The serial crossover is not searched for on a ladder of
-sizes: serial and parallel probes at 2^12 and 2^18 elements price a
-fork/join overhead and a per-element cost, and the model places the
-crossover (see :func:`repro.execution.tuning.serial_cutover_model`).  The
-threads/processes crossover is not probed; it stays "never" unless
-seeded (:meth:`Autotuner.seed`, the controller).
+kernel beats any fork/join.  That crossover is a *host property*, so we
+measure it once per host with quick timing probes, persist it, and
+consult it on every call made with a pooled backend name (``"threads"``
+or ``"processes"``), which it reroutes to ``"serial"`` below the
+crossover.  The crossover is not searched for on a ladder of sizes:
+serial and parallel probes at 2^12 and 2^18 elements price a fork/join
+overhead and a per-element cost, and the model places the crossover
+(see :func:`repro.execution.tuning.serial_cutover_model`).  It is the
+only decision the tuner makes: every segment runs the one linear kernel
+(:func:`repro.core.sequential.merge_into`), and a requested pooled
+backend is never swapped for the other one.
 
 This module is the *IO* half of the tuner: timing probes, cache
-persistence, and the process-wide singleton.  All decisions — how
-probe timings become thresholds, how a request routes, when a cached
-calibration is stale — live in the pure policy module
+persistence, the process-wide singleton, and the one routing comparison
+(:meth:`Autotuner.choose_backend`).  How probe timings become thresholds
+and when a cached calibration is stale live in the pure policy module
 :mod:`repro.execution.tuning`, which the continuous controller
 (:mod:`repro.control`) drives through the same :meth:`Autotuner.seed`
 / :meth:`Autotuner.calibrate` API used here for cold start.
@@ -27,8 +26,8 @@ calibration is stale — live in the pure policy module
 Policy knobs (all overridable by environment):
 
 ``REPRO_AUTOTUNE=0``
-    Kill switch — no calibration, no rerouting; requested backends and
-    kernels are used verbatim.
+    Kill switch — no calibration, no rerouting; requested backends are
+    used verbatim.
 ``REPRO_AUTOTUNE_CACHE=/path/file.json``
     Where calibrated thresholds persist (default
     ``~/.cache/repro/autotune-<host>-py<maj>.<min>.json``).
@@ -41,9 +40,8 @@ machines — or changing the core count of this one, or upgrading to
 different probes and rules — forces recalibration.
 
 The tuner only ever *reroutes, never changes semantics*: results are
-bit-identical whichever backend or kernel runs, because every kernel
-implements the same stable merge and every backend executes the same
-disjoint-slice tasks (Theorem 14).  Rerouting applies only when the
+bit-identical whichever backend runs, because every backend executes
+the same disjoint-slice tasks (Theorem 14).  Rerouting applies only when the
 caller passed a backend *name* (an explicit ``Backend`` instance is a
 deliberate choice) and only for untraced calls (a traced run is a
 measurement of the requested configuration, not a request for speed).
@@ -69,8 +67,6 @@ from .tuning import (
     ProbeSuite,
     Thresholds,
     TuningState,
-    decide_backend,
-    decide_kernel,
     derive_thresholds,
 )
 
@@ -103,10 +99,10 @@ def _default_cache_path() -> Path:
     return Path(base) / "repro" / f"autotune-{host}-{tag}.json"
 
 
-def _best_time(fn: Callable[[], object], repeats: int = 3) -> float:
-    """Min-of-repeats wall time; min rejects scheduler noise upward."""
+def _best_time(fn: Callable[[], object]) -> float:
+    """Min-of-3 wall time; min rejects scheduler noise upward."""
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(3):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
@@ -261,13 +257,13 @@ class Autotuner:
         """Time the crossover experiments; thresholds come from
         :func:`repro.execution.tuning.derive_thresholds` (pure)."""
         from ..core.parallel_merge import parallel_merge
-        from ..core.sequential import merge_two_pointer, merge_vectorized
+        from ..core.sequential import merge_vectorized
         from .pool import shared_backend
 
         p = min(4, os.cpu_count() or 1)
 
-        # Probe 1: serial vectorized merge vs. pooled thread merge, at a
-        # size where fork/join dominates and one where the kernel does.
+        # Serial merge vs. pooled thread merge, at a size where
+        # fork/join dominates and one where the kernel does.
         serial_vs_parallel: list[tuple[int, float, float]] = []
         if p > 1:
             be = shared_backend("threads", p)
@@ -281,44 +277,18 @@ class Autotuner:
                     lambda: parallel_merge(a, b, p, backend=be, check=False))
                 serial_vs_parallel.append((n, t_serial, t_par))
 
-        # No threads-vs-processes probe (thread_vs_process stays None,
-        # so process_cutover is "never"): its pool warm-up task could
-        # not be pickled, so it never measured anything.
-
-        # Probe 2: two-pointer vs. vectorized on tiny segments.
-        tiny_kernel: list[tuple[int, float, float]] = []
-        for n in (8, 16, 32, 64, 128):
-            a, b = _probe_arrays(n)
-            t_tp = _best_time(
-                lambda: merge_two_pointer(a, b, check=False), repeats=5)
-            t_vec = _best_time(
-                lambda: merge_vectorized(a, b, check=False), repeats=5)
-            tiny_kernel.append((n, t_tp, t_vec))
-            if t_vec <= t_tp:
-                break
-
-        return ProbeSuite(
-            serial_vs_parallel=tuple(serial_vs_parallel),
-            tiny_kernel=tuple(tiny_kernel),
-            p=p,
-        )
+        return ProbeSuite(serial_vs_parallel=tuple(serial_vs_parallel), p=p)
 
     # -- consultation --------------------------------------------------
 
     def choose_backend(self, name: str, n: int) -> str:
         """Best backend *name* for an N-element merge requested as
-        ``name`` (pure policy: :func:`~repro.execution.tuning.decide_backend`)."""
+        ``name``: a pooled name (``"threads"``, ``"processes"``) becomes
+        ``"serial"`` below the serial cutover; every other request is
+        returned unchanged."""
         if not autotune_enabled() or name not in ("threads", "processes"):
             return name
-        return decide_backend(self.thresholds(), name, n)
-
-    def resolve_kernel(self, kernel: str, segment_length: int) -> str:
-        """Resolve ``kernel="auto"`` for a given per-segment length."""
-        if kernel != "auto":
-            return kernel
-        if not autotune_enabled():
-            return "vectorized"
-        return decide_kernel(self.thresholds(), kernel, segment_length)
+        return "serial" if n < self.thresholds().serial_cutover else name
 
     def seed(self, **overrides: int) -> None:
         """Pin thresholds without probing (tests, controller nudges)."""

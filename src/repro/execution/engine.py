@@ -6,7 +6,6 @@ single barrier at the end (Theorem 14).  :func:`run_segments` is the
 only code that turns partitioned merges — ``(out, a, b, partition)``
 jobs — into a :class:`~repro.backends.TaskBatch`.  It
 
-* resolves ``kernel="auto"`` from the largest segment;
 * builds one task per non-empty segment of every job — a closure with
   a ``segment.merge`` span and a private ``MergeStats`` sink, or, when
   tasks must be picklable (:func:`~repro.backends.tasks_must_pickle`),
@@ -36,7 +35,6 @@ from ..types import MergeStats, Partition
 from ..core.merge_path import partition_merge_path
 from ..core.sequential import merge_into, result_dtype
 from .arena import ChunkSortArena, RoundArena
-from .autotune import get_autotuner
 from .context import Execution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,14 +52,13 @@ def run_segments(
     jobs: Sequence[Job],
     *,
     label: str,
-    kernel: str = "vectorized",
     meta: dict[str, Any] | None = None,
 ) -> None:
     """Merge every segment of every job in **one** batched dispatch.
 
     ``meta`` is recorded on the batch (and on each ``segment.merge``
-    span).  Staged jobs run the vectorized kernel in worker processes,
-    which feed neither the call's ``MergeStats`` nor its tracer.
+    span).  Every task runs :func:`~repro.core.sequential.merge_into`;
+    staged jobs run it in worker processes, which feed neither the call's ``MergeStats`` nor its tracer.
     """
     meta = dict(meta or ())
     per_task_stats: list[MergeStats] = []
@@ -72,7 +69,7 @@ def run_segments(
     ) as arena:
         tasks = (
             arena.tasks() if staged
-            else _closures(ex, jobs, kernel, meta, per_task_stats)
+            else _closures(ex, jobs, meta, per_task_stats)
         )
         meta["segments"] = len(tasks)
         if ex.metrics is not None:
@@ -90,16 +87,11 @@ def run_segments(
 def _closures(
     ex: Execution,
     jobs: Sequence[Job],
-    kernel: str,
     meta: dict[str, Any],
     per_task_stats: list[MergeStats],
 ) -> list:
     """One in-process task per non-empty segment, each with its own
     ``segment.merge`` span and (when counting) ``MergeStats`` sink."""
-    if kernel == "auto":
-        kernel = get_autotuner().resolve_kernel(kernel, max(
-            1, max(p.total_length // len(p.segments) for *_, p in jobs)
-        ))
     trace = ex.trace
 
     def make_task(out, a, b, seg, worker, seg_stats):
@@ -121,7 +113,6 @@ def _closures(
                     out[seg.out_start:seg.out_end],
                     a[seg.a_start:seg.a_end],
                     b[seg.b_start:seg.b_end],
-                    kernel=kernel,
                     stats=seg_stats,
                 )
                 if seg_stats is not None:
@@ -150,7 +141,6 @@ def run_merge_round(
     procs_per_pair: int,
     *,
     backend: Backend,
-    kernel: str = "vectorized",
     stats: MergeStats | None = None,
     trace: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
@@ -173,7 +163,7 @@ def run_merge_round(
             )
             out = np.empty(part.total_length, dtype=result_dtype(a, b))
             jobs.append((out, a, b, part))
-        run_segments(ex, jobs, label="sort.round", kernel=kernel, meta={
+        run_segments(ex, jobs, label="sort.round", meta={
             "round": round_index, "pairs": len(jobs),
             "procs_per_pair": procs_per_pair,
         })
@@ -188,35 +178,24 @@ def run_chunk_sorts(
     chunks: int,
     *,
     backend: Backend,
-    base_sort: str = "numpy",
-    sort_chunk=None,
     trace: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> list[np.ndarray]:
     """Round 0 of the sort: every chunk's local sort as one batch.
 
-    ``sort_chunk`` is the per-chunk callable (defaults to a stable numpy
-    sort).  When tasks must be picklable and the default numpy sort is
-    used, the chunks are staged through a :class:`ChunkSortArena`.
+    Each chunk gets a stable numpy sort.  When tasks must be picklable,
+    the chunks are staged through a :class:`ChunkSortArena`.
     """
     n = len(arr)
     chunks = min(chunks, n)
     bounds = [(k * n) // chunks for k in range(chunks + 1)]
 
     with Execution(backend, trace=trace, metrics=metrics) as ex:
-        if (
-            sort_chunk is None
-            and base_sort == "numpy"
-            and tasks_must_pickle(ex.backend)
-        ):
+        if tasks_must_pickle(ex.backend):
             with ChunkSortArena(arr, bounds) as arena:
                 ex.run(TaskBatch(arena.tasks(), label="sort.chunks",
                                  meta={"round": 0, "chunks": chunks}))
                 return arena.results()
-
-        if sort_chunk is None:
-            def sort_chunk(chunk: np.ndarray) -> np.ndarray:
-                return np.sort(chunk, kind="mergesort")
 
         views = [arr[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
@@ -229,7 +208,7 @@ def run_chunk_sorts(
                     else NULL_SPAN
                 )
                 with span:
-                    return sort_chunk(chunk)
+                    return np.sort(chunk, kind="mergesort")
 
             return task
 

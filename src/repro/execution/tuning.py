@@ -1,21 +1,21 @@
-"""Pure tuning policy: probe samples in, routing decisions out.
+"""Pure tuning policy: probe samples in, thresholds out.
 
 This module is the *policy* half of the autotuner split.  Everything
 here is a pure function of its inputs — no clocks, no filesystem, no
 environment reads except the explicit ``environ`` parameters — so the
 cold-start path (:class:`repro.execution.autotune.Autotuner`) and the
 continuous controller (:class:`repro.control.Controller`) share exactly
-one decision code path and tests can drive it with synthetic samples.
+one calibration rule and tests can drive it with synthetic samples.
 
 The split:
 
 :class:`ProbeSuite`
     Raw timing observations — what the IO layer measures.
 :func:`derive_thresholds`
-    ``ProbeSuite`` → :class:`Thresholds` (the crossover rules).
-:func:`decide_backend` / :func:`decide_kernel`
-    ``Thresholds`` + request → routing decision (what every entry
-    point consults per call).
+    ``ProbeSuite`` → :class:`Thresholds`.  The serial cutover
+    (:func:`serial_cutover_model`) is the one measured decision; every
+    entry point consults it per call through
+    :meth:`~repro.execution.autotune.Autotuner.choose_backend`.
 :class:`HostFingerprint` / :class:`TuningState`
     What the cache file stores, and when it is stale: thresholds are
     *host properties*, so a calibration made on a different host shape
@@ -41,8 +41,6 @@ __all__ = [
     "TuningState",
     "derive_thresholds",
     "serial_cutover_model",
-    "decide_backend",
-    "decide_kernel",
     "tuning_env",
 ]
 
@@ -52,8 +50,6 @@ NEVER = 1 << 62
 #: The modelled parallel time must beat serial by this factor at the
 #: serial crossover (hysteresis against timer noise).
 SERIAL_MARGIN = 0.95
-#: Processes must beat threads by this factor to earn the promotion.
-PROCESS_MARGIN = 0.9
 #: Version of the probes and rules above, part of every
 #: :class:`HostFingerprint`: a calibration made by other probes or
 #: rules (version 1: the rank-placement kernel and the first-crossing
@@ -67,13 +63,12 @@ class Thresholds:
 
     ``serial_cutover``
         Below this N, rerun pooled-backend requests on the serial
-        backend — fork/join overhead exceeds the merge itself.
-    ``process_cutover``
-        At or above this N, prefer processes over threads (GIL-bound
-        hosts); :data:`NEVER` disables the promotion.
-    ``tiny_kernel_cutover``
-        Below this *segment* length, the two-pointer loop beats the
-        vectorized kernel's numpy setup cost (``kernel="auto"`` only).
+        backend — fork/join overhead exceeds the merge itself.  The
+        only threshold that is measured and the only one read.
+    ``process_cutover``, ``tiny_kernel_cutover``
+        Inert: no probe sets them and no decision reads them.  They
+        remain so that callers which copy every threshold by name into
+        :meth:`~repro.execution.autotune.Autotuner.seed` keep working.
     """
 
     serial_cutover: int = 4096
@@ -91,18 +86,11 @@ class ProbeSuite:
         ``(n, t_serial_s, t_parallel_s)`` rows, ascending ``n``: every
         row bounds the fork/join overhead, the largest prices the
         serial cost per element (see :func:`serial_cutover_model`).
-    ``thread_vs_process``
-        One ``(n, t_threads_s, t_processes_s)`` row, or ``None`` when
-        not measured (the autotuner's probes do not measure it).
-    ``tiny_kernel``
-        ``(n, t_two_pointer_s, t_vectorized_s)`` rows, ascending ``n``.
     ``p``
         Worker count of the parallel probes.
     """
 
     serial_vs_parallel: tuple[tuple[int, float, float], ...] = ()
-    thread_vs_process: tuple[int, float, float] | None = None
-    tiny_kernel: tuple[tuple[int, float, float], ...] = ()
     p: int = 1
 
 
@@ -140,68 +128,12 @@ def serial_cutover_model(
 
 
 def derive_thresholds(suite: ProbeSuite) -> Thresholds:
-    """Crossover rules, as a pure function of measured timings.
-
-    The serial cutover comes from :func:`serial_cutover_model`; the
-    process cutover is set only when processes beat threads by
-    :data:`PROCESS_MARGIN` at the probed size; the tiny-kernel cutover
-    is the smallest segment length where the vectorized kernel caught
-    up with the two-pointer loop (the largest probed length when it
-    never did).
-    """
-    serial_cutover = serial_cutover_model(suite.serial_vs_parallel, suite.p)
-
-    process_cutover = NEVER
-    if suite.thread_vs_process is not None:
-        n, t_thr, t_proc = suite.thread_vs_process
-        if t_proc < t_thr * PROCESS_MARGIN:
-            process_cutover = n
-
-    tiny_kernel_cutover = 0
-    for n, t_tp, t_vec in suite.tiny_kernel:
-        tiny_kernel_cutover = n
-        if t_vec <= t_tp:
-            break
-
+    """Crossover rules, as a pure function of measured timings: the
+    serial cutover from :func:`serial_cutover_model`."""
     return Thresholds(
-        serial_cutover=serial_cutover,
-        process_cutover=process_cutover,
-        tiny_kernel_cutover=tiny_kernel_cutover,
+        serial_cutover=serial_cutover_model(suite.serial_vs_parallel, suite.p),
         calibrated=True,
         source="probe",
-    )
-
-
-def decide_backend(
-    th: Thresholds, name: str, n: int, *, enabled: bool = True
-) -> str:
-    """Best backend *name* for an N-element merge requested as ``name``.
-
-    Only the pooled names are ever rerouted, and only downward to
-    ``serial`` (below the fork/join crossover) or across from
-    ``threads`` to ``processes`` (above the GIL crossover).
-    """
-    if not enabled or name not in ("threads", "processes"):
-        return name
-    if n < th.serial_cutover:
-        return "serial"
-    if name == "threads" and n >= th.process_cutover:
-        return "processes"
-    return name
-
-
-def decide_kernel(
-    th: Thresholds, kernel: str, segment_length: int, *, enabled: bool = True
-) -> str:
-    """Resolve ``kernel="auto"`` for a given per-segment length."""
-    if kernel != "auto":
-        return kernel
-    if not enabled:
-        return "vectorized"
-    return (
-        "two_pointer"
-        if segment_length < th.tiny_kernel_cutover
-        else "vectorized"
     )
 
 
@@ -288,8 +220,6 @@ class TuningState:
     def to_payload(self) -> dict:
         payload = {
             "serial_cutover": self.thresholds.serial_cutover,
-            "process_cutover": self.thresholds.process_cutover,
-            "tiny_kernel_cutover": self.thresholds.tiny_kernel_cutover,
             "calibrated": self.thresholds.calibrated,
             "source": "probe",
         }
@@ -301,11 +231,10 @@ class TuningState:
     def from_payload(cls, raw: dict) -> "TuningState":
         """Parse a cache payload; raises ``KeyError``/``ValueError``/
         ``TypeError`` on malformed documents (the IO layer treats any
-        of those as "no cache")."""
+        of those as "no cache").  Other keys are ignored, such as the
+        two unmeasured thresholds that older caches also stored."""
         th = Thresholds(
             serial_cutover=int(raw["serial_cutover"]),
-            process_cutover=int(raw["process_cutover"]),
-            tiny_kernel_cutover=int(raw["tiny_kernel_cutover"]),
             calibrated=bool(raw.get("calibrated", True)),
             source="cache",
         )

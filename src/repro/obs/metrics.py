@@ -41,9 +41,9 @@ Metric name conventions (full table in ``docs/observability.md``):
 ``control.steps`` / ``.retunes`` / ``.degradations`` /
 ``.recoveries`` / ``.slo_failures`` and gauge ``control.last_status``
     The controller's own decisions — the control plane is observable
-    through the same registry it reads.  ``.recoveries`` counts
-    recovery events the controller consumed (restoring the cutover a
-    degradation displaced).
+    through the same registry it reads.  ``.degradations`` /
+    ``.recoveries`` count the chain events each step recorded (they
+    retune nothing).
 ``autotune.cache_corrupt``
     Calibration-cache loads that found garbage bytes instead of JSON
     (each is a counted miss, never a crash; see ``repro.durable``).

@@ -99,10 +99,10 @@ class RecoveryEvent:
 
     The mirror image of :class:`DegradationEvent`: a level whose
     circuit breaker half-opened just passed its health re-probe and
-    re-entered rotation.  Subscribers use it to undo whatever they did
-    when the level fell — the :class:`repro.control.Controller` clears
-    its ``process_cutover=NEVER`` seed, the serve front door counts
-    ``serve.recoveries``.
+    re-entered rotation.  Subscribers record it: the
+    :class:`repro.control.Controller` reports it in its decision and
+    ``control.recoveries`` (it retunes nothing), the serve front door
+    counts ``serve.recoveries``.
 
     ``backend``
         The recovered level's name.

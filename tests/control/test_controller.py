@@ -3,7 +3,8 @@
 Includes the acceptance scenario for this layer: a seeded chaos run
 that kills the ``processes`` degradation level mid-batch and asserts —
 purely through the metrics snapshot/delta API — that the controller
-noticed the structured degradation event and retuned the autotuner.
+noticed the structured degradation and recovery events, and that they
+leave the autotuner's one threshold alone.
 """
 
 import warnings
@@ -12,7 +13,7 @@ import pytest
 
 from repro.control import SLO, Controller
 from repro.execution.autotune import Autotuner
-from repro.execution.tuning import NEVER, ProbeSuite
+from repro.execution.tuning import ProbeSuite
 from repro.obs import MetricsRegistry, Tracer
 from repro.resilience import (
     DegradationWarning,
@@ -40,8 +41,6 @@ class _StubTuner(Autotuner):
         return ProbeSuite(
             serial_vs_parallel=((1 << 10, 1024e-9, 1412e-9),
                                 (1 << 18, 262144e-9, 131972e-9)),
-            thread_vs_process=(1 << 16, 1.0, 0.5),
-            tiny_kernel=((8, 1.0, 0.5),),
             p=2,
         )
 
@@ -148,19 +147,18 @@ class TestRetuneRules:
 
 
 class TestChaosAcceptance:
-    def test_forced_processes_degradation_triggers_retune(
+    def test_processes_degradation_is_only_recorded(
         self, registry, tuner, monkeypatch
     ):
         """Seeded chaos: the 'processes' level dies mid-batch; the
-        controller must observe the structured event and stop promoting
-        threads onto the dead level — asserted via snapshot/delta."""
+        controller must observe the structured event — asserted via
+        snapshot/delta — and leave the tuner alone: the chain already
+        routes around the dead level, and the serial cutover did not
+        move."""
         from repro.backends.serial import SerialBackend
 
-        # before any fingerprinting: rerouting on, consistently
         monkeypatch.setenv("REPRO_AUTOTUNE", "1")
-        tuner.seed(serial_cutover=2048, process_cutover=1 << 16)
-        # before the chaos, large thread requests are promoted
-        assert tuner.choose_backend("threads", 1 << 20) == "processes"
+        tuner.seed(serial_cutover=2048)
 
         doomed = FaultyBackend(
             SerialBackend(),
@@ -178,19 +176,17 @@ class TestChaosAcceptance:
             decision = ctl.step()
         chain.close()
 
-        # the decision saw the event and retuned
         assert any(ev.backend == "processes" for ev in decision.events)
-        assert decision.retuned
-        seeds = [a for a in decision.actions if a.kind == "seed"]
-        assert seeds and seeds[0].details == {"process_cutover": "NEVER"}
+        assert "processes" in decision.describe()
+        assert decision.actions == ()
+        assert not decision.retuned
 
         # ... and all of it is visible through the metrics window alone
         delta = registry.delta(before)
         assert delta["control.degradations"] >= 1
-        assert delta["control.retunes"] >= 1
-
-        # the tuner no longer routes work onto the dead level
-        assert tuner.thresholds().process_cutover == NEVER
+        assert delta.get("control.retunes", 0) == 0
+        assert tuner.calibrations == 0
+        assert tuner.thresholds().serial_cutover == 2048
         assert tuner.choose_backend("threads", 1 << 20) == "threads"
 
     def test_events_outside_start_stop_are_not_consumed(
@@ -198,7 +194,7 @@ class TestChaosAcceptance:
     ):
         from repro.backends.serial import SerialBackend
 
-        tuner.seed(process_cutover=1 << 16)
+        tuner.seed()
         doomed = FaultyBackend(
             SerialBackend(),
             FaultInjector(seed=3, error_rate=1.0, faulty_attempts=None),
@@ -212,7 +208,7 @@ class TestChaosAcceptance:
         chain.close()
         decision = ctl.step()
         assert decision.events == ()
-        assert tuner.thresholds().process_cutover == 1 << 16
+        assert registry.value("control.degradations", 0) == 0
 
 
 class TestRecoveryAcceptance:
@@ -232,18 +228,17 @@ class TestRecoveryAcceptance:
             chain.telemetry.metrics = registry
         return chain, injector
 
-    def test_recovery_restores_the_displaced_cutover(
+    def test_recovery_is_recorded_without_retuning(
         self, registry, tuner, monkeypatch
     ):
-        """Full loop: the processes level dies (Rule 1 seeds NEVER,
-        saving the prior cutover), the breaker re-probe proves it
-        healthy again, and Rule 0 puts the saved cutover back — with a
-        fake clock, observed via decision.recoveries and the
-        control.recoveries counter in the metrics window."""
+        """Full loop: the processes level dies, the breaker re-probe
+        proves it healthy again — with a fake clock — and both events
+        reach the decision and the metrics window while the tuner keeps
+        its calibration."""
         from tests.resilience.test_breaker import FakeClock
 
         monkeypatch.setenv("REPRO_AUTOTUNE", "1")
-        tuner.seed(serial_cutover=2048, process_cutover=1 << 16)
+        tuner.seed(serial_cutover=2048)
         clock = FakeClock()
         chain, injector = self._transient_chain(clock, registry)
 
@@ -252,9 +247,8 @@ class TestRecoveryAcceptance:
                 warnings.simplefilter("ignore", DegradationWarning)
                 chain.run_tasks([lambda: 1])  # processes dies
             fall = ctl.step()
-            assert fall.retuned
-            assert tuner.thresholds().process_cutover == NEVER
-            assert tuner.choose_backend("threads", 1 << 20) == "threads"
+            assert [ev.backend for ev in fall.events][:1] == ["processes"]
+            assert not fall.retuned
 
             # outage ends; the breaker's cooldown elapses (fake clock,
             # no sleeping); the background reprobe promotes the level
@@ -267,65 +261,53 @@ class TestRecoveryAcceptance:
             decision = ctl.step()
         chain.close()
 
-        # the decision saw the recovery and restored the saved cutover
         assert [rec.backend for rec in decision.recoveries] == ["processes"]
         assert decision.recoveries[0].outage_s == pytest.approx(5.0)
-        seeds = [a for a in decision.actions if a.kind == "seed"]
-        assert seeds and seeds[0].details == {"process_cutover": 1 << 16}
-        assert "recovered" in seeds[0].reason
         assert "recovered" in decision.describe()
+        assert decision.actions == ()
 
         # ... visible through the metrics window alone
         delta = registry.delta(before)
         assert delta["control.recoveries"] == 1
         assert delta["resilience.recoveries"] == 1
-        assert delta["control.retunes"] >= 1
+        assert delta.get("control.retunes", 0) == 0
 
-        # and the tuner promotes threads->processes again
-        assert tuner.thresholds().process_cutover == 1 << 16
-        assert tuner.choose_backend("threads", 1 << 20) == "processes"
+        assert tuner.calibrations == 0
+        assert tuner.thresholds().serial_cutover == 2048
 
-    def test_recovery_without_saved_cutover_recalibrates(
-        self, registry, tuner
-    ):
-        """Controller started mid-outage: it never saw the fall, so on
-        recovery it re-measures instead of restoring a guess."""
-        from tests.resilience.test_breaker import FakeClock
-
-        clock = FakeClock()
-        chain, injector = self._transient_chain(clock, seed=5)
-        # the fall happens before the controller exists
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradationWarning)
-            chain.run_tasks([lambda: 1])
-        tuner.seed(process_cutover=NEVER)  # ops had pinned it by hand
-
-        with Controller(SLO(), registry, autotuner=tuner) as ctl:
-            injector.disarm()
-            clock.advance(5.0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegradationWarning)
-                assert chain.reprobe() == ["processes"]
-            decision = ctl.step()
-        chain.close()
-
-        assert [a.kind for a in decision.actions] == ["recalibrate"]
-        assert tuner.calibrations == 1
-        assert tuner.thresholds().process_cutover != NEVER
-
-    def test_recovery_leaves_a_healthy_cutover_alone(self, registry, tuner):
-        """A recovery event when process_cutover is not NEVER (e.g. an
-        operator already restored it) must not churn the tuner."""
+    def test_repeated_recoveries_never_recalibrate(self, registry, tuner):
+        """Regression: every ``processes`` recovery used to re-run the
+        whole probe suite (the inert process cutover always read
+        "never"), rewriting the cache and re-drawing the serial cutover
+        each time.  Several recoveries must leave both untouched."""
         from repro.resilience.degrade import RecoveryEvent, _emit_recovery
 
-        tuner.seed(process_cutover=1 << 16)
+        tuner.seed(serial_cutover=4096)
+        with Controller(SLO(), registry, autotuner=tuner) as ctl:
+            for cycle in range(4):
+                _emit_recovery(RecoveryEvent(
+                    backend="processes", outage_s=1.0 + cycle, opens=1))
+                decision = ctl.step()
+                assert len(decision.recoveries) == 1
+                assert decision.actions == ()
+        assert registry.value("control.recoveries") == 4
+        assert tuner.calibrations == 0
+        assert tuner.thresholds().serial_cutover == 4096
+        assert tuner.thresholds().source == "seeded"
+        assert not tuner.cache_path.exists()
+
+    def test_recovery_leaves_a_healthy_cutover_alone(self, registry, tuner):
+        """A recovery event must not churn the tuner."""
+        from repro.resilience.degrade import RecoveryEvent, _emit_recovery
+
+        tuner.seed(serial_cutover=1 << 16)
         with Controller(SLO(), registry, autotuner=tuner) as ctl:
             _emit_recovery(RecoveryEvent(
                 backend="processes", outage_s=1.0, opens=1))
             decision = ctl.step()
         assert len(decision.recoveries) == 1
         assert decision.actions == ()
-        assert tuner.thresholds().process_cutover == 1 << 16
+        assert tuner.thresholds().serial_cutover == 1 << 16
 
 
 class TestWatch:

@@ -28,7 +28,10 @@ class TestRunDoctor:
         # quick mode probes threads only
         assert doc.probes == {"threads": "ok"}
         assert doc.host["cpu_count"] >= 1
-        assert doc.autotune["thresholds"]["source"] == "seeded"
+        # only the measured threshold is reported
+        assert doc.autotune["thresholds"] == {
+            "serial_cutover": 4096, "source": "seeded",
+        }
         # the canary fed the latency histogram the clauses read
         assert doc.metrics["slo.ns_per_elem"]["count"] > 0
 
@@ -57,6 +60,8 @@ class TestRunDoctor:
         assert "backend threads: ok" in text
         for clause in doc.report.clauses:
             assert clause.clause in text
+        assert "thresholds: serial<4096 [seeded]" in text
+        assert "processes>=" not in text and "tiny<" not in text
         assert "4611686018427387904" not in text  # NEVER renders as 'never'
 
     def test_failing_slo_flips_ok(self, tmp_path):

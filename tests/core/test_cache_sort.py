@@ -60,7 +60,7 @@ class TestCacheEfficientSort:
         g = np.random.default_rng(3)
         x = g.integers(0, 99, 64)
         cache_efficient_sort(
-            x, 2, 16, backend="serial", kernel="two_pointer", stats=stats
+            x, 2, 16, backend="serial", stats=stats
         )
         assert stats.moves > 0
 

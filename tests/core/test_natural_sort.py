@@ -52,14 +52,14 @@ class TestNaturalMergeSort:
     def test_sorted_input_fast_path(self):
         x = np.arange(1000)
         stats = MergeStats()
-        out = natural_merge_sort(x, 4, stats=stats, kernel="two_pointer")
+        out = natural_merge_sort(x, 4, stats=stats)
         np.testing.assert_array_equal(out, x)
         assert stats.moves == 0  # no merging happened at all
 
     def test_reverse_sorted_fast_path(self):
         x = np.arange(1000)[::-1].copy()
         stats = MergeStats()
-        out = natural_merge_sort(x, 4, stats=stats, kernel="two_pointer")
+        out = natural_merge_sort(x, 4, stats=stats)
         np.testing.assert_array_equal(out, np.arange(1000))
         assert stats.moves == 0
 
@@ -68,8 +68,8 @@ class TestNaturalMergeSort:
         tidy = nearly_sorted(n, 3, swap_fraction=0.002)
         messy = np.random.default_rng(3).permutation(n)
         s_tidy, s_messy = MergeStats(), MergeStats()
-        natural_merge_sort(tidy, 1, stats=s_tidy, kernel="two_pointer")
-        natural_merge_sort(messy, 1, stats=s_messy, kernel="two_pointer")
+        natural_merge_sort(tidy, 1, stats=s_tidy)
+        natural_merge_sort(messy, 1, stats=s_messy)
         assert s_tidy.moves < s_messy.moves / 2  # adaptivity pays
 
     def test_input_not_mutated(self):

@@ -1,4 +1,4 @@
-"""Tests for Algorithm 1 across backends and kernels."""
+"""Tests for Algorithm 1 across backends, against the reference kernels."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.backends import SerialBackend, SimulatedBackend, ThreadBackend
 from repro.core.merge_path import partition_merge_path
 from repro.core.parallel_merge import merge, merge_partition, parallel_merge
+from repro.core.sequential import KERNELS
 from repro.errors import InputError, NotSortedError
 from repro.types import MergeStats
 from repro.workloads.adversarial import ADVERSARIAL_PAIRS
@@ -31,11 +32,12 @@ class TestParallelMergeCorrectness:
 
     @pytest.mark.parametrize("kernel", ["two_pointer", "galloping", "vectorized"])
     def test_kernels(self, kernel):
+        """Every reference kernel agrees with the segmented merge."""
         g = np.random.default_rng(2)
         a = np.sort(g.integers(0, 50, 41))
         b = np.sort(g.integers(0, 50, 59))
-        out = parallel_merge(a, b, 4, backend="serial", kernel=kernel)
-        np.testing.assert_array_equal(out, reference_merge(a, b))
+        out = parallel_merge(a, b, 4, backend="serial")
+        np.testing.assert_array_equal(out, KERNELS[kernel](a, b))
 
     def test_p_larger_than_n(self):
         out = parallel_merge(np.array([3]), np.array([1]), 10, backend="serial")
@@ -115,7 +117,7 @@ class TestMergePartition:
         stats = MergeStats()
         a = np.arange(50)
         b = np.arange(50)
-        parallel_merge(a, b, 4, backend="serial", kernel="two_pointer", stats=stats)
+        parallel_merge(a, b, 4, backend="serial", stats=stats)
         assert stats.moves == 100
         assert stats.comparisons > 0
 
@@ -152,7 +154,7 @@ class TestOversubscription:
         b = np.arange(100)
         stats = MergeStats()
         parallel_merge(a, b, 2, backend="serial", oversubscribe=4,
-                       kernel="two_pointer", stats=stats)
+                       stats=stats)
         # 8 segments -> 7 interior cuts were searched (vectorized bound)
         assert stats.moves == 200
 

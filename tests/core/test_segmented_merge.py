@@ -142,6 +142,6 @@ class TestSegmentedMergeValidation:
         stats = MergeStats()
         segmented_parallel_merge(
             np.arange(20), np.arange(20), 2, L=8, backend="serial",
-            kernel="two_pointer", stats=stats,
+            stats=stats,
         )
         assert stats.moves == 40

@@ -9,7 +9,6 @@ from repro.core.sequential import (
     merge_into,
     merge_two_pointer,
     merge_vectorized,
-    merge_vectorized_into,
     result_dtype,
 )
 from repro.errors import DTypeMismatchError, InputError, NotSortedError
@@ -155,23 +154,29 @@ class TestMergeInto:
             merge_into(np.zeros(3), np.array([1]), np.array([2]))
 
     def test_unknown_kernel_raises(self):
-        with pytest.raises(InputError):
-            merge_into(np.zeros(2), np.array([1]), np.array([2]), kernel="nope")
+        """``merge_into`` runs the one linear kernel: it takes no kernel
+        name at all, so every name is unknown to it."""
+        for name in ("nope", *ALL_KERNELS):
+            with pytest.raises(TypeError):
+                merge_into(np.zeros(2), np.array([1]), np.array([2]),
+                           kernel=name)
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_all_kernels_equal(self, kernel):
+        """The production kernel and every reference kernel agree."""
         g = np.random.default_rng(11)
         a = np.sort(g.integers(0, 90, 33))
         b = np.sort(g.integers(0, 90, 44))
         out = np.empty(77, dtype=np.int64)
-        merge_into(out, a, b, kernel=kernel)
+        merge_into(out, a, b)
+        np.testing.assert_array_equal(out, KERNELS[kernel](a, b))
         np.testing.assert_array_equal(out, reference_merge(a, b))
 
     def test_vectorized_into_empty_sides(self):
         out = np.empty(2, dtype=int)
-        merge_vectorized_into(out, np.array([], dtype=int), np.array([1, 2]))
+        merge_into(out, np.array([], dtype=int), np.array([1, 2]))
         np.testing.assert_array_equal(out, [1, 2])
-        merge_vectorized_into(out, np.array([1, 2]), np.array([], dtype=int))
+        merge_into(out, np.array([1, 2]), np.array([], dtype=int))
         np.testing.assert_array_equal(out, [1, 2])
 
 

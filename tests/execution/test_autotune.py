@@ -20,25 +20,26 @@ def test_kill_switch_disables_everything(monkeypatch):
     assert not autotune_enabled()
     tuner = Autotuner()
     tuner.seed(serial_cutover=1 << 40)
-    # No rerouting, no kernel adaptation — requests pass through verbatim.
+    # No rerouting — requests pass through verbatim.
     assert tuner.choose_backend("threads", 16) == "threads"
-    assert tuner.resolve_kernel("auto", 2) == "vectorized"
 
 
 def test_choose_backend_reroutes_small_to_serial(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_AUTOTUNE", "1")
     tuner = Autotuner(cache_path=tmp_path / "tune.json")
-    tuner.seed(serial_cutover=10_000, process_cutover=NEVER)
+    tuner.seed(serial_cutover=10_000)
     assert tuner.choose_backend("threads", 9_999) == "serial"
     assert tuner.choose_backend("processes", 512) == "serial"
     assert tuner.choose_backend("threads", 10_000) == "threads"
 
 
-def test_choose_backend_promotes_threads_to_processes(monkeypatch, tmp_path):
+def test_choose_backend_never_promotes_threads_to_processes(monkeypatch, tmp_path):
+    """The serial cutover is the only decision: a seeded
+    ``process_cutover`` (as a frozen caller may still pass) is inert."""
     monkeypatch.setenv("REPRO_AUTOTUNE", "1")
     tuner = Autotuner(cache_path=tmp_path / "tune.json")
     tuner.seed(serial_cutover=1_000, process_cutover=1 << 20)
-    assert tuner.choose_backend("threads", 1 << 21) == "processes"
+    assert tuner.choose_backend("threads", 1 << 21) == "threads"
     # processes stays processes; it is never demoted to threads.
     assert tuner.choose_backend("processes", 1 << 21) == "processes"
 
@@ -51,27 +52,16 @@ def test_choose_backend_never_touches_other_names(monkeypatch, tmp_path):
     assert tuner.choose_backend("simulated", 4) == "simulated"
 
 
-def test_resolve_kernel_auto_switches_on_segment_length(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_AUTOTUNE", "1")
-    tuner = Autotuner(cache_path=tmp_path / "tune.json")
-    tuner.seed(tiny_kernel_cutover=32)
-    assert tuner.resolve_kernel("auto", 8) == "two_pointer"
-    assert tuner.resolve_kernel("auto", 32) == "vectorized"
-    # Explicit kernels pass through untouched.
-    assert tuner.resolve_kernel("galloping", 8) == "galloping"
-
-
 def test_persistence_round_trip(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_AUTOTUNE", "1")
     path = tmp_path / "tune.json"
     tuner = Autotuner(cache_path=path)
-    tuner.seed(serial_cutover=12345, tiny_kernel_cutover=7)
+    tuner.seed(serial_cutover=12345)
     tuner._store(tuner.thresholds())
     assert path.exists()
     fresh = Autotuner(cache_path=path)
     th = fresh.thresholds()
     assert th.serial_cutover == 12345
-    assert th.tiny_kernel_cutover == 7
     assert th.calibrated
     assert th.source.startswith("cache:")
 
@@ -100,10 +90,12 @@ def test_thresholds_calibrates_and_persists(monkeypatch, tmp_path):
     tuner = Autotuner(cache_path=path)
     th = tuner.thresholds()
     assert th.calibrated
-    assert th.tiny_kernel_cutover >= 1
     assert path.exists()
     saved = json.loads(path.read_text())
     assert saved["serial_cutover"] == th.serial_cutover
+    # only the measured threshold is stored
+    assert set(saved) == {"serial_cutover", "calibrated", "source",
+                          "fingerprint"}
 
 
 def test_rerouted_calls_still_produce_identical_results(monkeypatch, tmp_path):
@@ -178,6 +170,32 @@ class TestHostFingerprint:
         }))
         assert Autotuner(cache_path=path).cache_state() == "stale"
 
+    @pytest.mark.parametrize("retired", [False, True])
+    def test_policy_2_cache_loads_with_or_without_retired_keys(
+        self, tmp_path, retired
+    ):
+        """Policy-2 caches written before the two unmeasured thresholds
+        were dropped still carry them; they load, and the keys are
+        ignored (``TUNING_POLICY`` did not change: the serial rule is the
+        same)."""
+        from repro.execution.tuning import TUNING_POLICY
+
+        assert TUNING_POLICY == 2
+        path = tmp_path / "tune.json"
+        self._seeded_cache(path)
+        payload = json.loads(path.read_text())
+        assert "process_cutover" not in payload
+        assert "tiny_kernel_cutover" not in payload
+        assert payload["fingerprint"]["policy"] == 2
+        if retired:
+            payload.update(process_cutover=1 << 16, tiny_kernel_cutover=8)
+        path.write_text(json.dumps(payload))
+        again = Autotuner(cache_path=path)
+        assert again.cache_state() == "fresh"
+        th = again.thresholds()
+        assert th.serial_cutover == 12345
+        assert th.process_cutover == NEVER  # inert default, never loaded
+
     def test_previous_policy_fingerprint_is_stale(self, tmp_path):
         """A cache calibrated by the rank-placement kernel and the
         first-crossing ladder carries a fingerprint without ``policy``
@@ -193,7 +211,7 @@ class TestHostFingerprint:
         assert Autotuner(cache_path=path).cache_state() == "stale"
 
 
-def _model_suite(overhead_s: float, ns_per_elem: float, p: int, **extra):
+def _model_suite(overhead_s: float, ns_per_elem: float, p: int):
     """The probe rows a host with fork/join cost ``overhead_s`` and a
     serial kernel of ``ns_per_elem`` would produce at 2^12 and 2^18."""
     from repro.execution.tuning import ProbeSuite
@@ -202,7 +220,7 @@ def _model_suite(overhead_s: float, ns_per_elem: float, p: int, **extra):
     for n in (1 << 12, 1 << 18):
         t_serial = ns_per_elem * 1e-9 * n
         rows.append((n, t_serial, overhead_s + t_serial / p))
-    return ProbeSuite(serial_vs_parallel=tuple(rows), p=p, **extra)
+    return ProbeSuite(serial_vs_parallel=tuple(rows), p=p)
 
 
 class TestPolicyFunctions:
@@ -211,16 +229,12 @@ class TestPolicyFunctions:
     def test_derive_thresholds_from_synthetic_suite(self):
         from repro.execution.tuning import derive_thresholds
 
-        suite = _model_suite(
-            100e-6, 2.0, 2,
-            thread_vs_process=(1 << 16, 1.0, 0.5),
-            tiny_kernel=((8, 1.0, 2.0), (32, 1.0, 0.9)),
-        )
-        th = derive_thresholds(suite)
+        th = derive_thresholds(_model_suite(100e-6, 2.0, 2))
         # O + c*n/2 <= 0.95*c*n  <=>  n >= 100us / (2ns * 0.45) = 111,112
         assert th.serial_cutover == 1 << 17
-        assert th.process_cutover == 1 << 16
-        assert th.tiny_kernel_cutover == 32
+        # the unmeasured thresholds keep their inert defaults
+        assert (th.process_cutover, th.tiny_kernel_cutover) == (
+            Thresholds().process_cutover, Thresholds().tiny_kernel_cutover)
         assert th.calibrated and th.source == "probe"
 
     def test_cutover_is_the_smallest_power_of_two_meeting_the_margin(self):
@@ -297,12 +311,8 @@ class TestPolicyFunctions:
 
         # Without the 0.95 hysteresis the model would cross at
         # 60us / (2ns * 0.5) = 60,000 -> 2^16; with it, 66,667 -> 2^17.
-        # Processes win, but not by the 0.9 margin.
-        suite = _model_suite(60e-6, 2.0, 2,
-                             thread_vs_process=(1 << 16, 1.0, 0.95))
-        th = derive_thresholds(suite)
+        th = derive_thresholds(_model_suite(60e-6, 2.0, 2))
         assert th.serial_cutover == 1 << 17
-        assert th.process_cutover == NEVER
 
     def test_tuning_env_collects_only_repro_vars(self):
         from repro.execution.tuning import tuning_env
