@@ -82,7 +82,6 @@ from .obs import (
 from .resilience import (
     RetryPolicy,
     ResilientBackend,
-    ExecutionTelemetry,
     FaultInjector,
     FaultyBackend,
     DegradingBackend,
@@ -144,7 +143,6 @@ __all__ = [
     "flame_summary",
     "RetryPolicy",
     "ResilientBackend",
-    "ExecutionTelemetry",
     "FaultInjector",
     "FaultyBackend",
     "DegradingBackend",

@@ -81,11 +81,11 @@ class Backend(abc.ABC):
     #: ``None`` (the class default) costs nothing on the hot path.
     tracer = None
 
-    #: Number of :meth:`run_batch` dispatches this instance has served.
-    #: Entry points snapshot it around a call to publish the
-    #: ``exec.dispatches_per_call`` metric; a plain int (class default
-    #: 0, shadowed per instance on first dispatch) keeps the hot path
-    #: lock-free — concurrent callers may undercount, never block.
+    #: Number of :meth:`run_batch` dispatches this instance has served,
+    #: across all callers (each call's own count is
+    #: :attr:`repro.execution.Execution.dispatches`).  A plain int (class
+    #: default 0, shadowed per instance on first dispatch) keeps the hot
+    #: path lock-free — concurrent callers may undercount, never block.
     dispatches: int = 0
 
     #: Whether tasks run in other processes and must therefore be

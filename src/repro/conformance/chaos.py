@@ -89,8 +89,8 @@ class ChaosBackendCache(BackendCache):
         self._seed = seed
         self._wrapped: dict[str, tuple[FaultyBackend, FaultInjector,
                                        ResilientBackend]] = {}
-        #: Unified metrics registry: every wrapped backend's telemetry
-        #: emits its recovery counters here, so the chaos verdict
+        #: Unified metrics registry: every wrapped backend counts its
+        #: recovery totals here, so the chaos verdict
         #: deltas come from the same counting path the rest of the
         #: observability layer uses.
         self.metrics = MetricsRegistry()
@@ -143,7 +143,7 @@ class ChaosBackendCache(BackendCache):
             injector, policy = self._configure(name)
             faulty = FaultyBackend(real, injector)
             resilient = ResilientBackend(faulty, policy, owns_inner=False)
-            resilient.telemetry.bind(self.metrics)
+            resilient.metrics = self.metrics
             entry = (faulty, injector, resilient)
             self._wrapped[name] = entry
         return entry[2]
@@ -162,7 +162,7 @@ class ChaosBackendCache(BackendCache):
         """Cumulative injection + recovery counters across all backends.
 
         Recovery counts are read off the unified metrics registry every
-        wrapped backend's telemetry emits into (``resilience.*``
+        wrapped backend counts into (``resilience.*``
         counters) — the same numbers ``parallel_merge(metrics=...)``
         exposes — so there is no chaos-private counting path.
         """

@@ -20,7 +20,6 @@ import numpy as np
 
 from ..backends import Backend
 from ..execution.context import Execution
-from ..types import MergeStats
 from ..validation import as_array, check_positive
 from .merge_sort import parallel_merge_sort
 from .segmented_merge import block_length, segmented_parallel_merge
@@ -38,7 +37,6 @@ def cache_efficient_sort(
     *,
     backend: Backend | str = "threads",
     block_fraction: int = 3,
-    stats: MergeStats | None = None,
     trace: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> np.ndarray:
@@ -57,11 +55,6 @@ def cache_efficient_sort(
         As in :func:`repro.core.parallel_merge.parallel_merge`.
     block_fraction:
         The ``C/3`` divisor, exposed for the sizing ablation.
-    stats:
-        Optional operation counter covering the merge work — the same
-        ``MergeStats``-shaped sink every other entry point takes (pass
-        ``MetricsRegistry.merge_stats()`` to count straight into the
-        unified registry).
     trace, metrics:
         Optional :class:`~repro.obs.Tracer` /
         :class:`~repro.obs.MetricsRegistry`, forwarded to the
@@ -80,12 +73,11 @@ def cache_efficient_sort(
         return arr.copy()
 
     L = block_length(cache_elements, block_fraction)
-    with Execution(backend, p, trace=trace, metrics=metrics,
-                   stats=stats) as ex:
+    with Execution(backend, p, trace=trace, metrics=metrics) as ex:
         # Stage 1+2: cache-sized blocks, each sorted by all p processors.
         runs = [
             parallel_merge_sort(arr[lo:lo + L], p, backend=ex.backend,
-                                stats=ex.stats, trace=trace, metrics=metrics)
+                                trace=trace, metrics=metrics)
             for lo in range(0, n, L)
         ]
 
@@ -94,7 +86,7 @@ def cache_efficient_sort(
             next_runs = [
                 segmented_parallel_merge(
                     runs[i], runs[i + 1], p, L=L, backend=ex.backend,
-                    check=False, stats=ex.stats, trace=trace, metrics=metrics,
+                    check=False, trace=trace, metrics=metrics,
                 )
                 for i in range(0, len(runs) - 1, 2)
             ]

@@ -151,8 +151,6 @@ def _search_points(
     a: np.ndarray,
     b: np.ndarray,
     pos: list[int],
-    *,
-    stats: MergeStats | None,
     tracer: "Tracer | None",
 ) -> tuple[list[PathPoint], tuple[int, ...]]:
     """Path points on the diagonals ``pos`` and the probes spent on each,
@@ -170,8 +168,6 @@ def _search_points(
             before = probes.search_probes
             points.append(diagonal_intersection(a, b, d, stats=probes))
             search_steps.append(probes.search_probes - before)
-        if stats is not None:
-            stats.merge(probes)
         span.set(probes=probes.search_probes)
     return points, tuple(search_steps)
 
@@ -182,7 +178,6 @@ def partition_at_positions(
     positions: Sequence[int],
     *,
     check: bool = True,
-    stats: MergeStats | None = None,
     tracer: "Tracer | None" = None,
 ) -> Partition:
     """Partition the merge path at arbitrary output positions.
@@ -193,8 +188,9 @@ def partition_at_positions(
     merge path's intersections with the grid diagonals at those
     positions (Theorem 9: output position == diagonal index).
 
-    ``stats.search_probes`` counts actual probes; ``tracer`` records one
-    ``partition.search`` span covering the whole search.
+    The partition's ``search_steps`` count the probes spent on each
+    diagonal; ``tracer`` records one ``partition.search`` span covering
+    the whole search.
     """
     a = as_array(a, "A")
     b = as_array(b, "B")
@@ -207,9 +203,7 @@ def partition_at_positions(
     if any(q2 <= q1 for q1, q2 in zip(pos, pos[1:])):
         raise InputError("cut positions must be strictly increasing")
 
-    points, search_steps = _search_points(
-        a, b, pos, stats=stats, tracer=tracer
-    )
+    points, search_steps = _search_points(a, b, pos, tracer)
     bounds = [PathPoint(0, 0), *points, PathPoint(len(a), len(b))]
     segments = tuple(
         Segment(
@@ -237,7 +231,6 @@ def partition_merge_path(
     p: int,
     *,
     check: bool = True,
-    stats: MergeStats | None = None,
     tracer: "Tracer | None" = None,
 ) -> Partition:
     """Split the merge of ``a`` and ``b`` into ``p`` equisized segments.
@@ -255,10 +248,6 @@ def partition_merge_path(
         which case trailing segments are empty.
     check:
         Validate sortedness/dtypes (skip for internal hot paths).
-    stats:
-        Optional counter sink for search probes (pass
-        ``MetricsRegistry.merge_stats()`` to route the counts into the
-        unified metrics registry).
     tracer:
         Optional :class:`~repro.obs.Tracer`; records one
         ``partition.search`` span with diagonal and probe counts.
@@ -267,7 +256,8 @@ def partition_merge_path(
     -------
     Partition
         ``p`` segments tiling the merge path in order; guaranteed
-        ``max_imbalance <= 1``.
+        ``max_imbalance <= 1``.  Its ``search_steps`` count the probes
+        spent on each searched diagonal (Theorem 14).
     """
     check_positive(p, "p")
     a = as_array(a, "A")
@@ -289,9 +279,7 @@ def partition_merge_path(
     # some interior segments are empty).
     raw = [(k * n) // p for k in range(1, p)]
     unique = sorted({q for q in raw if 0 < q < n})
-    points, search_steps = _search_points(
-        a, b, unique, stats=stats, tracer=tracer
-    )
+    points, search_steps = _search_points(a, b, unique, tracer)
     point_at = {0: PathPoint(0, 0), n: PathPoint(len(a), len(b))}
     point_at.update(zip(unique, points))
     boundaries = [0, *raw, n]

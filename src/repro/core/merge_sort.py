@@ -28,12 +28,11 @@ from ..backends import Backend
 from ..execution.context import Execution
 from ..execution.engine import run_chunk_sorts, run_merge_round
 from ..obs.tracer import NULL_SPAN
-from ..types import MergeStats
 from ..validation import as_array, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
-    from ..resilience import ExecutionTelemetry, RetryPolicy
+    from ..resilience import RetryPolicy
 
 __all__ = ["parallel_merge_sort", "merge_sort_rounds", "RoundInfo"]
 
@@ -91,9 +90,7 @@ def parallel_merge_sort(
     p: int,
     *,
     backend: Backend | str = "threads",
-    stats: MergeStats | None = None,
     resilience: "RetryPolicy | bool | None" = None,
-    telemetry: "ExecutionTelemetry | None" = None,
     trace: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> np.ndarray:
@@ -107,23 +104,19 @@ def parallel_merge_sort(
         Processor count; also the initial chunk count.
     backend:
         Execution backend (instance or name) shared across rounds.
-    stats:
-        Optional operation-count sink covering the merge rounds.
     resilience:
         Enable fault-tolerant execution for every round (chunk sorts
         and merges): ``True`` for the default
         :class:`~repro.resilience.RetryPolicy`, or a policy instance.
-    telemetry:
-        Optional :class:`~repro.resilience.ExecutionTelemetry` sink
-        collecting the supervision record of all rounds.
     trace:
         Optional :class:`~repro.obs.Tracer`; records a ``sort.round``
         span per round (round 0 = chunk sorts) enclosing the rounds'
         ``partition.search`` / ``segment.merge`` / ``backend.task``
         spans.
     metrics:
-        Optional :class:`~repro.obs.MetricsRegistry` receiving kernel
-        counts (``merge.*``), ``sort.rounds`` and load-balance gauges.
+        Optional :class:`~repro.obs.MetricsRegistry` receiving the merge
+        rounds' counts (``merge.*``, read from their partitions),
+        ``sort.rounds`` and load-balance gauges.
 
     Returns
     -------
@@ -138,7 +131,7 @@ def parallel_merge_sort(
 
     with Execution(
         backend, p, op="sort", n=n, resilience=resilience,
-        telemetry=telemetry, trace=trace, metrics=metrics, stats=stats,
+        trace=trace, metrics=metrics,
     ) as ex:
         # --- Round 0: independent chunk sorts, one batched dispatch.
         chunks = min(p, n)
@@ -168,9 +161,8 @@ def parallel_merge_sort(
             )
             with round_span:
                 runs = run_merge_round(
-                    runs, procs_per_pair, backend=ex.backend, stats=ex.stats,
-                    trace=trace, metrics=metrics,
-                    round_index=round_index,
+                    runs, procs_per_pair, backend=ex.backend, trace=trace,
+                    metrics=metrics, round_index=round_index,
                 )
             if metrics is not None:
                 metrics.counter("sort.rounds").inc()

@@ -13,15 +13,17 @@ partitioning) — a combination none of the paper's baselines has.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..backends import Backend
 from ..execution.context import Execution
 from ..execution.engine import run_merge_round
-from ..types import MergeStats
 from ..validation import as_array, check_positive
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs import MetricsRegistry
 
 __all__ = ["find_natural_runs", "natural_merge_sort"]
 
@@ -77,12 +79,14 @@ def natural_merge_sort(
     p: int = 1,
     *,
     backend: Backend | str = "serial",
-    stats: MergeStats | None = None,
+    metrics: "MetricsRegistry | None" = None,
 ) -> np.ndarray:
     """Adaptive sort: detect natural runs, then parallel-merge them up.
 
     Cost adapts to the input's existing order: ``O(N)`` when already
     sorted (or reverse-sorted), ``O(N log k)`` for ``k`` natural runs.
+    ``metrics`` receives the merge rounds' ``merge.*`` counts and the
+    call's dispatches.
 
     Returns a sorted copy; the input is never mutated.
     """
@@ -99,12 +103,12 @@ def natural_merge_sort(
     if len(runs) == 1:
         return arr
 
-    with Execution(backend, p) as ex:
+    with Execution(backend, p, metrics=metrics) as ex:
         round_index = 1
         while len(runs) > 1:  # one batched dispatch per round
             runs = run_merge_round(
                 runs, max(1, p // (len(runs) // 2)), backend=ex.backend,
-                stats=stats, round_index=round_index,
+                metrics=metrics, round_index=round_index,
             )
             round_index += 1
     return runs[0]

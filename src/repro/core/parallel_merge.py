@@ -26,14 +26,14 @@ import numpy as np
 from ..backends import Backend
 from ..execution.context import Execution
 from ..execution.engine import run_segments
-from ..types import MergeStats, Partition
+from ..types import Partition
 from ..validation import as_array, check_mergeable, check_positive
 from .merge_path import partition_merge_path
 from .sequential import result_dtype
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
-    from ..resilience import ExecutionTelemetry, RetryPolicy
+    from ..resilience import RetryPolicy
 
 __all__ = ["parallel_merge", "merge", "merge_partition"]
 
@@ -44,7 +44,6 @@ def merge_partition(
     partition: Partition,
     *,
     backend: Backend,
-    stats: MergeStats | None = None,
     trace: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> np.ndarray:
@@ -59,10 +58,10 @@ def merge_partition(
     ``metrics`` publishes the Theorem 14 load-balance gauges
     (``balance.work_spread`` from the partition,
     ``balance.task_time_imbalance`` from measured per-task times),
-    counts dispatched segments and the call's dispatches.
+    counts the plan's ``merge.*`` work and the call's dispatches.
     """
     out = np.empty(partition.total_length, dtype=result_dtype(a, b))
-    with Execution(backend, stats=stats, trace=trace, metrics=metrics) as ex:
+    with Execution(backend, trace=trace, metrics=metrics) as ex:
         run_segments(ex, [(out, a, b, partition)], label="merge.partition")
     return out
 
@@ -75,9 +74,7 @@ def parallel_merge(
     backend: Backend | str = "threads",
     check: bool = True,
     oversubscribe: int = 1,
-    stats: MergeStats | None = None,
     resilience: "RetryPolicy | bool | None" = None,
-    telemetry: "ExecutionTelemetry | None" = None,
     trace: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> np.ndarray:
@@ -106,8 +103,6 @@ def parallel_merge(
         backend can balance dynamically — useful when per-segment cost
         varies (e.g. NUMA effects or a noisy neighbour on one core);
         Corollary 7 makes it unnecessary for uniform cost.
-    stats:
-        Optional operation-count sink (partition probes + merge ops).
     resilience:
         Enable the fault-tolerant execution layer
         (:mod:`repro.resilience`): ``True`` wraps the backend in a
@@ -116,11 +111,6 @@ def parallel_merge(
         to customize retries/timeouts/speculation.  Safe because the
         merge tasks are idempotent and write disjoint slices
         (Theorem 14).
-    telemetry:
-        Optional :class:`~repro.resilience.ExecutionTelemetry` sink; on
-        return it holds the retry/timeout/speculation record of every
-        supervised batch this call ran (requires ``resilience`` or an
-        already-resilient ``backend``).
     trace:
         Optional :class:`~repro.obs.Tracer`; records ``partition.search``,
         ``segment.merge`` and ``backend.task`` spans for this call
@@ -128,9 +118,10 @@ def parallel_merge(
         (the default) allocates no span objects at all.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`; receives this
-        call's kernel operation counts (``merge.*``), segment counts and
-        the Theorem 14 load-balance gauges (``balance.*``), plus
-        resilience counters when a supervised backend is in play.
+        call's operation counts (``merge.*``, read from the partition),
+        segment counts and the Theorem 14 load-balance gauges
+        (``balance.*``), plus the ``resilience.*`` counters of a
+        supervised backend that has no registry of its own.
 
     Returns
     -------
@@ -147,10 +138,10 @@ def parallel_merge(
 
     with Execution(
         backend, p, op="merge", n=len(a) + len(b), resilience=resilience,
-        telemetry=telemetry, trace=trace, metrics=metrics, stats=stats,
+        trace=trace, metrics=metrics,
     ) as ex:
         partition = partition_merge_path(
-            a, b, p * oversubscribe, check=False, stats=ex.stats, tracer=trace
+            a, b, p * oversubscribe, check=False, tracer=trace
         )
         out = np.empty(partition.total_length, dtype=result_dtype(a, b))
         run_segments(ex, [(out, a, b, partition)], label="merge.partition")

@@ -28,7 +28,7 @@ from ..errors import InputError
 from ..execution.context import Execution
 from ..execution.engine import run_segments
 from ..obs.tracer import NULL_SPAN
-from ..types import MergeStats, Partition, Segment
+from ..types import Partition, Segment
 from ..validation import as_array, check_mergeable, check_positive
 from .merge_path import diagonal_intersection, partition_merge_path
 from .sequential import result_dtype
@@ -129,7 +129,6 @@ def segmented_parallel_merge(
     L: int | None = None,
     backend: Backend | str = "threads",
     check: bool = True,
-    stats: MergeStats | None = None,
     trace: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
 ) -> np.ndarray:
@@ -144,7 +143,8 @@ def segmented_parallel_merge(
     block's refill amounts) plus the usual ``segment.merge`` /
     ``backend.task`` spans inside it; ``metrics`` counts blocks
     (``spm.blocks``), observes each block's A-consumption share
-    (histogram ``spm.block_a_share``) and accumulates kernel counts.
+    (histogram ``spm.block_a_share``) and accumulates each block's
+    ``merge.*`` counts, read from its sub-partition.
     """
     if (cache_elements is None) == (L is None):
         raise InputError("pass exactly one of cache_elements= or L=")
@@ -159,8 +159,7 @@ def segmented_parallel_merge(
         check_mergeable(a, b)
 
     out = np.empty(len(a) + len(b), dtype=result_dtype(a, b))
-    with Execution(backend, p, op="spm", trace=trace, metrics=metrics,
-                   stats=stats) as ex:
+    with Execution(backend, p, op="spm", trace=trace, metrics=metrics) as ex:
         for plan in plan_segments(a, b, p, L, check=False):
             block = plan.block
             block_span = (

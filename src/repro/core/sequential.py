@@ -225,18 +225,17 @@ def merge_vectorized(
     b: Sequence | np.ndarray,
     *,
     check: bool = True,
-    stats: MergeStats | None = None,
 ) -> np.ndarray:
     """Linear-time stable merge into a new array (production kernel).
 
     Allocates the output and runs :func:`merge_into` on it: ``A`` and
     ``B`` are copied in, in that order, and a stable sort merges the two
     runs.  Ties keep ``A`` before equal ``B`` because the sort is stable
-    and ``A`` comes first.  ``stats`` counts as :func:`merge_into` does.
+    and ``A`` comes first.
     """
     a, b = _prepare(a, b, check)
     out = np.empty(len(a) + len(b), dtype=result_dtype(a, b))
-    merge_into(out, a, b, stats=stats)
+    merge_into(out, a, b)
     return out
 
 
@@ -274,8 +273,6 @@ def merge_into(
     out: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-    *,
-    stats: MergeStats | None = None,
 ) -> None:
     """Linear-time stable merge of ``a`` and ``b`` written into ``out``.
 
@@ -300,9 +297,10 @@ def merge_into(
     raises :class:`~repro.errors.InputError`: copying the first side
     would overwrite the second before it was read.
 
-    ``stats.comparisons`` counts ``|A| + |B| - 1`` when both sides are
-    non-empty — the worst case of a linear merge, an upper bound on what
-    galloping performs — and ``stats.moves`` counts output writes.
+    The kernel counts nothing: a segment's work is fixed by its lengths,
+    so :func:`repro.execution.engine.run_segments` publishes it from the
+    plan (``|A| + |B|`` moves and, with both sides non-empty,
+    ``|A| + |B| - 1`` comparisons, the worst case of a linear merge).
     """
     la, lb = len(a), len(b)
     if len(out) != la + lb:
@@ -315,10 +313,6 @@ def merge_into(
         out[la:] = b
     if la and lb:
         out.sort(kind="stable")
-    if stats is not None:
-        if la and lb:
-            stats.comparisons += la + lb - 1
-        stats.moves += la + lb
 
 
 def merge_runs_into(out: np.ndarray, runs: Sequence[np.ndarray]) -> None:

@@ -9,21 +9,24 @@ bookkeeping, written once:
   shared pool (:mod:`repro.execution.pool`), possibly rerouted by the
   autotuner for an ``n``-element call; a traced call gets a cold pool of
   its own; ``resilience`` wraps the result in a
-  :class:`~repro.resilience.ResilientBackend`; a telemetry sink on the
-  result is bound to the caller's metrics registry;
-* **snapshot** the ``MergeStats`` and dispatch counters;
+  :class:`~repro.resilience.ResilientBackend`; a supervising backend
+  without a registry of its own counts its ``resilience.*`` totals into
+  the caller's;
 * **install the tracer** on the backend chain for the call's duration;
-* **run batches** (:meth:`Execution.run`), publishing the measured
-  ``balance.task_time_imbalance``;
-* **on exit**, copy supervision telemetry to the caller's sink, publish
-  ``<op>.calls``, ``exec.dispatches``, ``exec.dispatches_per_call`` and
-  the call's ``merge.*`` delta, and close only what the call owns.
+* **run batches** (:meth:`Execution.run`), counting each one and
+  publishing the measured ``balance.task_time_imbalance``;
+* **on exit**, publish ``<op>.calls``, ``exec.dispatches`` and
+  ``exec.dispatches_per_call``, and close only what the call owns.
+
+The call's ``merge.*`` counts are not kept here: the segment runner
+(:func:`repro.execution.engine.run_segments`) publishes them from the
+plan of each batch it runs.
 
 An entry point that calls another on its own resolved backend (the
 cache-efficient sort over the parallel sort and SPM, a sort over its
 rounds) opens a nested context: it counts its ``<op>.calls`` and runs
-its batches, but the outermost context publishes the call's dispatch
-and merge totals once.
+its batches, which count towards the outermost context, and the
+outermost context publishes the call's dispatches once.
 """
 
 from __future__ import annotations
@@ -32,13 +35,12 @@ from contextvars import ContextVar
 from typing import TYPE_CHECKING
 
 from ..backends import Backend, TaskBatch, TaskResult, get_backend
-from ..types import MergeStats
 from .autotune import get_autotuner
 from .pool import POOLED_BACKENDS, shared_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
-    from ..resilience import ExecutionTelemetry, RetryPolicy
+    from ..resilience import RetryPolicy
 
 __all__ = ["Execution"]
 
@@ -63,10 +65,8 @@ class Execution:
     n:
         Element count for the autotuner's backend reroute.  Only
         untraced calls that pass it may be rerouted.
-    resilience, telemetry, trace, metrics, stats:
-        The standard execution surface of the entry points.  When
-        ``metrics`` is given without ``stats`` a private
-        :class:`~repro.types.MergeStats` is counted into (:attr:`stats`).
+    resilience, trace, metrics:
+        The standard execution surface of the entry points.
     """
 
     def __init__(
@@ -77,35 +77,27 @@ class Execution:
         op: str | None = None,
         n: int | None = None,
         resilience: "RetryPolicy | bool | None" = None,
-        telemetry: "ExecutionTelemetry | None" = None,
         trace: "Tracer | None" = None,
         metrics: "MetricsRegistry | None" = None,
-        stats: MergeStats | None = None,
     ) -> None:
         self.backend = backend
         self.trace = trace
         self.metrics = metrics
-        self.stats = stats
+        #: Batches run by this call, nested contexts included (counted
+        #: on the outermost context only).
+        self.dispatches = 0
         self._p = p
         self._op = op
         self._n = n
         self._resilience = resilience
-        self._telemetry = telemetry
 
     def __enter__(self) -> "Execution":
         parent = _CURRENT.get()
         self._nested = parent is not None and self.backend is parent.backend
+        self._outer = parent._outer if self._nested else self
         self._owned = False
         if not self._nested:
             self._resolve()
-        if self.stats is None and self.metrics is not None and not self._nested:
-            self.stats = MergeStats()
-        stats = self.stats
-        self._before = (
-            (stats.comparisons, stats.moves, stats.search_probes)
-            if stats is not None else (0, 0, 0)
-        )
-        self._d0 = self.backend.dispatches
         self._tracers: list[tuple[Backend, object]] = []
         if self.trace is not None and not self._nested:
             self._install_tracer()
@@ -135,12 +127,8 @@ class Execution:
             )
             be = ResilientBackend(be, policy, owns_inner=self._owned)
             self._owned = True
-            if self._telemetry is not None:
-                be.telemetry = self._telemetry
-        sink = getattr(be, "telemetry", None)
-        if self.metrics is not None and sink is not None and sink.metrics is None:
-            sink.metrics = self.metrics
-        self._sink_start = len(sink.batches) if sink is not None else 0
+        if self.metrics is not None and getattr(be, "metrics", False) is None:
+            be.metrics = self.metrics
         self.backend = be
 
     def _install_tracer(self) -> None:
@@ -152,13 +140,9 @@ class Execution:
             be.tracer = self.trace
             be = getattr(be, "inner", None)
 
-    @property
-    def dispatches(self) -> int:
-        """Backend dispatches since the context was entered."""
-        return self.backend.dispatches - self._d0
-
     def run(self, batch: TaskBatch) -> list[TaskResult]:
         """Dispatch one batch (one fork/join barrier) on the backend."""
+        self._outer.dispatches += 1
         results = self.backend.run_batch(batch)
         if self.metrics is not None and results:
             times = [r.elapsed_s for r in results]
@@ -180,20 +164,9 @@ class Execution:
             metrics = self.metrics
             if metrics is not None and self._op is not None:
                 metrics.counter(f"{self._op}.calls").inc()
-            if self._nested:
-                return
-            # Copy batches supervised during the call to the caller's sink.
-            sink = getattr(self.backend, "telemetry", None)
-            caller = self._telemetry
-            if caller is not None and sink is not None and sink is not caller:
-                for batch in sink.batches[self._sink_start:]:
-                    caller.record(batch)
-            if metrics is not None:
-                dispatched = self.dispatches
-                metrics.counter("exec.dispatches").inc(dispatched)
-                metrics.gauge("exec.dispatches_per_call").set(dispatched)
-                if self.stats is not None:
-                    metrics.record_merge_delta(self._before, self.stats)
+            if metrics is not None and not self._nested:
+                metrics.counter("exec.dispatches").inc(self.dispatches)
+                metrics.gauge("exec.dispatches_per_call").set(self.dispatches)
         finally:
             if self._owned:
                 self.backend.close()

@@ -7,13 +7,19 @@ only code that turns partitioned merges — ``(out, a, b, partition)``
 jobs — into a :class:`~repro.backends.TaskBatch`.  It
 
 * builds one task per non-empty segment of every job — a closure with
-  a ``segment.merge`` span and a private ``MergeStats`` sink, or, when
-  tasks must be picklable (:func:`~repro.backends.tasks_must_pickle`),
-  a picklable offset job over a :class:`~repro.execution.arena.RoundArena`
-  that stages all jobs in two shared-memory blocks;
-* publishes ``merge.segments`` and ``balance.work_spread``, runs the
-  batch through the call's :class:`~repro.execution.context.Execution`
-  and folds the per-task stats.
+  a ``segment.merge`` span, or, when tasks must be picklable
+  (:func:`~repro.backends.tasks_must_pickle`), a picklable offset job
+  over a :class:`~repro.execution.arena.RoundArena` that stages all
+  jobs in two shared-memory blocks;
+* publishes the batch's counts, all read from the plan before any task
+  runs: ``merge.segments``, ``balance.work_spread`` and ``merge.*`` (a
+  segment's length is its element moves, a segment with both sides
+  non-empty costs ``|A| + |B| - 1`` comparisons, the bound
+  :func:`~repro.core.sequential.merge_into` meets, and each partition's
+  ``search_steps`` are its probes, Theorem 14), so they are the same
+  whichever backend runs the tasks;
+* runs the batch through the call's
+  :class:`~repro.execution.context.Execution`.
 
 Its callers differ only in how they plan: ``merge_partition`` (one job),
 a sort round (:func:`run_merge_round`: every pair of the round, so a
@@ -31,7 +37,7 @@ import numpy as np
 
 from ..backends import Backend, TaskBatch, tasks_must_pickle
 from ..obs.tracer import NULL_SPAN
-from ..types import MergeStats, Partition
+from ..types import Partition
 from ..core.merge_path import partition_merge_path
 from ..core.sequential import merge_into, result_dtype
 from .arena import ChunkSortArena, RoundArena
@@ -58,43 +64,52 @@ def run_segments(
 
     ``meta`` is recorded on the batch (and on each ``segment.merge``
     span).  Every task runs :func:`~repro.core.sequential.merge_into`;
-    staged jobs run it in worker processes, which feed neither the call's ``MergeStats`` nor its tracer.
+    staged jobs run it in worker processes, which do not feed the call's
+    tracer.
     """
     meta = dict(meta or ())
-    per_task_stats: list[MergeStats] = []
     staged = tasks_must_pickle(ex.backend)
     with (
         RoundArena([(a, b, part) for _, a, b, part in jobs]) if staged
         else nullcontext()
     ) as arena:
         tasks = (
-            arena.tasks() if staged
-            else _closures(ex, jobs, meta, per_task_stats)
+            arena.tasks() if staged else _closures(ex.trace, jobs, meta)
         )
         meta["segments"] = len(tasks)
         if ex.metrics is not None:
-            ex.metrics.counter("merge.segments").inc(len(tasks))
-            ex.metrics.gauge("balance.work_spread").set(
-                max(part.max_imbalance for *_, part in jobs)
-            )
+            _publish(ex.metrics, jobs, len(tasks))
         ex.run(TaskBatch(tasks, label=label, meta=meta))  # the barrier
         if staged:
             arena.results([out for out, *_ in jobs])
-    for st in per_task_stats:
-        ex.stats.merge(st)
+
+
+def _publish(
+    metrics: "MetricsRegistry", jobs: Sequence[Job], tasks: int
+) -> None:
+    """The batch's counts, all fixed by the plan before any task runs."""
+    parts = [part for *_, part in jobs]
+    segs = [seg for part in parts for seg in part.segments]
+    metrics.counter("merge.segments").inc(tasks)
+    metrics.counter("merge.moves").inc(sum(seg.length for seg in segs))
+    metrics.counter("merge.comparisons").inc(
+        sum(seg.length - 1 for seg in segs if seg.a_len and seg.b_len)
+    )
+    metrics.counter("merge.search_probes").inc(
+        sum(sum(part.search_steps) for part in parts)
+    )
+    metrics.gauge("balance.work_spread").set(
+        max(part.max_imbalance for part in parts)
+    )
 
 
 def _closures(
-    ex: Execution,
-    jobs: Sequence[Job],
-    meta: dict[str, Any],
-    per_task_stats: list[MergeStats],
+    trace: "Tracer | None", jobs: Sequence[Job], meta: dict[str, Any]
 ) -> list:
     """One in-process task per non-empty segment, each with its own
-    ``segment.merge`` span and (when counting) ``MergeStats`` sink."""
-    trace = ex.trace
+    ``segment.merge`` span."""
 
-    def make_task(out, a, b, seg, worker, seg_stats):
+    def make_task(out, a, b, seg, worker):
         def task() -> None:
             span = (
                 trace.span(
@@ -113,11 +128,7 @@ def _closures(
                     out[seg.out_start:seg.out_end],
                     a[seg.a_start:seg.a_end],
                     b[seg.b_start:seg.b_end],
-                    stats=seg_stats,
                 )
-                if seg_stats is not None:
-                    span.set(comparisons=seg_stats.comparisons,
-                             moves=seg_stats.moves)
 
         return task
 
@@ -126,13 +137,8 @@ def _closures(
         for seg in part.segments:
             if seg.length == 0:
                 continue
-            seg_stats = None
-            if ex.stats is not None:
-                seg_stats = MergeStats()
-                per_task_stats.append(seg_stats)
             tasks.append(make_task(out, a, b, seg,
-                                   job * len(part.segments) + seg.index,
-                                   seg_stats))
+                                   job * len(part.segments) + seg.index))
     return tasks
 
 
@@ -141,7 +147,6 @@ def run_merge_round(
     procs_per_pair: int,
     *,
     backend: Backend,
-    stats: MergeStats | None = None,
     trace: "Tracer | None" = None,
     metrics: "MetricsRegistry | None" = None,
     round_index: int = 1,
@@ -154,12 +159,12 @@ def run_merge_round(
     """
     if len(runs) < 2:
         return list(runs)
-    with Execution(backend, stats=stats, trace=trace, metrics=metrics) as ex:
+    with Execution(backend, trace=trace, metrics=metrics) as ex:
         jobs = []
         for i in range(0, len(runs) - 1, 2):
             a, b = runs[i], runs[i + 1]
             part = partition_merge_path(
-                a, b, procs_per_pair, check=False, stats=ex.stats, tracer=trace
+                a, b, procs_per_pair, check=False, tracer=trace
             )
             out = np.empty(part.total_length, dtype=result_dtype(a, b))
             jobs.append((out, a, b, part))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.merge_path import max_search_steps, partition_merge_path
-from ..types import ExperimentResult, MergeStats
+from ..types import ExperimentResult
 from ..workloads.adversarial import ADVERSARIAL_PAIRS
 from ..workloads.generators import sorted_uniform_ints
 
@@ -59,14 +59,13 @@ def run(
         name, n_str = key.rsplit("/", 1)
         n = int(n_str)
         for p in ps:
-            stats = MergeStats()
-            part = partition_merge_path(a, b, p, check=False, stats=stats)
+            part = partition_merge_path(a, b, p, check=False)
             max_probes = max(part.search_steps, default=0)
             bound = max_search_steps(len(a), len(b))
             within = max_probes <= bound
             all_within &= within
             total = len(a) + len(b)
-            work_frac = stats.search_probes / total if total else 0.0
+            work_frac = sum(part.search_steps) / total if total else 0.0
             result.add_row(
                 workload=name,
                 n_per_array=n,

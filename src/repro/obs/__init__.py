@@ -46,7 +46,7 @@ from .export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, RegistryMergeStats
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .tracer import NULL_SPAN, NullSpan, Span, SpanRecord, Tracer
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "RegistryMergeStats",
     "chrome_trace",
     "chrome_trace_events",
     "write_chrome_trace",

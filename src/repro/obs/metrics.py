@@ -1,20 +1,26 @@
 """Unified counters / gauges / histograms for every merge-path phase.
 
-One :class:`MetricsRegistry` replaces the ad-hoc counter sinks that had
-grown around the package: the :class:`~repro.types.MergeStats` protocol
-(comparisons / moves / search probes) stays the *kernel-facing* sink —
-it is tiny and allocation-free — but its totals now land in named
-registry counters, next to the resilience layer's retry/timeout/
-speculation counts and the load-balance gauges.  There is exactly one
-counting path: kernels count into a ``MergeStats``-shaped object, entry
-points flush the *delta* of each call into the registry, and
-:class:`~repro.resilience.ExecutionTelemetry` emits its batch totals
-into the same registry when bound to one.
+One :class:`MetricsRegistry`, passed to the entry points as
+``metrics=``, is the only sink production code counts into.  There is
+exactly one counting path: the segment runner
+(:func:`repro.execution.engine.run_segments`) publishes each batch's
+merge counts from its plan, the call context
+(:class:`repro.execution.Execution`) publishes calls and dispatches,
+and a supervising backend (:class:`~repro.resilience.ResilientBackend`,
+:class:`~repro.resilience.DegradingBackend`) counts its
+``resilience.*`` totals into the registry on its ``metrics``
+attribute.  (:class:`~repro.types.MergeStats` remains the step counter
+of the reference kernels and models: the two-pointer and galloping
+merges, the diagonal search primitive, PRAM, cache and GPU.  None of
+them runs in production.)
 
 Metric name conventions (full table in ``docs/observability.md``):
 
 ``merge.comparisons`` / ``merge.moves`` / ``merge.search_probes``
-    Kernel operation counts (the quantities of the paper's step model).
+    Operation counts of the paper's step model, derived from the plan:
+    segment lengths (moves), ``|A| + |B| - 1`` per segment with both
+    sides non-empty (comparisons) and the partitions' Theorem 14
+    ``search_steps`` (probes).
 ``merge.calls`` / ``merge.segments``
     Entry-point invocations and merge segments dispatched.
 ``spm.blocks`` and histogram ``spm.block_a_share``
@@ -29,9 +35,10 @@ Metric name conventions (full table in ``docs/observability.md``):
 ``resilience.dispatches`` / ``.retries`` / ``.timeouts`` /
 ``.speculations`` / ``.worker_deaths`` / ``.batches`` / ``.tasks`` /
 ``.recoveries``
-    Fault-tolerant execution totals (fed by ``ExecutionTelemetry``);
-    ``.recoveries`` counts circuit-breaker re-promotions of a
-    previously failed degradation level.
+    Fault-tolerant execution totals (counted by the supervising
+    backend from each batch's ``BatchTelemetry``); ``.recoveries``
+    counts circuit-breaker re-promotions of a previously failed
+    degradation level.
 ``balance.work_spread`` / ``balance.time_imbalance`` /
 ``balance.workers``
     Load-balance gauges (Theorem 14 witnesses; see ``obs.balance``).
@@ -74,18 +81,14 @@ Metric name conventions (full table in ``docs/observability.md``):
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RegistryMergeStats",
 ]
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..types import MergeStats
 
 
 class Counter:
@@ -347,93 +350,3 @@ class MetricsRegistry:
             return tuple(
                 sorted({*self._counters, *self._gauges, *self._histograms})
             )
-
-    # -- MergeStats protocol bridge ------------------------------------
-    def merge_stats(self, prefix: str = "merge") -> "RegistryMergeStats":
-        """A ``MergeStats``-protocol sink that writes through to counters.
-
-        This is the *one protocol* for operation counting: any API that
-        accepts ``stats=`` (``partition_merge_path``, the merge kernels,
-        ``cache_efficient_sort``, ...) can be pointed at the registry by
-        passing ``registry.merge_stats()``.
-        """
-        return RegistryMergeStats(self, prefix)
-
-    def record_merge_stats(
-        self, stats: "MergeStats", prefix: str = "merge"
-    ) -> None:
-        """Add a finished ``MergeStats`` total into the registry counters."""
-        self.counter(f"{prefix}.comparisons").inc(stats.comparisons)
-        self.counter(f"{prefix}.moves").inc(stats.moves)
-        self.counter(f"{prefix}.search_probes").inc(stats.search_probes)
-
-    def record_merge_delta(
-        self,
-        before: tuple[int, int, int],
-        stats: "MergeStats",
-        prefix: str = "merge",
-    ) -> None:
-        """Add only the counts accrued since ``before`` (a field snapshot).
-
-        Entry points use this so a caller-provided ``stats`` object that
-        already held counts is not double-recorded.
-        """
-        c0, m0, s0 = before
-        self.counter(f"{prefix}.comparisons").inc(stats.comparisons - c0)
-        self.counter(f"{prefix}.moves").inc(stats.moves - m0)
-        self.counter(f"{prefix}.search_probes").inc(stats.search_probes - s0)
-
-
-class RegistryMergeStats:
-    """Adapter implementing the ``MergeStats`` attribute protocol.
-
-    Kernels mutate stats sinks with ``stats.comparisons += n`` /
-    ``stats.merge(other)``; this class maps those attribute writes onto
-    registry counters, so legacy call sites route through the unified
-    registry without signature changes.  Intended for single-threaded
-    accumulation (per-task sinks are separate objects merged at the
-    barrier, exactly like plain ``MergeStats``).
-    """
-
-    __slots__ = ("_comparisons", "_moves", "_search_probes")
-
-    def __init__(self, registry: MetricsRegistry, prefix: str = "merge") -> None:
-        object.__setattr__(self, "_comparisons", registry.counter(f"{prefix}.comparisons"))
-        object.__setattr__(self, "_moves", registry.counter(f"{prefix}.moves"))
-        object.__setattr__(self, "_search_probes", registry.counter(f"{prefix}.search_probes"))
-
-    # Attribute protocol: reads return the counter total; writes record
-    # the (non-negative) delta, which is what ``x.field += n`` produces.
-    @property
-    def comparisons(self) -> int:
-        return self._comparisons.value
-
-    @comparisons.setter
-    def comparisons(self, value: int) -> None:
-        self._comparisons.inc(value - self._comparisons.value)
-
-    @property
-    def moves(self) -> int:
-        return self._moves.value
-
-    @moves.setter
-    def moves(self, value: int) -> None:
-        self._moves.inc(value - self._moves.value)
-
-    @property
-    def search_probes(self) -> int:
-        return self._search_probes.value
-
-    @search_probes.setter
-    def search_probes(self, value: int) -> None:
-        self._search_probes.inc(value - self._search_probes.value)
-
-    def merge(self, other: Any) -> None:
-        """Accumulate another sink's counters (MergeStats-compatible)."""
-        self._comparisons.inc(other.comparisons)
-        self._moves.inc(other.moves)
-        self._search_probes.inc(other.search_probes)
-
-    @property
-    def total_ops(self) -> int:
-        return self.comparisons + self.moves + self.search_probes

@@ -13,8 +13,9 @@ Components
     Frozen knobs: retries, per-attempt timeout, seeded-jitter
     exponential backoff, speculation thresholds.
 :class:`ResilientBackend`
-    Wraps any backend with per-task supervision and reports everything
-    it did through :class:`ExecutionTelemetry`.
+    Wraps any backend with per-task supervision, keeps the record of
+    its latest batch (:class:`BatchTelemetry`) and counts every batch
+    into the ``resilience.*`` counters of its ``metrics`` registry.
 :class:`FaultInjector` / :class:`FaultyBackend`
     Seeded, deterministic chaos: injected errors, delays, hangs, and
     worker deaths for testing the layer (and the conformance chaos
@@ -46,7 +47,7 @@ from .faults import (
 )
 from .policy import RetryPolicy
 from .resilient import ResilientBackend, innermost_backend
-from .telemetry import BatchTelemetry, ExecutionTelemetry, TaskTelemetry
+from .telemetry import BatchTelemetry, TaskTelemetry
 
 __all__ = [
     "RetryPolicy",
@@ -59,7 +60,6 @@ __all__ = [
     "SimulatedWorkerDeath",
     "TaskTelemetry",
     "BatchTelemetry",
-    "ExecutionTelemetry",
     "DEGRADATION_CHAIN",
     "DegradationWarning",
     "DegradationEvent",

@@ -38,14 +38,16 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..backends.base import Backend, tasks_must_pickle
 from ..errors import BackendError, BackendUnavailableError, InputError
 from .breaker import CLOSED, CircuitBreaker, RecoveryPolicy
 from .policy import RetryPolicy
 from .resilient import ResilientBackend
-from .telemetry import ExecutionTelemetry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs import MetricsRegistry
 
 __all__ = [
     "DEGRADATION_CHAIN",
@@ -303,8 +305,8 @@ class DegradingBackend(Backend):
 
     ``chain`` entries are backend names or ready :class:`Backend`
     instances; each is lazily wrapped in a :class:`ResilientBackend`
-    sharing this instance's ``telemetry``.  A batch runs on the highest
-    healthy level; if that level's resilience layer still raises
+    sharing this instance's ``metrics`` registry.  A batch runs on the
+    highest healthy level; if that level's resilience layer still raises
     :class:`~repro.errors.BackendError`, the level takes a strike, a
     :class:`DegradationWarning` is emitted, and the batch is replayed on
     the next level (safe: tasks are idempotent with disjoint outputs).
@@ -318,8 +320,8 @@ class DegradingBackend(Backend):
     the level, via an explicit :meth:`reprobe` call (the serve front
     door runs one in the background), or both.  A passed re-probe
     emits a :class:`RecoveryEvent`, counts ``resilience.recoveries``
-    when the telemetry is bound to a registry, and puts the level back
-    in front of everything below it.
+    when ``metrics`` is set, and puts the level back in front of
+    everything below it.
 
     ``clock`` injects time for the breakers (tests advance a fake
     clock instead of sleeping through cooldowns).
@@ -348,7 +350,19 @@ class DegradingBackend(Backend):
         self._levels: dict[int, ResilientBackend] = {}
         self._breakers: dict[int, CircuitBreaker] = {}
         self._disabled: dict[int, str] = {}
-        self.telemetry = ExecutionTelemetry()
+        self._metrics: "MetricsRegistry | None" = None
+
+    @property
+    def metrics(self) -> "MetricsRegistry | None":
+        """Registry receiving ``resilience.*`` totals, shared by every
+        level (each level's batches, plus ``.recoveries``)."""
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: "MetricsRegistry | None") -> None:
+        self._metrics = registry
+        for level in self._levels.values():
+            level.metrics = registry
 
     def _entry_name(self, index: int) -> str:
         entry = self._entries[index]
@@ -392,7 +406,7 @@ class DegradingBackend(Backend):
                 )
             else:
                 level = ResilientBackend(entry, self._policy, owns_inner=False)
-            level.telemetry = self.telemetry
+            level.metrics = self._metrics
             self._levels[index] = level
         return level
 
@@ -467,9 +481,8 @@ class DegradingBackend(Backend):
             reason=breaker.last_reason,
             what="health re-probe",
         )
-        registry = self.telemetry.metrics
-        if registry is not None:
-            registry.counter("resilience.recoveries").inc()
+        if self._metrics is not None:
+            self._metrics.counter("resilience.recoveries").inc()
         _emit_recovery(event)
         warnings.warn(
             f"recovery: backend {name!r} passed its re-probe after "

@@ -29,7 +29,8 @@ for lock-free *recovery*:
 
 Every batch leaves a full :class:`~repro.resilience.BatchTelemetry`
 (dispatches, retries, timeouts, speculations, backoff delays) in
-``last_batch`` and accumulates into ``telemetry``.
+``last_batch``, and its totals go to the ``resilience.*`` counters of
+the registry on ``metrics``, when one is set.
 """
 
 from __future__ import annotations
@@ -40,12 +41,15 @@ import random
 import statistics
 import threading
 import time
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..backends.base import Backend, TaskResult, get_backend, innermost_backend
 from ..errors import BatchError, TaskFailure
 from .policy import RetryPolicy
-from .telemetry import BatchTelemetry, ExecutionTelemetry, TaskTelemetry
+from .telemetry import BatchTelemetry, TaskTelemetry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs import MetricsRegistry
 
 __all__ = ["ResilientBackend", "innermost_backend"]
 
@@ -148,7 +152,8 @@ class ResilientBackend(Backend):
         self.policy = policy if policy is not None else RetryPolicy()
         self._owns_inner = True if owns_inner is None else owns_inner
         self._rng = random.Random(self.policy.seed)
-        self.telemetry = ExecutionTelemetry()
+        #: Registry receiving every batch's ``resilience.*`` totals.
+        self.metrics: "MetricsRegistry | None" = None
         self.last_batch: BatchTelemetry | None = None
 
     # ------------------------------------------------------------------
@@ -158,8 +163,7 @@ class ResilientBackend(Backend):
         tasks = list(tasks)
         n = len(tasks)
         if n == 0:
-            self.last_batch = BatchTelemetry()
-            self.telemetry.record(self.last_batch)
+            self._record(BatchTelemetry())
             return []
         pol = self.policy
         outbox: queue.Queue = queue.Queue()
@@ -282,7 +286,7 @@ class ResilientBackend(Backend):
                     if now - oldest > threshold:
                         launch(st, "speculative")
 
-        self.last_batch = BatchTelemetry(tasks=tuple(
+        self._record(BatchTelemetry(tasks=tuple(
             TaskTelemetry(
                 index=st.index,
                 dispatches=st.dispatches,
@@ -296,8 +300,7 @@ class ResilientBackend(Backend):
                 elapsed_s=st.result.elapsed_s if st.result is not None else 0.0,
             )
             for st in states
-        ))
-        self.telemetry.record(self.last_batch)
+        )))
 
         failed = [st for st in states if st.result is None]
         if failed:
@@ -305,6 +308,11 @@ class ResilientBackend(Backend):
                 [self._final_failure(st) for st in failed], total=n
             )
         return [st.result for st in states]
+
+    def _record(self, batch: BatchTelemetry) -> None:
+        self.last_batch = batch
+        if self.metrics is not None:
+            batch.publish(self.metrics)
 
     @staticmethod
     def _final_failure(st: _TaskState) -> TaskFailure:

@@ -1,27 +1,22 @@
-"""Retry/timeout/speculation telemetry for resilient batches.
+"""Retry/timeout/speculation records of one resilient batch.
 
 The supervisor records, per task, how many dispatches it took, which
 attempt won (primary, retry, or speculative), every failure along the
 way, and the exact backoff delays that were scheduled — the latter make
-the seeded-jitter determinism directly testable.  Batches aggregate
-into an :class:`ExecutionTelemetry` that the high-level entry points
-(:func:`repro.core.parallel_merge.parallel_merge`,
-:func:`repro.core.merge_sort.parallel_merge_sort`) expose to callers
-and the conformance chaos tier prints in its verdicts.
+the seeded-jitter determinism directly testable.  A supervising backend
+keeps only its latest batch (``last_batch``), which the conformance
+chaos tier prints in its verdicts.
 
-These dataclasses are *emitters* into the unified observability layer:
-bind an :class:`ExecutionTelemetry` to a
-:class:`repro.obs.MetricsRegistry` (``telemetry.metrics = registry``,
-or simply pass ``metrics=`` to the entry points) and every recorded
-batch increments the ``resilience.*`` counters there — one counting
-path shared with kernel and load-balance metrics.  The aggregate
-properties below remain as thin read-side aliases over the recorded
-batches.
+Totals go to the one counting path: :meth:`BatchTelemetry.publish`
+adds a batch to the ``resilience.*`` counters of a
+:class:`repro.obs.MetricsRegistry`, and the supervisor calls it for
+every batch when its ``metrics`` attribute is set (pass ``metrics=`` to
+an entry point to bind it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import TaskFailure
@@ -32,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "TaskTelemetry",
     "BatchTelemetry",
-    "ExecutionTelemetry",
     "TELEMETRY_COUNTERS",
 ]
 
@@ -111,75 +105,11 @@ class BatchTelemetry:
             f"worker_deaths={self.worker_deaths}"
         )
 
-
-@dataclass
-class ExecutionTelemetry:
-    """Running aggregate over every supervised batch of an execution.
-
-    Mutable on purpose: callers hand one instance to ``parallel_merge``
-    / ``parallel_merge_sort`` (or read it off a
-    :class:`~repro.resilience.ResilientBackend`) and inspect the totals
-    afterwards.
-
-    When :attr:`metrics` is set (a :class:`repro.obs.MetricsRegistry`),
-    :meth:`record` also increments the registry's ``resilience.*``
-    counters, making this object an emitter into the unified metrics
-    layer rather than a second counting path.
-    """
-
-    batches: list[BatchTelemetry] = field(default_factory=list)
-    #: Optional unified-registry sink; see class docstring.
-    metrics: "MetricsRegistry | None" = None
-
-    def bind(self, metrics: "MetricsRegistry") -> "ExecutionTelemetry":
-        """Attach a registry sink; chainable."""
-        self.metrics = metrics
-        return self
-
-    def record(self, batch: BatchTelemetry) -> None:
-        self.batches.append(batch)
-        registry = self.metrics
-        if registry is not None:
-            registry.counter("resilience.batches").inc()
-            registry.counter("resilience.tasks").inc(len(batch.tasks))
-            for key in TELEMETRY_COUNTERS:
-                count = getattr(batch, key)
-                if count:
-                    registry.counter(f"resilience.{key}").inc(count)
-
-    @property
-    def dispatches(self) -> int:
-        return sum(b.dispatches for b in self.batches)
-
-    @property
-    def retries(self) -> int:
-        return sum(b.retries for b in self.batches)
-
-    @property
-    def timeouts(self) -> int:
-        return sum(b.timeouts for b in self.batches)
-
-    @property
-    def speculations(self) -> int:
-        return sum(b.speculations for b in self.batches)
-
-    @property
-    def worker_deaths(self) -> int:
-        return sum(b.worker_deaths for b in self.batches)
-
-    @property
-    def backoff_delays_s(self) -> tuple[float, ...]:
-        out: list[float] = []
-        for b in self.batches:
-            out.extend(b.backoff_delays_s)
-        return tuple(out)
-
-    def summary(self) -> dict[str, int]:
-        return {
-            "batches": len(self.batches),
-            "dispatches": self.dispatches,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "speculations": self.speculations,
-            "worker_deaths": self.worker_deaths,
-        }
+    def publish(self, metrics: "MetricsRegistry") -> None:
+        """Add this batch to the registry's ``resilience.*`` counters."""
+        metrics.counter("resilience.batches").inc()
+        metrics.counter("resilience.tasks").inc(len(self.tasks))
+        for key in TELEMETRY_COUNTERS:
+            count = getattr(self, key)
+            if count:
+                metrics.counter(f"resilience.{key}").inc(count)

@@ -214,9 +214,8 @@ class MergeServer:
                 recovery=RecoveryPolicy(cooldown_s=2.0, cooldown_cap_s=60.0),
             )
         self.backend = backend
-        telemetry = getattr(backend, "telemetry", None)
-        if telemetry is not None and telemetry.metrics is None:
-            telemetry.metrics = self.registry
+        if getattr(backend, "metrics", False) is None:
+            backend.metrics = self.registry
         self.admission = AdmissionController(
             self.config.capacity, metrics=self.registry
         )

@@ -225,7 +225,7 @@ class TestRecoveryAcceptance:
             recovery=RecoveryPolicy(cooldown_s=5.0, jitter=0.0), clock=clock,
         )
         if registry is not None:
-            chain.telemetry.metrics = registry
+            chain.metrics = registry
         return chain, injector
 
     def test_recovery_is_recorded_without_retuning(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.cache_sort import cache_efficient_sort
 from repro.errors import InputError
-from repro.types import MergeStats
+from repro.obs import MetricsRegistry
 
 
 class TestCacheEfficientSort:
@@ -56,13 +56,11 @@ class TestCacheEfficientSort:
         np.testing.assert_array_equal(x, x0)
 
     def test_stats_accumulate(self):
-        stats = MergeStats()
+        reg = MetricsRegistry()
         g = np.random.default_rng(3)
         x = g.integers(0, 99, 64)
-        cache_efficient_sort(
-            x, 2, 16, backend="serial", stats=stats
-        )
-        assert stats.moves > 0
+        cache_efficient_sort(x, 2, 16, backend="serial", metrics=reg)
+        assert reg.value("merge.moves") > 0
 
     def test_validation(self):
         with pytest.raises(InputError):

@@ -166,11 +166,11 @@ class TestPartitionMergePath:
         g = np.random.default_rng(3)
         a = np.sort(g.integers(0, 1000, 5000))
         b = np.sort(g.integers(0, 1000, 3000))
-        s_vec, s_scalar = MergeStats(), MergeStats()
-        part = partition_merge_path(a, b, p, stats=s_scalar)
+        s_vec = MergeStats()
+        part = partition_merge_path(a, b, p)
         cuts = [s.out_start for s in part.segments[1:]]
         diagonal_intersections_vectorized(a, b, cuts, stats=s_vec)
-        assert s_vec.search_probes == s_scalar.search_probes > 0
+        assert s_vec.search_probes == sum(part.search_steps) > 0
 
     def test_search_steps_recorded_scalar(self):
         a = np.arange(100)
@@ -180,9 +180,8 @@ class TestPartitionMergePath:
         assert all(s <= max_search_steps(100, 100) for s in part.search_steps)
 
     def test_stats_accumulated(self):
-        stats = MergeStats()
-        partition_merge_path(np.arange(64), np.arange(64), 4, stats=stats)
-        assert stats.search_probes > 0
+        part = partition_merge_path(np.arange(64), np.arange(64), 4)
+        assert sum(part.search_steps) > 0
 
     def test_rejects_bad_p(self):
         with pytest.raises(InputError):

@@ -8,7 +8,7 @@ import pytest
 from repro.backends import SerialBackend
 from repro.core.natural_sort import find_natural_runs, natural_merge_sort
 from repro.errors import InputError
-from repro.types import MergeStats
+from repro.obs import MetricsRegistry
 from repro.workloads.generators import nearly_sorted
 
 
@@ -51,26 +51,27 @@ class TestNaturalMergeSort:
 
     def test_sorted_input_fast_path(self):
         x = np.arange(1000)
-        stats = MergeStats()
-        out = natural_merge_sort(x, 4, stats=stats)
+        reg = MetricsRegistry()
+        out = natural_merge_sort(x, 4, metrics=reg)
         np.testing.assert_array_equal(out, x)
-        assert stats.moves == 0  # no merging happened at all
+        assert reg.value("merge.moves") == 0  # no merging happened at all
 
     def test_reverse_sorted_fast_path(self):
         x = np.arange(1000)[::-1].copy()
-        stats = MergeStats()
-        out = natural_merge_sort(x, 4, stats=stats)
+        reg = MetricsRegistry()
+        out = natural_merge_sort(x, 4, metrics=reg)
         np.testing.assert_array_equal(out, np.arange(1000))
-        assert stats.moves == 0
+        assert reg.value("merge.moves") == 0
 
     def test_nearly_sorted_does_less_work(self):
         n = 4096
         tidy = nearly_sorted(n, 3, swap_fraction=0.002)
         messy = np.random.default_rng(3).permutation(n)
-        s_tidy, s_messy = MergeStats(), MergeStats()
-        natural_merge_sort(tidy, 1, stats=s_tidy)
-        natural_merge_sort(messy, 1, stats=s_messy)
-        assert s_tidy.moves < s_messy.moves / 2  # adaptivity pays
+        r_tidy, r_messy = MetricsRegistry(), MetricsRegistry()
+        natural_merge_sort(tidy, 1, metrics=r_tidy)
+        natural_merge_sort(messy, 1, metrics=r_messy)
+        # adaptivity pays
+        assert r_tidy.value("merge.moves") < r_messy.value("merge.moves") / 2
 
     def test_input_not_mutated(self):
         x = np.array([3, 1, 2])

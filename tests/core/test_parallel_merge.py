@@ -8,7 +8,7 @@ from repro.core.merge_path import partition_merge_path
 from repro.core.parallel_merge import merge, merge_partition, parallel_merge
 from repro.core.sequential import KERNELS
 from repro.errors import InputError, NotSortedError
-from repro.types import MergeStats
+from repro.obs import MetricsRegistry
 from repro.workloads.adversarial import ADVERSARIAL_PAIRS
 
 from ..conftest import reference_merge
@@ -114,12 +114,12 @@ class TestMergePartition:
         np.testing.assert_array_equal(out, np.arange(20))
 
     def test_stats_flow_through(self):
-        stats = MergeStats()
+        reg = MetricsRegistry()
         a = np.arange(50)
         b = np.arange(50)
-        parallel_merge(a, b, 4, backend="serial", stats=stats)
-        assert stats.moves == 100
-        assert stats.comparisons > 0
+        parallel_merge(a, b, 4, backend="serial", metrics=reg)
+        assert reg.value("merge.moves") == 100
+        assert reg.value("merge.comparisons") > 0
 
 
 class TestTopLevelMerge:
@@ -152,11 +152,11 @@ class TestOversubscription:
     def test_segment_count_scales(self):
         a = np.arange(100)
         b = np.arange(100)
-        stats = MergeStats()
+        reg = MetricsRegistry()
         parallel_merge(a, b, 2, backend="serial", oversubscribe=4,
-                       stats=stats)
-        # 8 segments -> 7 interior cuts were searched (vectorized bound)
-        assert stats.moves == 200
+                       metrics=reg)
+        assert reg.value("merge.segments") == 8
+        assert reg.value("merge.moves") == 200
 
     def test_validation(self):
         with pytest.raises(InputError):

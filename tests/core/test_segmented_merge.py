@@ -9,7 +9,7 @@ from repro.core.segmented_merge import (
     segmented_parallel_merge,
 )
 from repro.errors import InputError, NotSortedError
-from repro.types import MergeStats
+from repro.obs import MetricsRegistry
 from repro.workloads.adversarial import ADVERSARIAL_PAIRS
 
 from ..conftest import reference_merge
@@ -139,9 +139,21 @@ class TestSegmentedMergeValidation:
             )
 
     def test_stats_accumulate(self):
-        stats = MergeStats()
+        reg = MetricsRegistry()
         segmented_parallel_merge(
             np.arange(20), np.arange(20), 2, L=8, backend="serial",
-            stats=stats,
+            metrics=reg,
         )
-        assert stats.moves == 40
+        assert reg.value("merge.moves") == 40
+
+    def test_probes_come_from_the_block_plans(self):
+        g = np.random.default_rng(4)
+        a = np.sort(g.integers(0, 10**6, 100_000))
+        b = np.sort(g.integers(0, 10**6, 100_000))
+        reg = MetricsRegistry()
+        segmented_parallel_merge(a, b, 2, L=4096, backend="serial",
+                                 metrics=reg)
+        plans = list(plan_segments(a, b, 2, 4096))
+        assert reg.value("spm.blocks") == len(plans) == 49
+        probes = sum(sum(plan.partition.search_steps) for plan in plans)
+        assert reg.value("merge.search_probes") == probes > 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.parallel_merge import parallel_merge
 from repro.core.sequential import (
     KERNELS,
     merge_galloping,
@@ -12,6 +13,7 @@ from repro.core.sequential import (
     result_dtype,
 )
 from repro.errors import DTypeMismatchError, InputError, NotSortedError
+from repro.obs import MetricsRegistry
 from repro.types import MergeStats
 from repro.workloads.adversarial import ADVERSARIAL_PAIRS
 
@@ -120,12 +122,6 @@ class TestStatsCounting:
         merge_two_pointer(a, b, stats=s_tp)
         merge_galloping(a, b, stats=s_gal)
         assert s_gal.comparisons < s_tp.comparisons / 10
-
-    def test_vectorized_counts_moves(self):
-        stats = MergeStats()
-        merge_vectorized(np.array([1, 3]), np.array([2]), stats=stats)
-        assert stats.moves == 3
-        assert stats.comparisons > 0
 
 
 class TestGalloping:
@@ -337,16 +333,17 @@ print(peak() - before, len(b) * out.itemsize)
         assert grown <= 1.25 * smaller_run
 
     def test_comparisons_are_linear(self):
-        stats = MergeStats()
-        merge_into(np.empty(700, dtype=np.int64),
-                   np.arange(400), np.arange(300), stats=stats)
-        assert stats.comparisons == 699
-        assert stats.moves == 700
-        one_side = MergeStats()
-        merge_into(np.empty(5, dtype=np.int64), np.arange(5),
-                   np.array([], dtype=np.int64), stats=one_side)
-        assert one_side.comparisons == 0
-        assert one_side.moves == 5
+        """The plan-derived counts of one segment are merge_into's bound."""
+        reg = MetricsRegistry()
+        parallel_merge(np.arange(400), np.arange(300), 1, backend="serial",
+                       metrics=reg)
+        assert reg.value("merge.comparisons") == 699
+        assert reg.value("merge.moves") == 700
+        one_side = MetricsRegistry()
+        parallel_merge(np.arange(5), np.array([], dtype=np.int64), 1,
+                       backend="serial", metrics=one_side)
+        assert one_side.value("merge.comparisons") == 0
+        assert one_side.value("merge.moves") == 5
 
 
 class TestKernelAliasing:

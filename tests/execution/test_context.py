@@ -8,6 +8,8 @@ exercises.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,27 @@ def test_owned_resilience_wrapper_is_closed_when_a_task_raises(
              resilience=RetryPolicy(max_retries=0, speculate=False))
     assert [w.inner for w in closed] == [be]
     assert be.closed == 0  # the caller's backend stays the caller's
+
+
+def test_concurrent_calls_count_their_own_dispatches():
+    """Each call counts the batches it ran, not every batch the shared
+    pool served while the call was open."""
+    reg = MetricsRegistry()
+    errors = []
+
+    def worker() -> None:
+        try:
+            for _ in range(200):
+                parallel_merge(_A, _B, 2, backend="threads", metrics=reg)
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors
+    assert reg.value("merge.calls") == 800
+    assert reg.value("exec.dispatches") == reg.value("merge.calls")
+    assert reg.value("exec.dispatches_per_call") == 1

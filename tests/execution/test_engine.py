@@ -7,9 +7,9 @@ import pytest
 
 from repro.backends import ProcessBackend, SerialBackend, ThreadBackend
 from repro.core.merge_sort import merge_sort_rounds, parallel_merge_sort
+from repro.core.parallel_merge import parallel_merge
 from repro.execution.engine import run_chunk_sorts, run_merge_round
 from repro.obs import MetricsRegistry, Tracer
-from repro.types import MergeStats
 
 from ..conftest import reference_merge
 
@@ -65,10 +65,11 @@ def test_single_run_passes_through_with_zero_dispatches():
 
 def test_round_accumulates_stats():
     runs = _runs(4, 256)
-    stats = MergeStats()
+    reg = MetricsRegistry()
     be = SerialBackend()
-    run_merge_round(runs, 2, backend=be, stats=stats)
-    assert stats.moves == 4 * 256  # every element of every pair moved once
+    run_merge_round(runs, 2, backend=be, metrics=reg)
+    # every element of every pair moved once
+    assert reg.value("merge.moves") == 4 * 256
 
 
 def test_traced_round_attaches_worker_slots():
@@ -162,3 +163,30 @@ def test_sort_dispatch_count_matches_schedule(p):
 def test_round_info_schedule_predicts_one_dispatch_per_round():
     for info in merge_sort_rounds(10_000, 8):
         assert info.dispatches == 1
+
+
+_MERGE_COUNTS = ("merge.moves", "merge.comparisons", "merge.search_probes",
+                 "merge.segments", "exec.dispatches_per_call")
+
+
+@pytest.mark.parametrize("op", ["parallel_merge", "parallel_merge_sort"])
+def test_merge_counts_are_the_same_on_every_backend(op):
+    """The counts come from the plan, so tasks staged to worker
+    processes count exactly what in-process tasks count."""
+    g = np.random.default_rng(11)
+    a = np.sort(g.integers(0, 10**6, 100_000))
+    b = np.sort(g.integers(0, 10**6, 100_000))
+    x = g.integers(0, 10**6, 50_000)
+    counts = {}
+    for be in ("serial", "threads", "processes"):
+        reg = MetricsRegistry()
+        if op == "parallel_merge":
+            parallel_merge(a, b, 2, backend=be, metrics=reg)
+        else:
+            parallel_merge_sort(x, 2, backend=be, metrics=reg)
+        counts[be] = {name: reg.value(name) for name in _MERGE_COUNTS}
+    assert counts["serial"]["merge.moves"] > 0
+    assert counts["processes"] == counts["threads"] == counts["serial"]
+    if op == "parallel_merge":
+        assert counts["serial"]["merge.moves"] == 200_000
+        assert counts["serial"]["merge.comparisons"] == 199_998

@@ -1,4 +1,4 @@
-"""Metrics registry: primitives, the MergeStats bridge, telemetry bridge."""
+"""Metrics registry: primitives, entry-point counts, resilience counts."""
 
 from __future__ import annotations
 
@@ -7,11 +7,7 @@ import threading
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.resilience.telemetry import (
-    BatchTelemetry,
-    ExecutionTelemetry,
-    TaskTelemetry,
-)
+from repro.resilience.telemetry import BatchTelemetry, TaskTelemetry
 from repro.types import MergeStats
 
 
@@ -72,47 +68,9 @@ class TestPrimitives:
         assert c.value == 8000
 
 
-class TestMergeStatsBridge:
-    def test_registry_stats_supports_kernel_protocol(self):
-        """`stats.field += n` and `.merge()` — exactly what kernels do."""
-        reg = MetricsRegistry()
-        sink = reg.merge_stats()
-        sink.comparisons += 10
-        sink.moves += 3
-        sink.search_probes += 2
-        other = MergeStats(comparisons=5, moves=1, search_probes=1)
-        sink.merge(other)
-        assert reg.value("merge.comparisons") == 15
-        assert reg.value("merge.moves") == 4
-        assert reg.value("merge.search_probes") == 3
-        assert sink.total_ops == 22
-
-    def test_registry_stats_usable_by_real_kernel(self):
-        import numpy as np
-
-        from repro.core.sequential import merge_two_pointer
-
-        reg = MetricsRegistry()
-        sink = reg.merge_stats()
-        merge_two_pointer(np.array([1, 3, 5]), np.array([2, 4]), stats=sink)
-        assert reg.value("merge.comparisons") > 0
-        assert reg.value("merge.moves") == 5
-
-    def test_record_merge_delta_skips_preexisting_counts(self):
-        reg = MetricsRegistry()
-        stats = MergeStats(comparisons=100, moves=50, search_probes=7)
-        before = (stats.comparisons, stats.moves, stats.search_probes)
-        stats.comparisons += 10
-        stats.moves += 5
-        reg.record_merge_delta(before, stats)
-        assert reg.value("merge.comparisons") == 10
-        assert reg.value("merge.moves") == 5
-        assert reg.value("merge.search_probes") == 0
-
-
 class TestEntryPointFlush:
     def test_parallel_merge_metrics_only(self):
-        """metrics= alone gets kernel counts without a stats object."""
+        """metrics= alone gets the call's merge counts."""
         import numpy as np
 
         from repro import parallel_merge
@@ -127,21 +85,8 @@ class TestEntryPointFlush:
         assert reg.value("merge.comparisons") > 0
         assert reg.value("merge.search_probes") > 0
 
-    def test_caller_stats_not_double_counted(self):
-        """A pre-loaded caller stats object contributes only its delta."""
-        import numpy as np
-
-        from repro import parallel_merge
-
-        reg = MetricsRegistry()
-        stats = MergeStats(comparisons=10**9)  # sentinel preload
-        a = np.arange(0, 200, 2)
-        b = np.arange(1, 200, 2)
-        parallel_merge(a, b, 2, backend="serial", stats=stats, metrics=reg)
-        assert reg.value("merge.comparisons") < 10**6
-
     def test_vectorized_partition_counts_probes(self):
-        """Satellite: vectorized diagonal search honors the stats sink."""
+        """The lockstep search probes as often as the partition records."""
         import numpy as np
 
         from repro.core.merge_path import (
@@ -152,12 +97,11 @@ class TestEntryPointFlush:
         a = np.arange(0, 4096, 2)
         b = np.arange(1, 4096, 2)
         s_vec = MergeStats()
-        s_scalar = MergeStats()
         diagonal_intersections_vectorized(a, b, [512 * k for k in range(1, 8)],
                                           stats=s_vec)
-        partition_merge_path(a, b, 8, stats=s_scalar)
+        part = partition_merge_path(a, b, 8)
         assert s_vec.search_probes > 0
-        assert s_scalar.search_probes > 0
+        assert sum(part.search_steps) > 0
 
 
 class TestTelemetryBridge:
@@ -169,9 +113,8 @@ class TestTelemetryBridge:
 
     def test_record_emits_resilience_counters(self):
         reg = MetricsRegistry()
-        tel = ExecutionTelemetry().bind(reg)
-        tel.record(self._batch(dispatches=3, retries=2, timeouts=1))
-        tel.record(self._batch(dispatches=2, speculations=1))
+        self._batch(dispatches=3, retries=2, timeouts=1).publish(reg)
+        self._batch(dispatches=2, speculations=1).publish(reg)
         assert reg.value("resilience.batches") == 2
         assert reg.value("resilience.tasks") == 2
         assert reg.value("resilience.dispatches") == 5
@@ -181,19 +124,23 @@ class TestTelemetryBridge:
         assert reg.value("resilience.worker_deaths") == 0
 
     def test_registry_matches_aggregate_properties(self):
-        """The bridge and the dataclass aliases agree — one counting path."""
+        """The registry and the batch aggregates agree: one counting path."""
         reg = MetricsRegistry()
-        tel = ExecutionTelemetry().bind(reg)
-        tel.record(self._batch(dispatches=4, retries=3, worker_deaths=1))
-        assert reg.value("resilience.dispatches") == tel.dispatches
-        assert reg.value("resilience.retries") == tel.retries
-        assert reg.value("resilience.worker_deaths") == tel.worker_deaths
+        batch = self._batch(dispatches=4, retries=3, worker_deaths=1)
+        batch.publish(reg)
+        assert reg.value("resilience.dispatches") == batch.dispatches
+        assert reg.value("resilience.retries") == batch.retries
+        assert reg.value("resilience.worker_deaths") == batch.worker_deaths
 
     def test_unbound_telemetry_unchanged(self):
-        tel = ExecutionTelemetry()
-        tel.record(self._batch(dispatches=2, retries=1))
-        assert tel.metrics is None
-        assert tel.dispatches == 2 and tel.retries == 1
+        """A supervisor without a registry still keeps its latest batch."""
+        from repro.backends import SerialBackend
+        from repro.resilience import ResilientBackend
+
+        rb = ResilientBackend(SerialBackend())
+        rb.run_tasks([lambda: 1, lambda: 2])
+        assert rb.metrics is None
+        assert rb.last_batch.dispatches == 2 and rb.last_batch.retries == 0
 
 
 class TestHistogramQuantiles:

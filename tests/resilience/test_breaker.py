@@ -175,7 +175,7 @@ class TestEndToEndRecovery:
             recovery=RecoveryPolicy(cooldown_s=5.0, jitter=0.0),
             clock=clock, max_workers=2,
         )
-        chain.telemetry.metrics = registry
+        chain.metrics = registry
         recoveries = []
         unsubscribe = subscribe_recovery(recoveries.append)
         try:

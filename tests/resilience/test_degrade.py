@@ -1,5 +1,8 @@
 """Graceful degradation: probing, resolve_backend, DegradingBackend."""
 
+import gc
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +12,7 @@ from repro.backends.serial import SerialBackend
 from repro.core.merge_path import partition_merge_path
 from repro.core.parallel_merge import merge_partition, parallel_merge
 from repro.errors import BackendError, BackendUnavailableError
+from repro.obs import MetricsRegistry
 from repro.resilience import (
     DEGRADATION_CHAIN,
     DegradationWarning,
@@ -167,14 +171,41 @@ class TestDegradingBackend:
         dg.close()
 
     def test_shared_telemetry_across_levels(self):
+        reg = MetricsRegistry()
         dg = DegradingBackend([_doomed(), "serial"], policy=_FAST)
+        dg.metrics = reg
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradationWarning)
             dg.run_tasks([lambda: 1])
         # Both the doomed level's attempts and serial's are recorded.
-        assert len(dg.telemetry.batches) == 2
-        assert dg.telemetry.retries >= 1
+        assert reg.value("resilience.batches") == 2
+        assert reg.value("resilience.retries") >= 1
         dg.close()
+
+    def test_batches_are_counted_not_retained(self):
+        """A long-lived chain keeps one batch record, however many run."""
+        reg = MetricsRegistry()
+        dg = DegradingBackend(["serial"])
+        dg.metrics = reg
+        tasks = [time.monotonic, time.monotonic]
+        try:
+            for _ in range(100):
+                dg.run_tasks(tasks)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(900):
+                    dg.run_tasks(tasks)
+                gc.collect()  # supervision leaves reference cycles behind
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        finally:
+            dg.close()
+        assert reg.value("resilience.batches") == 1000
+        assert reg.value("resilience.tasks") == 2000
+        # A retained record per batch would cost about 450 bytes each.
+        assert grown < 50_000, grown
 
 
 class TestUnavailableError:

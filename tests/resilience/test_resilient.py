@@ -9,6 +9,7 @@ import pytest
 from repro.backends.serial import SerialBackend
 from repro.backends.threads import ThreadBackend
 from repro.errors import BatchError, InputError
+from repro.obs import MetricsRegistry
 from repro.resilience import (
     FaultInjector,
     FaultyBackend,
@@ -220,13 +221,16 @@ class TestSpeculation:
 
 class TestTelemetry:
     def test_execution_telemetry_accumulates(self):
+        reg = MetricsRegistry()
         rb = ResilientBackend(SerialBackend(), _policy())
+        rb.metrics = reg
         rb.run_tasks([lambda: 1])
         rb.run_tasks([lambda: 2, lambda: 3])
-        assert len(rb.telemetry.batches) == 2
-        assert rb.telemetry.dispatches == 3
-        summary = rb.telemetry.summary()
-        assert summary["batches"] == 2 and summary["retries"] == 0
+        assert reg.value("resilience.batches") == 2
+        assert reg.value("resilience.tasks") == 3
+        assert reg.value("resilience.dispatches") == 3
+        assert reg.value("resilience.retries") == 0
+        assert len(rb.last_batch.tasks) == 2  # only the latest batch is kept
         rb.close()
 
     def test_injected_faults_visible_in_telemetry(self):
@@ -234,7 +238,9 @@ class TestTelemetry:
         rb = ResilientBackend(
             FaultyBackend(SerialBackend(), inj), _policy(max_retries=2)
         )
+        rb.metrics = MetricsRegistry()
         rb.run_tasks([lambda: i for i in range(4)])
-        assert rb.telemetry.retries == 4
+        assert rb.last_batch.retries == 4
+        assert rb.metrics.value("resilience.retries") == 4
         assert inj.counts()["error"] == 4
         rb.close()

@@ -20,6 +20,17 @@ registry) are step-counting tools and references, so no module under
 ``repro/execution``, ``repro/external`` or ``repro/serve`` may
 reference them.  Package ``__init__`` modules are exempt: they only
 re-export the public API.
+
+Production code counts into one sink, the
+:class:`~repro.obs.MetricsRegistry` passed as ``metrics=``.  So no
+function that opens :class:`~repro.execution.Execution` (nor
+``Execution`` itself) takes a ``stats`` or ``telemetry`` parameter, and
+no module under ``repro/execution``, ``repro/external`` or
+``repro/serve``, and no core entry-point module, references the
+retired counting types (``MergeStats``, ``ExecutionTelemetry``,
+``merge_stats``, ``record_merge_delta``).  The step-counting
+primitives ``sequential.py``, ``merge_path.py`` and ``selection.py``
+keep ``MergeStats``.
 """
 
 from __future__ import annotations
@@ -39,6 +50,19 @@ PRODUCTION_MODULES = sorted(
     for pkg in ("core", "execution", "external", "serve")
     for path in (SRC / pkg).glob("*.py")
     if path.name != "__init__.py" and path != SRC / "core" / "sequential.py"
+)
+ALL_MODULES = sorted(SRC.rglob("*.py"))
+COUNTING_PARAMETERS = ("stats", "telemetry")
+COUNTING_NAMES = (
+    "MergeStats", "ExecutionTelemetry", "merge_stats", "record_merge_delta",
+)
+STEP_COUNTERS = ("sequential.py", "merge_path.py", "selection.py")
+COUNTING_FREE_MODULES = sorted(
+    path
+    for pkg in ("core", "execution", "external", "serve")
+    for path in (SRC / pkg).glob("*.py")
+    if path.name != "__init__.py"
+    and not (pkg == "core" and path.name in STEP_COUNTERS)
 )
 
 
@@ -66,7 +90,7 @@ def _violations(tree: ast.AST) -> list[str]:
     return found
 
 
-def _kernel_references(tree: ast.AST) -> list[str]:
+def _references(tree: ast.AST, banned: tuple[str, ...]) -> list[str]:
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -79,7 +103,48 @@ def _kernel_references(tree: ast.AST) -> list[str]:
             continue
         found += [
             f"line {node.lineno}: references {name}"
-            for name in names if name in PYTHON_KERNELS
+            for name in names if name in banned
+        ]
+    return found
+
+
+def _kernel_references(tree: ast.AST) -> list[str]:
+    return _references(tree, PYTHON_KERNELS)
+
+
+def _counting_references(tree: ast.AST) -> list[str]:
+    return _references(tree, COUNTING_NAMES)
+
+
+def _opens_execution(fn: ast.AST) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and "Execution" in (getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None))
+        for node in ast.walk(fn)
+    )
+
+
+def _counting_parameters(tree: ast.AST) -> list[str]:
+    """``stats``/``telemetry`` parameters of ``Execution.__init__`` and of
+    every function that opens an ``Execution``."""
+    entry_points = [
+        fn for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and _opens_execution(fn)
+    ]
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "Execution":
+            entry_points += [
+                fn for fn in cls.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+            ]
+    found = []
+    for fn in entry_points:
+        args = fn.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        found += [
+            f"line {fn.lineno}: {fn.name}() takes {arg.arg}="
+            for arg in params if arg.arg in COUNTING_PARAMETERS
         ]
     return found
 
@@ -94,6 +159,24 @@ def test_module_uses_the_execution_layer(path):
 )
 def test_module_runs_the_one_kernel(path):
     assert _kernel_references(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "path", COUNTING_FREE_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_module_counts_only_into_the_registry(path):
+    assert _counting_references(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_no_entry_point_takes_a_counting_sink():
+    found = [
+        f"{path.relative_to(SRC)} {violation}"
+        for path in ALL_MODULES
+        for violation in _counting_parameters(
+            ast.parse(path.read_text(), str(path))
+        )
+    ]
+    assert found == []
 
 
 def test_no_entry_point_chooses_a_kernel():
@@ -133,3 +216,23 @@ def test_guard_catches_each_violation():
         "fn = KERNELS[name]\n"
     )
     assert len(_kernel_references(python_kernels)) == 4
+    counting = ast.parse(
+        "from ..types import MergeStats\n"
+        "tel = ExecutionTelemetry()\n"
+        "sink = registry.merge_stats()\n"
+        "registry.record_merge_delta(before, stats)\n"
+    )
+    assert len(_counting_references(counting)) == 4
+    sinks = ast.parse(
+        "def merge(a, b, *, stats=None):\n"
+        "    with Execution(backend) as ex:\n"
+        "        pass\n"
+        "def sort(x, telemetry=None):\n"
+        "    return context.Execution(backend)\n"
+        "class Execution:\n"
+        "    def __init__(self, backend, *, stats=None, telemetry=None):\n"
+        "        pass\n"
+        "def reference(a, b, stats=None):\n"
+        "    return stats\n"
+    )
+    assert len(_counting_parameters(sinks)) == 4
