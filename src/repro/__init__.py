@@ -86,7 +86,6 @@ from .resilience import (
     FaultyBackend,
     DegradingBackend,
     DegradationWarning,
-    resolve_backend,
     probe_backend,
 )
 
@@ -147,6 +146,5 @@ __all__ = [
     "FaultyBackend",
     "DegradingBackend",
     "DegradationWarning",
-    "resolve_backend",
     "probe_backend",
 ]

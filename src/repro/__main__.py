@@ -400,15 +400,14 @@ def _cmd_tune(ns: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     cycles = ns.cycles if ns.watch else 1
     status = "PASS"
-    with Controller(slo, registry) as ctl:
-        for i, decision in enumerate(ctl.watch(
-            lambda reg: run_canary(reg, quick=ns.quick, seed=ns.seed),
-            cycles=cycles,
-            interval_s=ns.interval if ns.watch else 0.0,
-        )):
-            print(f"-- cycle {i + 1}/{cycles} --")
-            print(decision.describe())
-            status = decision.report.status
+    for i, decision in enumerate(Controller(slo, registry).watch(
+        lambda reg: run_canary(reg, quick=ns.quick, seed=ns.seed),
+        cycles=cycles,
+        interval_s=ns.interval if ns.watch else 0.0,
+    )):
+        print(f"-- cycle {i + 1}/{cycles} --")
+        print(decision.describe())
+        status = decision.report.status
     print(f"\nfinal status: {status} "
           f"(steps={int(registry.value('control.steps'))} "
           f"retunes={int(registry.value('control.retunes'))})")

@@ -9,9 +9,8 @@ subsystem that keeps the configuration honest at runtime:
   the unified metrics registry, and :func:`evaluate_slo` producing
   per-clause PASS/WARN/FAIL verdicts naming the offending metric.
 * :mod:`~repro.control.controller` — the :class:`Controller`: consumes
-  registry snapshot/delta windows and structured
-  :class:`~repro.resilience.DegradationEvent` subscriptions, and
-  retunes through the autotuner's calibration API
+  registry snapshot/delta windows and retunes through the autotuner's
+  calibration API
   (:mod:`repro.execution.tuning` is the shared pure policy).
 * :mod:`~repro.control.doctor` — ``python -m repro doctor``: one-shot
   host probe + canary replay + SLO verdict, structured for CI.

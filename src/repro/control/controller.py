@@ -7,9 +7,7 @@ The :class:`Controller` wires them into one supervise-and-retune loop:
 
 1. **Observe** — read one :meth:`~repro.obs.MetricsRegistry.snapshot`
    / :meth:`~repro.obs.MetricsRegistry.delta` window (the canary
-   workload, or live traffic, has been feeding the registry), plus any
-   :class:`~repro.resilience.DegradationEvent` received since the last
-   step.
+   workload, or live traffic, has been feeding the registry).
 2. **Evaluate** — :func:`~repro.control.slo.evaluate_slo` over the
    window.
 3. **Act** — drive the autotuner's calibration API
@@ -30,12 +28,13 @@ Deterministic retune rules (in order; each fires at most once per step):
   recalibration: latency is out of budget for no structural reason the
   other rules recognise, so re-measure the crossovers.
 
-Degradation and :class:`~repro.resilience.RecoveryEvent` events are
-recorded (:attr:`ControlDecision.events` / ``.recoveries`` and the
-``control.degradations`` / ``control.recoveries`` counters) but retune
-nothing: the tuner only chooses between serial and the requested pooled
-backend, so a fallen or recovered level leaves its one threshold where
-it was, and the degradation chain itself routes around a dead level.
+Degradations and recoveries are read from the window
+(``resilience.degradations`` / ``resilience.recoveries``, counted by a
+:class:`~repro.resilience.DegradingBackend` bound to the registry) and
+shown by :meth:`ControlDecision.describe`, but retune nothing: the
+tuner only chooses between serial and the requested pooled backend, so
+a fallen or recovered level leaves its one threshold where it was, and
+the degradation chain itself routes around a dead level.
 
 The controller's own activity lands in the same registry it reads
 (``control.*`` metrics), so the loop is observable with the tools this
@@ -45,18 +44,11 @@ repo already has — and testable through snapshot/delta alone.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..execution.autotune import Autotuner, get_autotuner
 from ..obs.tracer import NULL_SPAN
-from ..resilience.degrade import (
-    DegradationEvent,
-    RecoveryEvent,
-    subscribe_degradation,
-    subscribe_recovery,
-)
 from .slo import FAIL, SLO, SLOReport, evaluate_slo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,9 +87,7 @@ class ControlDecision:
 
     report: SLOReport
     actions: tuple[ControlAction, ...]
-    events: tuple[DegradationEvent, ...]
     delta: dict[str, Any]
-    recoveries: tuple[RecoveryEvent, ...] = ()
 
     @property
     def retuned(self) -> bool:
@@ -105,16 +95,9 @@ class ControlDecision:
 
     def describe(self) -> str:
         lines = [self.report.describe()]
-        for ev in self.events:
-            lines.append(
-                f"  event: {ev.backend} {ev.kind} → "
-                f"{ev.fallback or '<exhausted>'} ({ev.reason})"
-            )
-        for rec in self.recoveries:
-            lines.append(
-                f"  event: {rec.backend} recovered after {rec.outage_s:.2f}s "
-                f"({rec.opens} open(s))"
-            )
+        for key in ("resilience.degradations", "resilience.recoveries"):
+            if self.delta.get(key):
+                lines.append(f"  event: {key} +{self.delta[key]:g}")
         for act in self.actions:
             lines.append(f"  action: {act.describe()}")
         if not self.actions:
@@ -125,13 +108,12 @@ class ControlDecision:
 class Controller:
     """Continuously retunes the autotuner against an SLO.
 
-    Use as a context manager (subscription to degradation events is
-    active between ``__enter__`` and ``__exit__``)::
+    Every step reads one window of ``registry``::
 
         registry = MetricsRegistry()
-        with Controller(slo, registry) as ctl:
-            run_canary(registry, quick=True)
-            decision = ctl.step()
+        ctl = Controller(slo, registry)
+        run_canary(registry, quick=True)
+        decision = ctl.step()
 
     ``autotuner`` defaults to the process-wide one; tests inject their
     own (with a seeded cache path) to keep steps probe-free.
@@ -149,52 +131,10 @@ class Controller:
         self.registry = registry
         self.autotuner = autotuner or get_autotuner()
         self.tracer = tracer
-        self._events: deque[DegradationEvent] = deque()
-        self._recoveries: deque[RecoveryEvent] = deque()
-        self._unsubscribe: Callable[[], None] | None = None
-        self._unsubscribe_recovery: Callable[[], None] | None = None
         self._last_snapshot: dict[str, Any] | None = None
         self._fingerprint = self.autotuner.fingerprint()
 
-    # -- lifecycle -----------------------------------------------------
-
-    def start(self) -> "Controller":
-        """Begin listening for degradation/recovery events (idempotent)."""
-        if self._unsubscribe is None:
-            self._unsubscribe = subscribe_degradation(self._events.append)
-        if self._unsubscribe_recovery is None:
-            self._unsubscribe_recovery = subscribe_recovery(
-                self._recoveries.append
-            )
-        return self
-
-    def stop(self) -> None:
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-        if self._unsubscribe_recovery is not None:
-            self._unsubscribe_recovery()
-            self._unsubscribe_recovery = None
-
-    def __enter__(self) -> "Controller":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
     # -- the control step ----------------------------------------------
-
-    def _drain_events(self) -> tuple[DegradationEvent, ...]:
-        events = []
-        while self._events:
-            events.append(self._events.popleft())
-        return tuple(events)
-
-    def _drain_recoveries(self) -> tuple[RecoveryEvent, ...]:
-        events = []
-        while self._recoveries:
-            events.append(self._recoveries.popleft())
-        return tuple(events)
 
     def step(self) -> ControlDecision:
         """One observe → evaluate → act cycle (see module docstring)."""
@@ -205,17 +145,12 @@ class Controller:
         with span:
             delta = self.registry.delta(self._last_snapshot)
             report = evaluate_slo(self.slo, delta)
-            events = self._drain_events()
-            recoveries = self._drain_recoveries()
             actions = self._decide(report)
-            self._publish(report, events, actions, recoveries)
+            self._publish(report, actions)
             self._last_snapshot = self.registry.snapshot()
-            decision = ControlDecision(
-                report=report, actions=actions, events=events, delta=delta,
-                recoveries=recoveries,
-            )
-            span.set(status=report.status, actions=len(actions),
-                     events=len(events), recoveries=len(recoveries))
+            decision = ControlDecision(report=report, actions=actions,
+                                       delta=delta)
+            span.set(status=report.status, actions=len(actions))
         return decision
 
     def _decide(self, report: SLOReport) -> tuple[ControlAction, ...]:
@@ -279,16 +214,10 @@ class Controller:
     def _publish(
         self,
         report: SLOReport,
-        events: tuple[DegradationEvent, ...],
         actions: tuple[ControlAction, ...],
-        recoveries: tuple[RecoveryEvent, ...] = (),
     ) -> None:
         reg = self.registry
         reg.counter("control.steps").inc()
-        if events:
-            reg.counter("control.degradations").inc(len(events))
-        if recoveries:
-            reg.counter("control.recoveries").inc(len(recoveries))
         retunes = sum(1 for a in actions if a.kind in ("seed", "recalibrate"))
         if retunes:
             reg.counter("control.retunes").inc(retunes)

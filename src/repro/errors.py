@@ -91,7 +91,7 @@ class BackendUnavailableError(BackendError):
     dependency is missing or its runtime prerequisites are absent.  The
     message names the missing piece and points at the degradation chain
     (``processes → threads → serial``) so callers can fall back
-    deliberately via :func:`repro.resilience.resolve_backend`.
+    deliberately via :class:`repro.resilience.DegradingBackend`.
     """
 
     def __init__(self, backend: str, missing: str, hint: str = "") -> None:
@@ -101,7 +101,7 @@ class BackendUnavailableError(BackendError):
         fallback = hint or (
             "fall back along the degradation chain "
             "(processes → threads → serial), e.g. via "
-            "repro.resilience.resolve_backend()"
+            "repro.resilience.DegradingBackend"
         )
         super().__init__(
             f"backend {backend!r} is unavailable: requires {missing}; {fallback}"

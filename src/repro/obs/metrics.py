@@ -34,23 +34,24 @@ Metric name conventions (full table in ``docs/observability.md``):
     (``O(log N)``) and a parallel merge exactly one.
 ``resilience.dispatches`` / ``.retries`` / ``.timeouts`` /
 ``.speculations`` / ``.worker_deaths`` / ``.batches`` / ``.tasks`` /
-``.recoveries``
+``.degradations`` / ``.recoveries``
     Fault-tolerant execution totals (counted by the supervising
-    backend from each batch's ``BatchTelemetry``); ``.recoveries``
-    counts circuit-breaker re-promotions of a previously failed
-    degradation level.
+    backend from each batch's ``BatchTelemetry``).  Only
+    :class:`~repro.resilience.DegradingBackend` counts
+    ``.degradations`` (hops down its chain: a level that cannot be
+    built, or a batch that failed a level after retries) and
+    ``.recoveries`` (circuit-breaker re-promotions), and only into the
+    registry that chain is bound to; no other name repeats them.
 ``balance.work_spread`` / ``balance.time_imbalance`` /
 ``balance.workers``
     Load-balance gauges (Theorem 14 witnesses; see ``obs.balance``).
 ``slo.ns_per_elem`` (+ per-op ``slo.merge.*`` / ``slo.sort.*``)
     Canary-workload latency histograms; the SLO evaluator reads p50/p99
     straight off their summaries (see ``repro.control``).
-``control.steps`` / ``.retunes`` / ``.degradations`` /
-``.recoveries`` / ``.slo_failures`` and gauge ``control.last_status``
+``control.steps`` / ``.retunes`` / ``.slo_failures`` and gauge
+``control.last_status``
     The controller's own decisions — the control plane is observable
-    through the same registry it reads.  ``.degradations`` /
-    ``.recoveries`` count the chain events each step recorded (they
-    retune nothing).
+    through the same registry it reads.
 ``autotune.cache_corrupt``
     Calibration-cache loads that found garbage bytes instead of JSON
     (each is a counted miss, never a crash; see ``repro.durable``).
@@ -61,21 +62,18 @@ Metric name conventions (full table in ``docs/observability.md``):
     passes, planned block merges, and the last call's measured block
     transfers over the Aggarwal–Vitter sorting bound.
 ``serve.requests`` / ``.responses`` / ``.shed`` / ``.bad_requests`` /
-``.errors`` / ``.deadline_misses`` / ``.connections`` /
-``.degradations`` / ``.recoveries`` / ``.batches`` /
+``.errors`` / ``.deadline_misses`` / ``.connections`` / ``.batches`` /
 ``.coalesced_requests`` / ``.drains`` / ``.drain_rejects`` /
 ``.oversize_lines``, gauge ``serve.inflight``, histograms
 ``serve.batch_size`` / ``serve.latency_ms``
     The asyncio front door (:mod:`repro.serve`): admission and shed
     accounting, coalescer window sizes, end-to-end request latency.
     Lifecycle hardening lands here too: ``.drains`` (graceful drains
-    begun), ``.drain_rejects`` (typed 503s to late arrivals),
-    ``.oversize_lines`` (typed 413s to over-long request frames), and
-    ``.recoveries`` (breaker re-promotions observed by the server).
+    begun), ``.drain_rejects`` (typed 503s to late arrivals) and
+    ``.oversize_lines`` (typed 413s to over-long request frames).
     The server also observes batch-compute time into
-    ``slo.ns_per_elem`` (+ ``slo.serve.ns_per_elem``) so ``doctor
-    --slo --metrics-from`` judges live traffic with the same clauses
-    as the canary.
+    ``slo.ns_per_elem`` so ``doctor --slo --metrics-from`` judges live
+    traffic with the same clauses as the canary.
 """
 
 from __future__ import annotations

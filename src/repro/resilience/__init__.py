@@ -20,22 +20,20 @@ Components
     Seeded, deterministic chaos: injected errors, delays, hangs, and
     worker deaths for testing the layer (and the conformance chaos
     tier).
-:func:`resolve_backend` / :class:`DegradingBackend`
+:class:`DegradingBackend`
     Graceful degradation along ``processes → threads → serial``
-    with health probes and :class:`DegradationWarning` diagnostics.
+    with :class:`DegradationWarning` diagnostics; counts
+    ``resilience.degradations`` / ``.recoveries`` into its registry.
+:func:`probe_backend`
+    One-shot health check of a named backend (``doctor`` uses it).
 """
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker, RecoveryPolicy
 from .degrade import (
     DEGRADATION_CHAIN,
-    DegradationEvent,
     DegradationWarning,
     DegradingBackend,
-    RecoveryEvent,
     probe_backend,
-    resolve_backend,
-    subscribe_degradation,
-    subscribe_recovery,
 )
 from .netchaos import ChaosProxy, ChaosProxyThread, ChaosSpec
 from .faults import (
@@ -62,12 +60,7 @@ __all__ = [
     "BatchTelemetry",
     "DEGRADATION_CHAIN",
     "DegradationWarning",
-    "DegradationEvent",
-    "RecoveryEvent",
-    "subscribe_degradation",
-    "subscribe_recovery",
     "probe_backend",
-    "resolve_backend",
     "DegradingBackend",
     "CircuitBreaker",
     "RecoveryPolicy",

@@ -1,25 +1,22 @@
 """Graceful backend degradation: processes → threads → serial.
 
-Two entry points:
-
-* :func:`resolve_backend` — one-shot resolution.  Probes the preferred
-  backend (construct + run a trivial task) and walks down the chain on
-  failure, emitting a structured :class:`DegradationWarning` per hop,
-  until a healthy backend answers; returns it wrapped in a
-  :class:`~repro.resilience.ResilientBackend`.
-* :class:`DegradingBackend` — a live fallback chain.  Levels are built
-  lazily, each wrapped in a :class:`ResilientBackend`; when a batch
-  still fails after that layer's retries (e.g. the pool keeps dying),
-  the level accrues a strike, the batch transparently re-runs on the
-  next level, and a level that exhausts its strike budget trips its
-  per-level :class:`~repro.resilience.breaker.CircuitBreaker`.
+:class:`DegradingBackend` is the one degradation path: a live fallback
+chain.  Levels are built lazily, each wrapped in a
+:class:`~repro.resilience.ResilientBackend`; a level that cannot be
+built (a missing optional dependency) is disabled, and when a batch
+still fails after a level's retries (e.g. the pool keeps dying) the
+level accrues a strike, the batch transparently re-runs on the next
+level, and a level that exhausts its strike budget trips its per-level
+:class:`~repro.resilience.breaker.CircuitBreaker`.  Every hop down the
+chain emits a :class:`DegradationWarning` naming the level and the
+reason, and counts ``resilience.degradations`` into the chain's
+``metrics`` registry.
 
 Degradation is no longer a one-way ratchet: pass a
 :class:`~repro.resilience.breaker.RecoveryPolicy` and a tripped level
 re-enters rotation through the breaker's seeded-jitter cooldown and a
-health re-probe (half-open → closed), emitting a structured
-:class:`RecoveryEvent` that subscribers — the control plane, the serve
-front door — consume to undo their own degradation reactions.  With
+health re-probe (half-open → closed), warning with the outage length
+and counting ``resilience.recoveries`` in the same registry.  With
 ``recovery=None`` (the default) a tripped level stays out for the rest
 of the run, the pre-breaker behavior.
 
@@ -34,10 +31,8 @@ genuine task bug).
 
 from __future__ import annotations
 
-import threading
 import time
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..backends.base import Backend, tasks_must_pickle
@@ -52,12 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "DEGRADATION_CHAIN",
     "DegradationWarning",
-    "DegradationEvent",
-    "RecoveryEvent",
-    "subscribe_degradation",
-    "subscribe_recovery",
     "probe_backend",
-    "resolve_backend",
     "DegradingBackend",
 ]
 
@@ -67,124 +57,6 @@ DEGRADATION_CHAIN: tuple[str, ...] = ("processes", "threads", "serial")
 
 class DegradationWarning(UserWarning):
     """A backend was skipped or abandoned in favor of a lower level."""
-
-
-@dataclass(frozen=True, slots=True)
-class DegradationEvent:
-    """One structured hop down the degradation chain.
-
-    Warnings tell a human *that* a level fell; events tell a subscriber
-    *what* to do about it.  The control plane (:mod:`repro.control`)
-    subscribes so a backend falling from processes to threads triggers
-    re-tuning (the calibrated threads↔processes crossover is now
-    routing work to a dead level) instead of silently worse latency.
-
-    ``kind``
-        ``"unavailable"`` (construction failed), ``"probe-failed"``
-        (health probe), or ``"batch-failed"`` (a live batch exhausted
-        the level's retries).
-    ``backend`` / ``fallback``
-        The level that fell and the next level tried (``None`` when the
-        chain is exhausted).
-    """
-
-    kind: str
-    backend: str
-    fallback: str | None
-    reason: str
-    what: str = ""
-
-
-@dataclass(frozen=True, slots=True)
-class RecoveryEvent:
-    """One structured hop *back up* the degradation chain.
-
-    The mirror image of :class:`DegradationEvent`: a level whose
-    circuit breaker half-opened just passed its health re-probe and
-    re-entered rotation.  Subscribers record it: the
-    :class:`repro.control.Controller` reports it in its decision and
-    ``control.recoveries`` (it retunes nothing), the serve front door
-    counts ``serve.recoveries``.
-
-    ``backend``
-        The recovered level's name.
-    ``outage_s``
-        How long the level was out of rotation (first open → close).
-    ``opens``
-        How many open→half-open cycles it took (1 = first re-probe
-        succeeded).
-    """
-
-    backend: str
-    outage_s: float
-    opens: int
-    reason: str = ""
-    what: str = ""
-
-
-_SUB_LOCK = threading.Lock()
-_SUBSCRIBERS: list[Callable[[DegradationEvent], None]] = []
-_RECOVERY_SUBSCRIBERS: list[Callable[[RecoveryEvent], None]] = []
-
-
-def subscribe_degradation(
-    callback: Callable[[DegradationEvent], None],
-) -> Callable[[], None]:
-    """Register ``callback`` for every degradation event; returns an
-    unsubscribe function.  Callbacks must be cheap and must not raise
-    (exceptions are swallowed — degradation handling can never be made
-    less reliable by an observer)."""
-    with _SUB_LOCK:
-        _SUBSCRIBERS.append(callback)
-
-    def unsubscribe() -> None:
-        with _SUB_LOCK:
-            try:
-                _SUBSCRIBERS.remove(callback)
-            except ValueError:
-                pass
-
-    return unsubscribe
-
-
-def subscribe_recovery(
-    callback: Callable[[RecoveryEvent], None],
-) -> Callable[[], None]:
-    """Register ``callback`` for every :class:`RecoveryEvent`; returns
-    an unsubscribe function.  Same contract as
-    :func:`subscribe_degradation`: callbacks must be cheap and their
-    exceptions are swallowed."""
-    with _SUB_LOCK:
-        _RECOVERY_SUBSCRIBERS.append(callback)
-
-    def unsubscribe() -> None:
-        with _SUB_LOCK:
-            try:
-                _RECOVERY_SUBSCRIBERS.remove(callback)
-            except ValueError:
-                pass
-
-    return unsubscribe
-
-
-def _emit_event(event: DegradationEvent) -> None:
-    with _SUB_LOCK:
-        subscribers = list(_SUBSCRIBERS)
-    for cb in subscribers:
-        try:
-            cb(event)
-        except Exception:  # noqa: BLE001 - observers never break fallback
-            pass
-
-
-def _emit_recovery(event: RecoveryEvent) -> None:
-    with _SUB_LOCK:
-        subscribers = list(_RECOVERY_SUBSCRIBERS)
-    for cb in subscribers:
-        try:
-            cb(event)
-        except Exception:  # noqa: BLE001 - observers never break recovery
-            pass
 
 
 def _probe_task() -> int:
@@ -229,77 +101,6 @@ def probe_backend(name: str, *, max_workers: int | None = None) -> str | None:
         backend.close()
 
 
-def _candidates(
-    preferred: str | None, chain: Sequence[str]
-) -> list[str]:
-    if preferred is None:
-        return list(chain)
-    if preferred in chain:
-        return list(chain[list(chain).index(preferred):])
-    return [preferred, *chain]
-
-
-def resolve_backend(
-    preferred: str | None = None,
-    *,
-    policy: RetryPolicy | None = None,
-    max_workers: int | None = None,
-    chain: Sequence[str] = DEGRADATION_CHAIN,
-) -> ResilientBackend:
-    """Resolve the best healthy backend at or below ``preferred``.
-
-    Construction failures (a missing optional dependency, restricted
-    shared memory) and failed health probes both demote: each hop emits a
-    :class:`DegradationWarning` naming the skipped backend and the
-    reason, and the first healthy level is returned wrapped in a
-    :class:`ResilientBackend` (with ``policy``, default policy when
-    ``None``).  Raises :class:`~repro.errors.BackendError` only if every
-    candidate — including ``serial`` — is broken.
-    """
-    reasons: list[str] = []
-    names = _candidates(preferred, chain)
-    for pos, name in enumerate(names):
-        kind = "unavailable"
-        try:
-            backend = _construct(name, max_workers)
-        except BackendUnavailableError as exc:
-            reason = f"requires {exc.missing}"
-        except (BackendError, InputError) as exc:
-            reason = str(exc)
-        else:
-            defect = _probe_instance(backend)
-            if defect is None:
-                if pos > 0:
-                    warnings.warn(
-                        f"degraded to backend {name!r} "
-                        f"(skipped: {'; '.join(reasons)})",
-                        DegradationWarning,
-                        stacklevel=2,
-                    )
-                return ResilientBackend(backend, policy, owns_inner=True)
-            backend.close()
-            reason = defect
-            kind = "probe-failed"
-        reasons.append(f"{name}: {reason}")
-        _emit_event(DegradationEvent(
-            kind=kind,
-            backend=name,
-            fallback=names[pos + 1] if pos + 1 < len(names) else None,
-            reason=reason,
-            what="backend resolution",
-        ))
-        warnings.warn(
-            f"backend {name!r} unavailable ({reason}); "
-            f"falling back along {names[pos + 1:] or ['<nothing>']}",
-            DegradationWarning,
-            stacklevel=2,
-        )
-    raise BackendError(
-        "no backend in the degradation chain is healthy: "
-        + "; ".join(reasons)
-    )
-
-
 class DegradingBackend(Backend):
     """A backend that falls down a chain of levels as they fail.
 
@@ -311,7 +112,8 @@ class DegradingBackend(Backend):
     :class:`DegradationWarning` is emitted, and the batch is replayed on
     the next level (safe: tasks are idempotent with disjoint outputs).
     A level with ``failure_threshold`` strikes trips its circuit
-    breaker.
+    breaker.  Each such hop, and each level skipped because it cannot
+    be built, counts ``resilience.degradations`` into ``metrics``.
 
     ``recovery`` decides what a tripped breaker means: ``None`` (the
     default) keeps the level out for the rest of the run; a
@@ -319,9 +121,8 @@ class DegradingBackend(Backend):
     after a seeded-jitter cooldown — on the next dispatch that crosses
     the level, via an explicit :meth:`reprobe` call (the serve front
     door runs one in the background), or both.  A passed re-probe
-    emits a :class:`RecoveryEvent`, counts ``resilience.recoveries``
-    when ``metrics`` is set, and puts the level back in front of
-    everything below it.
+    warns with the outage length, counts ``resilience.recoveries`` and
+    puts the level back in front of everything below it.
 
     ``clock`` injects time for the breakers (tests advance a fake
     clock instead of sleeping through cooldowns).
@@ -440,21 +241,18 @@ class DegradingBackend(Backend):
                 out[name] = breaker.state if breaker is not None else CLOSED
         return out
 
-    def _next_level_name(self, index: int) -> str | None:
-        for j in range(index + 1, len(self._entries)):
-            if self._eligible(j):
-                return self._entry_name(j)
-        return None
+    def _count(self, name: str) -> None:
+        if self._metrics is not None:
+            self._metrics.counter(name).inc()
 
     def _recover(self, index: int, breaker: CircuitBreaker) -> bool:
         """Run the half-open health probe for ``index``.
 
         The caller must have claimed the probe slot via
         ``breaker.try_probe()``.  Returns True when the level passed and
-        is back in rotation (a :class:`RecoveryEvent` was emitted).
+        is back in rotation (counted as ``resilience.recoveries``).
         """
         name = self._entry_name(index)
-        opens = breaker.opens
         # A dead pool does not heal by being asked again: rebuild
         # constructible (string) entries from scratch before probing.
         if isinstance(self._entries[index], str):
@@ -474,16 +272,7 @@ class DegradingBackend(Backend):
             breaker.record_probe_failure(defect)
             return False
         outage = breaker.record_probe_success()
-        event = RecoveryEvent(
-            backend=name,
-            outage_s=outage,
-            opens=opens,
-            reason=breaker.last_reason,
-            what="health re-probe",
-        )
-        if self._metrics is not None:
-            self._metrics.counter("resilience.recoveries").inc()
-        _emit_recovery(event)
+        self._count("resilience.recoveries")
         warnings.warn(
             f"recovery: backend {name!r} passed its re-probe after "
             f"{outage:.2f}s out of rotation; promoting",
@@ -527,13 +316,7 @@ class DegradingBackend(Backend):
             except BackendUnavailableError as exc:
                 self._disable(i, f"requires {exc.missing}")
                 last = exc
-                _emit_event(DegradationEvent(
-                    kind="unavailable",
-                    backend=name,
-                    fallback=self._next_level_name(i),
-                    reason=f"requires {exc.missing}",
-                    what=what,
-                ))
+                self._count("resilience.degradations")
                 warnings.warn(
                     f"degradation: backend {name!r} unavailable "
                     f"(requires {exc.missing}); trying the next level",
@@ -546,13 +329,7 @@ class DegradingBackend(Backend):
             except BackendError as exc:
                 last = exc
                 self._breaker(i).record_failure(str(exc))
-                _emit_event(DegradationEvent(
-                    kind="batch-failed",
-                    backend=name,
-                    fallback=self._next_level_name(i),
-                    reason=str(exc),
-                    what=what,
-                ))
+                self._count("resilience.degradations")
                 warnings.warn(
                     f"degradation: backend {name!r} failed {what} even with "
                     f"retries ({exc}); replaying on the next level",

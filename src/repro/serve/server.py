@@ -15,8 +15,7 @@ scheduler.  The moving parts, each separately testable:
 * a :class:`~repro.resilience.DegradingBackend` execution chain —
   every request runs under per-task retry/timeout supervision and
   falls back ``threads → serial`` if the pool level keeps failing,
-  with :class:`~repro.resilience.DegradationEvent`\\ s surfaced as
-  ``serve.degradations``;
+  counting ``resilience.degradations`` into the server's registry;
 * one :class:`~repro.obs.MetricsRegistry` per server — ``serve.*``
   counters, ``slo.ns_per_elem`` histograms and the load-balance
   gauges, so ``python -m repro doctor --slo ... --metrics-from`` can
@@ -49,11 +48,7 @@ from ..errors import InputError
 from ..execution.pool import shared_backend
 from ..obs.metrics import MetricsRegistry
 from ..resilience.breaker import RecoveryPolicy
-from ..resilience.degrade import (
-    DegradingBackend,
-    subscribe_degradation,
-    subscribe_recovery,
-)
+from ..resilience.degrade import DegradingBackend
 from ..resilience.policy import RetryPolicy
 from .admission import AdmissionController
 from .coalescer import Coalescer
@@ -226,9 +221,6 @@ class MergeServer:
         )
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
-        self._unsubscribe = None
-        self._unsubscribe_recovery = None
-        self._controller = None
         self._control_task: asyncio.Task | None = None
         self._reprobe_task: asyncio.Task | None = None
         self._draining = False
@@ -252,8 +244,6 @@ class MergeServer:
         return self._draining
 
     async def start(self) -> "MergeServer":
-        self._unsubscribe = subscribe_degradation(self._on_degradation)
-        self._unsubscribe_recovery = subscribe_recovery(self._on_recovery)
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.config.host,
@@ -261,11 +251,6 @@ class MergeServer:
             limit=self.config.max_line_bytes,
         )
         if self.config.control_interval_s > 0:
-            from ..control.controller import Controller
-
-            self._controller = Controller(
-                self.config.slo, self.registry
-            ).start()
             self._control_task = asyncio.get_running_loop().create_task(
                 self._control_loop()
             )
@@ -341,9 +326,6 @@ class MergeServer:
                 except asyncio.CancelledError:
                     pass
                 setattr(self, attr, None)
-        if self._controller is not None:
-            self._controller.stop()
-            self._controller = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -354,22 +336,10 @@ class MergeServer:
             await asyncio.gather(*list(self._conn_tasks),
                                  return_exceptions=True)
         await self.coalescer.drain()
-        for attr in ("_unsubscribe", "_unsubscribe_recovery"):
-            unsubscribe = getattr(self, attr)
-            if unsubscribe is not None:
-                unsubscribe()
-                setattr(self, attr, None)
         if self._owns_backend:
             # Closes levels the chain constructed itself; the shared
             # pooled level is owned by repro.execution.pool, not us.
             self.backend.close()
-
-    def _on_degradation(self, event) -> None:
-        self.registry.counter("serve.degradations").inc()
-        self.registry.counter(f"serve.degradations.{event.kind}").inc()
-
-    def _on_recovery(self, event) -> None:
-        self.registry.counter("serve.recoveries").inc()
 
     async def _reprobe_loop(self) -> None:
         """Background breaker re-probe (tentpole (b)'s idle half).
@@ -395,10 +365,13 @@ class MergeServer:
         exact role the canary plays for ``tune --watch``.  Steps run in
         the executor because a retune may run timing probes.
         """
+        from ..control.controller import Controller
+
+        controller = Controller(self.config.slo, self.registry)
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.config.control_interval_s)
-            await loop.run_in_executor(None, self._controller.step)
+            await loop.run_in_executor(None, controller.step)
 
     # -- connection handling -------------------------------------------
 
@@ -601,17 +574,14 @@ class MergeServer:
         else:  # topk: one diagonal search + a k-prefix merge — O(log + k)
             result = topk_of_union(request.a, request.b, request.k)
         elapsed = time.perf_counter() - t0
-        self._observe_compute(request.n_elems, elapsed, requests=1)
+        self._observe_compute(request.n_elems, elapsed)
         return result
 
-    def _observe_compute(
-        self, elems: int, elapsed_s: float, *, requests: int
-    ) -> None:
-        if elems <= 0:
-            return
-        ns_per_elem = elapsed_s * 1e9 / elems
-        self.registry.histogram("slo.ns_per_elem").observe(ns_per_elem)
-        self.registry.histogram("slo.serve.ns_per_elem").observe(ns_per_elem)
+    def _observe_compute(self, elems: int, elapsed_s: float) -> None:
+        if elems > 0:
+            self.registry.histogram("slo.ns_per_elem").observe(
+                elapsed_s * 1e9 / elems
+            )
 
     async def _run_window(
         self, entries: list[tuple[Request, asyncio.Future]]
@@ -657,8 +627,7 @@ class MergeServer:
         reg.counter("exec.dispatches").inc(1)
         reg.gauge("exec.dispatches_per_call").set(1)
         self._observe_compute(
-            sum(request.n_elems for request in requests), elapsed,
-            requests=size,
+            sum(request.n_elems for request in requests), elapsed
         )
         for (request, future), value in zip(entries, values):
             if not future.done():

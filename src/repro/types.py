@@ -177,17 +177,6 @@ class MergeStats:
     moves: int = 0
     search_probes: int = 0
 
-    def merge(self, other: "MergeStats") -> None:
-        """Accumulate another kernel's counters into this one."""
-        self.comparisons += other.comparisons
-        self.moves += other.moves
-        self.search_probes += other.search_probes
-
-    @property
-    def total_ops(self) -> int:
-        """All counted primitive operations."""
-        return self.comparisons + self.moves + self.search_probes
-
 
 @dataclass(frozen=True, slots=True)
 class TableRow:

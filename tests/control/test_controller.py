@@ -2,9 +2,10 @@
 
 Includes the acceptance scenario for this layer: a seeded chaos run
 that kills the ``processes`` degradation level mid-batch and asserts —
-purely through the metrics snapshot/delta API — that the controller
-noticed the structured degradation and recovery events, and that they
-leave the autotuner's one threshold alone.
+purely through the metrics snapshot/delta API — that the controller's
+window shows the chain's ``resilience.degradations`` and
+``resilience.recoveries``, and that they leave the autotuner's one
+threshold alone.
 """
 
 import warnings
@@ -59,8 +60,7 @@ class TestSteadyState:
     def test_healthy_window_takes_no_action(self, registry, tuner):
         tuner.seed(serial_cutover=4096)
         registry.gauge("balance.work_spread").set(1.0)
-        with Controller(SLO(), registry, autotuner=tuner) as ctl:
-            decision = ctl.step()
+        decision = Controller(SLO(), registry, autotuner=tuner).step()
         assert decision.report.status == "PASS"
         assert decision.actions == ()
         assert not decision.retuned
@@ -96,8 +96,7 @@ class TestRetuneRules:
     def test_dispatch_blowup_widens_serial_lane(self, registry, tuner):
         tuner.seed(serial_cutover=4096)
         registry.gauge("exec.dispatches_per_call").set(100.0)
-        with Controller(SLO(), registry, autotuner=tuner) as ctl:
-            decision = ctl.step()
+        decision = Controller(SLO(), registry, autotuner=tuner).step()
         kinds = [a.kind for a in decision.actions]
         assert kinds == ["seed"]
         assert tuner.thresholds().serial_cutover == 8192
@@ -113,8 +112,7 @@ class TestRetuneRules:
         hist = registry.histogram("slo.ns_per_elem")
         for _ in range(10):
             hist.observe(50_000.0)  # far above the 1200 ns default limit
-        with Controller(SLO(), registry, autotuner=tuner) as ctl:
-            decision = ctl.step()
+        decision = Controller(SLO(), registry, autotuner=tuner).step()
         assert [a.kind for a in decision.actions] == ["recalibrate"]
         assert tuner.calibrations == 1
         assert tuner.thresholds().source == "probe"
@@ -137,8 +135,7 @@ class TestRetuneRules:
         registry.gauge("balance.time_imbalance").set(3.0)
         registry.gauge("balance.workers").set(8.0)
         slo = SLO(max_time_imbalance=1.5)
-        with Controller(slo, registry, autotuner=tuner) as ctl:
-            decision = ctl.step()
+        decision = Controller(slo, registry, autotuner=tuner).step()
         acts = {a.kind: a for a in decision.actions}
         assert acts["recommend-p"].details["p"] == 4
         assert registry.value("control.recommended_p") == 4.0
@@ -151,10 +148,10 @@ class TestChaosAcceptance:
         self, registry, tuner, monkeypatch
     ):
         """Seeded chaos: the 'processes' level dies mid-batch; the
-        controller must observe the structured event — asserted via
-        snapshot/delta — and leave the tuner alone: the chain already
-        routes around the dead level, and the serial cutover did not
-        move."""
+        controller's window must show the chain's count — asserted via
+        snapshot/delta — and the controller must leave the tuner alone:
+        the chain already routes around the dead level, and the serial
+        cutover did not move."""
         from repro.backends.serial import SerialBackend
 
         monkeypatch.setenv("REPRO_AUTOTUNE", "1")
@@ -166,53 +163,34 @@ class TestChaosAcceptance:
         )
         doomed.name = "processes"  # impersonate the processes level
         chain = DegradingBackend([doomed, "serial"], policy=_FAST)
+        chain.metrics = registry
 
-        with Controller(SLO(), registry, autotuner=tuner) as ctl:
-            before = registry.snapshot()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegradationWarning)
-                results = chain.run_tasks([lambda: 42, lambda: 43])
-            assert [r.value for r in results] == [42, 43]
-            decision = ctl.step()
+        ctl = Controller(SLO(), registry, autotuner=tuner)
+        before = registry.snapshot()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegradationWarning)
+            results = chain.run_tasks([lambda: 42, lambda: 43])
+        assert [r.value for r in results] == [42, 43]
+        decision = ctl.step()
         chain.close()
 
-        assert any(ev.backend == "processes" for ev in decision.events)
-        assert "processes" in decision.describe()
+        assert any("'processes'" in str(w.message) for w in caught)
+        assert "resilience.degradations +1" in decision.describe()
         assert decision.actions == ()
         assert not decision.retuned
 
         # ... and all of it is visible through the metrics window alone
         delta = registry.delta(before)
-        assert delta["control.degradations"] >= 1
+        assert delta["resilience.degradations"] == 1
+        assert not [k for k in delta if k.startswith("control.degrad")]
         assert delta.get("control.retunes", 0) == 0
         assert tuner.calibrations == 0
         assert tuner.thresholds().serial_cutover == 2048
         assert tuner.choose_backend("threads", 1 << 20) == "threads"
 
-    def test_events_outside_start_stop_are_not_consumed(
-        self, registry, tuner
-    ):
-        from repro.backends.serial import SerialBackend
-
-        tuner.seed()
-        doomed = FaultyBackend(
-            SerialBackend(),
-            FaultInjector(seed=3, error_rate=1.0, faulty_attempts=None),
-        )
-        doomed.name = "processes"
-        ctl = Controller(SLO(), registry, autotuner=tuner)  # never started
-        chain = DegradingBackend([doomed, "serial"], policy=_FAST)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradationWarning)
-            chain.run_tasks([lambda: 1])
-        chain.close()
-        decision = ctl.step()
-        assert decision.events == ()
-        assert registry.value("control.degradations", 0) == 0
-
 
 class TestRecoveryAcceptance:
-    def _transient_chain(self, clock, registry=None, seed=11):
+    def _transient_chain(self, clock, registry, seed=11):
         from repro.backends.serial import SerialBackend
         from repro.resilience import RecoveryPolicy
 
@@ -224,17 +202,32 @@ class TestRecoveryAcceptance:
             [doomed, "serial"], policy=_FAST, failure_threshold=1,
             recovery=RecoveryPolicy(cooldown_s=5.0, jitter=0.0), clock=clock,
         )
-        if registry is not None:
-            chain.metrics = registry
+        chain.metrics = registry
         return chain, injector
+
+    @staticmethod
+    def _recover(chain, injector, clock):
+        """The outage ends and the breaker's cooldown elapses (fake
+        clock, no sleeping); the background reprobe promotes the level."""
+        injector.disarm()
+        clock.advance(5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            assert chain.reprobe() == ["processes"]
+
+    @staticmethod
+    def _fall(chain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            chain.run_tasks([lambda: 1])  # processes dies
 
     def test_recovery_is_recorded_without_retuning(
         self, registry, tuner, monkeypatch
     ):
         """Full loop: the processes level dies, the breaker re-probe
-        proves it healthy again — with a fake clock — and both events
-        reach the decision and the metrics window while the tuner keeps
-        its calibration."""
+        proves it healthy again — with a fake clock — and both counts
+        reach the controller's windows while the tuner keeps its
+        calibration."""
         from tests.resilience.test_breaker import FakeClock
 
         monkeypatch.setenv("REPRO_AUTOTUNE", "1")
@@ -242,34 +235,26 @@ class TestRecoveryAcceptance:
         clock = FakeClock()
         chain, injector = self._transient_chain(clock, registry)
 
-        with Controller(SLO(), registry, autotuner=tuner) as ctl:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegradationWarning)
-                chain.run_tasks([lambda: 1])  # processes dies
-            fall = ctl.step()
-            assert [ev.backend for ev in fall.events][:1] == ["processes"]
-            assert not fall.retuned
+        ctl = Controller(SLO(), registry, autotuner=tuner)
+        self._fall(chain)
+        fall = ctl.step()
+        assert fall.delta["resilience.degradations"] == 1
+        assert not fall.retuned
 
-            # outage ends; the breaker's cooldown elapses (fake clock,
-            # no sleeping); the background reprobe promotes the level
-            injector.disarm()
-            clock.advance(5.0)
-            before = registry.snapshot()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegradationWarning)
-                assert chain.reprobe() == ["processes"]
-            decision = ctl.step()
+        before = registry.snapshot()
+        self._recover(chain, injector, clock)
+        decision = ctl.step()
         chain.close()
 
-        assert [rec.backend for rec in decision.recoveries] == ["processes"]
-        assert decision.recoveries[0].outage_s == pytest.approx(5.0)
-        assert "recovered" in decision.describe()
+        assert decision.delta["resilience.recoveries"] == 1
+        assert "resilience.recoveries +1" in decision.describe()
+        assert "degradations" not in decision.describe()
         assert decision.actions == ()
 
-        # ... visible through the metrics window alone
+        # ... visible through the metrics window alone, counted once
         delta = registry.delta(before)
-        assert delta["control.recoveries"] == 1
         assert delta["resilience.recoveries"] == 1
+        assert not [k for k in delta if k.startswith("control.recover")]
         assert delta.get("control.retunes", 0) == 0
 
         assert tuner.calibrations == 0
@@ -280,32 +265,39 @@ class TestRecoveryAcceptance:
         whole probe suite (the inert process cutover always read
         "never"), rewriting the cache and re-drawing the serial cutover
         each time.  Several recoveries must leave both untouched."""
-        from repro.resilience.degrade import RecoveryEvent, _emit_recovery
+        from tests.resilience.test_breaker import FakeClock
 
         tuner.seed(serial_cutover=4096)
-        with Controller(SLO(), registry, autotuner=tuner) as ctl:
-            for cycle in range(4):
-                _emit_recovery(RecoveryEvent(
-                    backend="processes", outage_s=1.0 + cycle, opens=1))
-                decision = ctl.step()
-                assert len(decision.recoveries) == 1
-                assert decision.actions == ()
-        assert registry.value("control.recoveries") == 4
+        clock = FakeClock()
+        chain, injector = self._transient_chain(clock, registry)
+        ctl = Controller(SLO(), registry, autotuner=tuner)
+        for _ in range(4):
+            injector.rearm()
+            self._fall(chain)
+            self._recover(chain, injector, clock)
+            decision = ctl.step()
+            assert decision.delta["resilience.recoveries"] == 1
+            assert decision.actions == ()
+        chain.close()
+        assert registry.value("resilience.degradations") == 4
+        assert registry.value("resilience.recoveries") == 4
         assert tuner.calibrations == 0
         assert tuner.thresholds().serial_cutover == 4096
         assert tuner.thresholds().source == "seeded"
         assert not tuner.cache_path.exists()
 
     def test_recovery_leaves_a_healthy_cutover_alone(self, registry, tuner):
-        """A recovery event must not churn the tuner."""
-        from repro.resilience.degrade import RecoveryEvent, _emit_recovery
+        """A recovery must not churn the tuner."""
+        from tests.resilience.test_breaker import FakeClock
 
         tuner.seed(serial_cutover=1 << 16)
-        with Controller(SLO(), registry, autotuner=tuner) as ctl:
-            _emit_recovery(RecoveryEvent(
-                backend="processes", outage_s=1.0, opens=1))
-            decision = ctl.step()
-        assert len(decision.recoveries) == 1
+        clock = FakeClock()
+        chain, injector = self._transient_chain(clock, registry)
+        self._fall(chain)
+        self._recover(chain, injector, clock)
+        chain.close()
+        decision = Controller(SLO(), registry, autotuner=tuner).step()
+        assert decision.delta["resilience.recoveries"] == 1
         assert decision.actions == ()
         assert tuner.thresholds().serial_cutover == 1 << 16
 
@@ -321,8 +313,7 @@ class TestWatch:
             reg.gauge("balance.work_spread").set(1.0)
 
         ctl = Controller(SLO(), registry, autotuner=tuner, tracer=tracer)
-        with ctl:
-            decisions = list(ctl.watch(workload, cycles=3, interval_s=0.0))
+        decisions = list(ctl.watch(workload, cycles=3, interval_s=0.0))
         assert len(decisions) == 3
         assert len(calls) == 3
         names = [s.name for s in tracer.spans()]

@@ -3,9 +3,9 @@
 Includes this PR's acceptance scenario: a seeded transient failure
 kills the ``processes`` level (degrading to ``threads``), the fault
 clears, and within the breaker's cooldown the chain *re-promotes* —
-observed end to end through a :class:`RecoveryEvent` and the
-``resilience.recoveries`` counter in ``registry.delta``, with an
-injected clock instead of wall-time sleeps.
+observed end to end through the recovery :class:`DegradationWarning`
+and the ``resilience.recoveries`` counter in ``registry.delta``, with
+an injected clock instead of wall-time sleeps.
 """
 
 import warnings
@@ -26,7 +26,6 @@ from repro.resilience import (
     FaultyBackend,
     RecoveryPolicy,
     RetryPolicy,
-    subscribe_recovery,
 )
 
 _FAST = RetryPolicy(max_retries=1, backoff_base_s=0.001, backoff_cap_s=0.01,
@@ -166,7 +165,7 @@ class TestEndToEndRecovery:
     def test_transient_death_recovers_within_cooldown(self):
         """The acceptance scenario: processes dies -> threads serves ->
         breaker re-probes after its cooldown -> processes re-promotes,
-        all observed via RecoveryEvent + registry.delta."""
+        all observed via the recovery warning + registry.delta."""
         registry = MetricsRegistry()
         clock = FakeClock()
         doomed, injector = _transient_processes()
@@ -176,12 +175,10 @@ class TestEndToEndRecovery:
             clock=clock, max_workers=2,
         )
         chain.metrics = registry
-        recoveries = []
-        unsubscribe = subscribe_recovery(recoveries.append)
         try:
             before = registry.snapshot()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegradationWarning)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", DegradationWarning)
                 # Batch 1: processes dies, threads answers.
                 results = chain.run_tasks([lambda: 42])
                 assert [r.value for r in results] == [42]
@@ -193,7 +190,7 @@ class TestEndToEndRecovery:
                 injector.disarm()
                 chain.run_tasks([lambda: 1])
                 assert chain.active_backend == "threads"
-                assert recoveries == []
+                assert registry.value("resilience.recoveries", 0) == 0
 
                 # Clock crosses the cooldown: the next dispatch probes,
                 # the probe passes, and the batch runs on processes.
@@ -203,17 +200,20 @@ class TestEndToEndRecovery:
             assert chain.active_backend == "processes"
             assert chain.breaker_states()["processes"] == "closed"
 
-            # Observed end to end: the structured event...
-            assert len(recoveries) == 1
-            event = recoveries[0]
-            assert event.backend == "processes"
-            assert event.opens == 1
-            assert event.outage_s == pytest.approx(5.0)
-            # ... and the registry window (not a sleep-and-hope).
+
+            # Observed end to end: the warning names the level and the
+            # outage...
+            recovered = [str(w.message) for w in caught
+                         if "recovery" in str(w.message)]
+            assert len(recovered) == 1
+            assert "'processes'" in recovered[0]
+            assert "5.00s out of rotation" in recovered[0]
+            # ... and the registry window counts one fall and one
+            # recovery (not a sleep-and-hope).
             delta = registry.delta(before)
+            assert delta["resilience.degradations"] == 1
             assert delta["resilience.recoveries"] == 1
         finally:
-            unsubscribe()
             chain.close()
 
     def test_failed_reprobe_reopens_with_longer_cooldown(self):

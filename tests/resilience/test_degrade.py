@@ -1,4 +1,4 @@
-"""Graceful degradation: probing, resolve_backend, DegradingBackend."""
+"""Graceful degradation: probing and the DegradingBackend chain."""
 
 import gc
 import time
@@ -23,7 +23,6 @@ from repro.resilience import (
     RetryPolicy,
     innermost_backend,
     probe_backend,
-    resolve_backend,
 )
 
 
@@ -70,41 +69,46 @@ class TestProbe:
 
 
 class TestResolveBackend:
+    """How the chain resolves the level a batch runs on."""
+
     def test_healthy_preferred_is_used_without_warning(self):
+        reg = MetricsRegistry()
+        dg = DegradingBackend(["serial"], policy=_FAST)
+        dg.metrics = reg
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rb = resolve_backend("serial", policy=_FAST)
-        assert isinstance(rb, ResilientBackend)
-        assert innermost_backend(rb).name == "serial"
-        rb.close()
+            res = dg.run_tasks([lambda: 7])
+        assert [r.value for r in res] == [7]
+        assert isinstance(dg._levels[0], ResilientBackend)
+        assert innermost_backend(dg._levels[0]).name == "serial"
+        assert reg.value("resilience.degradations", 0) == 0
+        dg.close()
 
     def test_missing_dependency_degrades_down_the_chain_with_warnings(
         self, absent_dep_backend
     ):
+        reg = MetricsRegistry()
+        dg = DegradingBackend([absent_dep_backend, "serial"], policy=_FAST)
+        dg.metrics = reg
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rb = resolve_backend(absent_dep_backend, policy=_FAST,
-                                 max_workers=2)
-        assert innermost_backend(rb).name in ("processes", "threads", "serial")
+            res = dg.run_tasks([lambda: 3])
+        assert [r.value for r in res] == [3]
+        assert dg.active_backend == "serial"
+        assert dg.breaker_states()[absent_dep_backend] == "disabled"
         degradations = [
             w for w in caught if issubclass(w.category, DegradationWarning)
         ]
-        assert degradations and "absentdep" in str(degradations[0].message)
-        rb.close()
+        assert len(degradations) == 1
+        assert "absentdep" in str(degradations[0].message)
+        assert reg.value("resilience.degradations") == 1
+        # A disabled level is skipped silently and never counted again.
+        dg.run_tasks([lambda: 4])
+        assert reg.value("resilience.degradations") == 1
+        dg.close()
 
     def test_default_chain_order(self):
         assert DEGRADATION_CHAIN == ("processes", "threads", "serial")
-
-    def test_unknown_preferred_falls_back_to_chain(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rb = resolve_backend("definitely-not-a-backend", policy=_FAST,
-                                 chain=("serial",))
-        assert innermost_backend(rb).name == "serial"
-        assert any(
-            issubclass(w.category, DegradationWarning) for w in caught
-        )
-        rb.close()
 
 
 class TestDegradingBackend:
@@ -180,6 +184,7 @@ class TestDegradingBackend:
         # Both the doomed level's attempts and serial's are recorded.
         assert reg.value("resilience.batches") == 2
         assert reg.value("resilience.retries") >= 1
+        assert reg.value("resilience.degradations") == 1
         dg.close()
 
     def test_batches_are_counted_not_retained(self):
@@ -208,6 +213,87 @@ class TestDegradingBackend:
         assert grown < 50_000, grown
 
 
+def _chain_keys(registry: MetricsRegistry) -> list[str]:
+    return sorted(
+        key for key in registry.snapshot()
+        if "degradation" in key or "recover" in key
+    )
+
+
+class TestOneCountPerFall:
+    """A fall or a recovery is counted once, by the chain, into the
+    registry that chain is bound to, and nowhere else."""
+
+    def test_a_fall_reaches_only_the_chain_registry(self, tmp_path):
+        from repro.control import SLO, Controller
+        from repro.execution.autotune import Autotuner
+        from repro.serve import ServeConfig, ServerThread
+
+        a = np.arange(0, 200, 2)
+        b = np.arange(1, 200, 2)
+        lib = MetricsRegistry()
+        ctl_registry = MetricsRegistry()
+        ctl = Controller(SLO(), ctl_registry,
+                         autotuner=Autotuner(cache_path=tmp_path / "t.json"))
+        chain = DegradingBackend([_doomed(), "serial"], policy=_FAST)
+        with ServerThread(ServeConfig(capacity=8)) as one, \
+                ServerThread(ServeConfig(capacity=8)) as two:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegradationWarning)
+                merged = parallel_merge(a, b, 2, backend=chain, metrics=lib)
+            decision = ctl.step()
+            servers = [one.registry, two.registry]
+        chain.close()
+
+        assert np.array_equal(merged, np.arange(200))
+        assert lib.value("resilience.degradations") >= 1
+        assert [_chain_keys(reg) for reg in (*servers, ctl_registry)] == [
+            [], [], [],
+        ]
+        assert "event:" not in decision.describe()
+
+    def test_fall_and_recovery_count_once_in_a_server_registry(self):
+        from repro.resilience import RecoveryPolicy
+        from repro.serve import ServeConfig, ServerThread
+        from repro.serve.client import request_sync
+        from tests.resilience.test_breaker import FakeClock
+
+        clock = FakeClock()
+        injector = FaultInjector(seed=11, error_rate=1.0,
+                                 faulty_attempts=None)
+        chain = DegradingBackend(
+            [FaultyBackend(SerialBackend(), injector), "serial"],
+            policy=_FAST, failure_threshold=1,
+            recovery=RecoveryPolicy(cooldown_s=5.0, jitter=0.0), clock=clock,
+        )
+        config = ServeConfig(capacity=8, control_interval_s=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            with ServerThread(config, backend=chain) as handle:
+                resp = request_sync(handle.host, handle.port, {
+                    "id": 1, "op": "merge", "a": [1, 3], "b": [2],
+                })
+                assert resp["result"] == [1, 2, 3]
+                injector.disarm()
+                clock.advance(5.0)
+                chain.reprobe()
+                registry = handle.registry
+                # Let the server's controller step over both counts.
+                steps = registry.value("control.steps", 0)
+                deadline = time.monotonic() + 10.0
+                while (registry.value("control.steps", 0) <= steps
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+        chain.close()
+
+        assert registry.value("control.steps") > steps
+        assert _chain_keys(registry) == [
+            "resilience.degradations", "resilience.recoveries",
+        ]
+        assert registry.value("resilience.degradations") == 1
+        assert registry.value("resilience.recoveries") == 1
+
+
 class TestUnavailableError:
     def test_get_backend_names_missing_dep_and_chain(self, absent_dep_backend):
         from repro.backends import get_backend
@@ -217,4 +303,4 @@ class TestUnavailableError:
         err = exc_info.value
         assert err.backend == absent_dep_backend
         assert "absentdep" in err.missing
-        assert "resolve_backend" in str(err)
+        assert "DegradingBackend" in str(err)

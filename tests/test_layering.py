@@ -31,6 +31,12 @@ retired counting types (``MergeStats``, ``ExecutionTelemetry``,
 ``merge_stats``, ``record_merge_delta``).  The step-counting
 primitives ``sequential.py``, ``merge_path.py`` and ``selection.py``
 keep ``MergeStats``.
+
+Resilience counts have one writer.  ``resilience.*`` counters are
+written only under ``repro/resilience``, and only
+``resilience/degrade.py`` (the :class:`~repro.resilience.DegradingBackend`
+chain) writes a counter named ``*.degradations`` or ``*.recoveries``,
+so no other layer keeps a mirror copy of a fall or a recovery.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ COUNTING_PARAMETERS = ("stats", "telemetry")
 COUNTING_NAMES = (
     "MergeStats", "ExecutionTelemetry", "merge_stats", "record_merge_delta",
 )
+CHAIN_EVENTS = ("degradations", "recoveries")
 STEP_COUNTERS = ("sequential.py", "merge_path.py", "selection.py")
 COUNTING_FREE_MODULES = sorted(
     path
@@ -114,6 +121,38 @@ def _kernel_references(tree: ast.AST) -> list[str]:
 
 def _counting_references(tree: ast.AST) -> list[str]:
     return _references(tree, COUNTING_NAMES)
+
+
+def _counter_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """Names passed to ``*.counter(...)``; an f-string's fields read
+    ``{}``, and a name held in a variable is not a literal write."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "counter"):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            found.append((node.lineno, arg.value))
+        elif isinstance(arg, ast.JoinedStr):
+            found.append((node.lineno, "".join(
+                part.value if isinstance(part, ast.Constant) else "{}"
+                for part in arg.values
+            )))
+    return found
+
+
+def _resilience_counters(tree: ast.AST, rel: str) -> list[str]:
+    """Counter writes ``rel`` (a path under ``repro/``) may not make."""
+    found = []
+    for lineno, name in _counter_names(tree):
+        if name.startswith("resilience.") and not rel.startswith("resilience/"):
+            found.append(f"line {lineno}: writes {name}")
+        elif (set(name.split(".")) & set(CHAIN_EVENTS)
+              and rel != "resilience/degrade.py"):
+            found.append(f"line {lineno}: writes {name}")
+    return found
 
 
 def _opens_execution(fn: ast.AST) -> bool:
@@ -179,6 +218,18 @@ def test_no_entry_point_takes_a_counting_sink():
     assert found == []
 
 
+def test_only_the_chain_counts_falls_and_recoveries():
+    found = [
+        f"{path.relative_to(SRC)} {violation}"
+        for path in ALL_MODULES
+        for violation in _resilience_counters(
+            ast.parse(path.read_text(), str(path)),
+            path.relative_to(SRC).as_posix(),
+        )
+    ]
+    assert found == []
+
+
 def test_no_entry_point_chooses_a_kernel():
     import inspect
 
@@ -236,3 +287,15 @@ def test_guard_catches_each_violation():
         "    return stats\n"
     )
     assert len(_counting_parameters(sinks)) == 4
+    mirrors = ast.parse(
+        "reg.counter('resilience.retries').inc()\n"
+        "reg.counter(f'resilience.{key}').inc()\n"
+        "reg.counter('serve.degradations').inc()\n"
+        "reg.counter(f'serve.degradations.{event.kind}').inc()\n"
+        "self.registry.counter('control.recoveries').inc(2)\n"
+        "reg.counter('serve.requests').inc()\n"
+        "reg.counter(name).inc()\n"
+    )
+    assert len(_resilience_counters(mirrors, "serve/server.py")) == 5
+    assert len(_resilience_counters(mirrors, "resilience/telemetry.py")) == 3
+    assert _resilience_counters(mirrors, "resilience/degrade.py") == []

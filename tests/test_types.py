@@ -4,7 +4,6 @@ import pytest
 
 from repro.types import (
     ExperimentResult,
-    MergeStats,
     Partition,
     PathPoint,
     Segment,
@@ -97,15 +96,6 @@ class TestPartition:
         )
         with pytest.raises(AssertionError):
             broken.validate()
-
-
-class TestMergeStats:
-    def test_merge_accumulates(self):
-        s1 = MergeStats(comparisons=1, moves=2, search_probes=3)
-        s2 = MergeStats(comparisons=10, moves=20, search_probes=30)
-        s1.merge(s2)
-        assert (s1.comparisons, s1.moves, s1.search_probes) == (11, 22, 33)
-        assert s1.total_ops == 66
 
 
 class TestExperimentResult:
