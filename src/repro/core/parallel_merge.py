@@ -25,7 +25,7 @@ import numpy as np
 
 from ..backends import Backend
 from ..execution.context import Execution
-from ..execution.engine import run_segments
+from ..execution.engine import merge_whole, run_segments
 from ..types import Partition
 from ..validation import as_array, check_mergeable, check_positive
 from .merge_path import partition_merge_path
@@ -92,9 +92,13 @@ def parallel_merge(
         Pooled names resolve to process-wide shared instances whose
         worker pools persist across calls (:mod:`repro.execution.pool`),
         and — on untraced calls — may be rerouted by the per-host
-        autotuner (e.g. ``"threads"`` → ``"serial"`` below the measured
-        fork/join crossover; disable with ``REPRO_AUTOTUNE=0``).
-        Explicit instances are used verbatim and never rerouted.
+        autotuner (``"threads"``/``"processes"`` → ``"serial"`` below the
+        measured fork/join crossover; disable with ``REPRO_AUTOTUNE=0``).
+        A rerouted call without ``resilience`` merges as one segment
+        (:func:`repro.execution.engine.merge_whole`): no diagonal
+        search, one kernel call in a one-task batch on the serial
+        backend.  Explicit instances and ``"serial"`` are used verbatim
+        and never rerouted, so they keep ``p`` segments.
     check:
         Validate input sortedness (O(N) vectorized scan).
     oversubscribe:
@@ -118,9 +122,10 @@ def parallel_merge(
         (the default) allocates no span objects at all.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`; receives this
-        call's operation counts (``merge.*``, read from the partition),
-        segment counts and the Theorem 14 load-balance gauges
-        (``balance.*``), plus the ``resilience.*`` counters of a
+        call's operation counts (``merge.*``, read from the partition;
+        a rerouted call publishes its one-segment plan), segment counts
+        and the Theorem 14 load-balance gauges (``balance.*``), plus,
+        for the call's duration, the ``resilience.*`` counters of a
         supervised backend that has no registry of its own.
 
     Returns
@@ -140,6 +145,8 @@ def parallel_merge(
         backend, p, op="merge", n=len(a) + len(b), resilience=resilience,
         trace=trace, metrics=metrics,
     ) as ex:
+        if ex.inline:
+            return merge_whole(ex, a, b)
         partition = partition_merge_path(
             a, b, p * oversubscribe, check=False, tracer=trace
         )
@@ -164,10 +171,14 @@ def merge(
 
     Defaults are adaptive: ``backend="auto"`` resolves to ``"serial"``
     for ``p == 1`` and ``"threads"`` otherwise, then the autotuner
-    (:mod:`repro.execution.autotune`) sends calls below the measured
-    per-host serial crossover to ``"serial"``.  Pass a backend instance
-    (or set ``REPRO_AUTOTUNE=0``) to pin the configuration.  Every
-    segment runs the one linear kernel,
+    (:mod:`repro.execution.autotune`) reroutes ``"threads"`` calls below
+    the measured per-host serial crossover, which then merge as one
+    segment with no diagonal search.  ``"serial"`` is never rerouted,
+    so the ``p == 1`` default runs Algorithm 1's partition-and-dispatch
+    path with one segment (the REM6PCT single-thread reference), not
+    the leaner one-segment path of a rerouted call.
+    Pass a backend instance (or set ``REPRO_AUTOTUNE=0``) to pin the
+    configuration.  Every segment runs the one linear kernel,
     :func:`~repro.core.sequential.merge_into`.
     """
     if backend == "auto":

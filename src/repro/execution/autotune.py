@@ -286,7 +286,7 @@ class Autotuner:
         ``name``: a pooled name (``"threads"``, ``"processes"``) becomes
         ``"serial"`` below the serial cutover; every other request is
         returned unchanged."""
-        if not autotune_enabled() or name not in ("threads", "processes"):
+        if name not in ("threads", "processes") or not autotune_enabled():
             return name
         return "serial" if n < self.thresholds().serial_cutover else name
 

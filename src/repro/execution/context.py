@@ -9,9 +9,17 @@ bookkeeping, written once:
   shared pool (:mod:`repro.execution.pool`), possibly rerouted by the
   autotuner for an ``n``-element call; a traced call gets a cold pool of
   its own; ``resilience`` wraps the result in a
-  :class:`~repro.resilience.ResilientBackend`; a supervising backend
-  without a registry of its own counts its ``resilience.*`` totals into
-  the caller's;
+  :class:`~repro.resilience.ResilientBackend`;
+* **route the call's registry** — for the call's duration ``metrics``
+  is the context's :data:`~repro.resilience.resilient.CALL_METRICS`,
+  so a supervising backend without a registry of its own counts its
+  ``resilience.*`` totals into this call's registry, and a chain shared
+  by concurrent calls is never rebound;
+* **decide inline** — a pooled name the autotuner reroutes to
+  ``"serial"``, with no ``resilience`` and no tracer, sets
+  :attr:`Execution.inline`: below the serial cutover Algorithm 1 has
+  nothing to split, so the entry point runs its merge as one segment
+  (no diagonal search), one task on the serial backend;
 * **install the tracer** on the backend chain for the call's duration;
 * **run batches** (:meth:`Execution.run`), counting each one and
   publishing the measured ``balance.task_time_imbalance``;
@@ -35,6 +43,7 @@ from contextvars import ContextVar
 from typing import TYPE_CHECKING
 
 from ..backends import Backend, TaskBatch, TaskResult, get_backend
+from ..resilience.resilient import CALL_METRICS
 from .autotune import get_autotuner
 from .pool import POOLED_BACKENDS, shared_backend
 
@@ -64,7 +73,8 @@ class Execution:
         ``merge.calls``); ``None`` counts no calls.
     n:
         Element count for the autotuner's backend reroute.  Only
-        untraced calls that pass it may be rerouted.
+        untraced calls that pass it may be rerouted, and a rerouted call
+        without ``resilience`` is :attr:`inline`.
     resilience, trace, metrics:
         The standard execution surface of the entry points.
     """
@@ -86,6 +96,10 @@ class Execution:
         #: Batches run by this call, nested contexts included (counted
         #: on the outermost context only).
         self.dispatches = 0
+        #: Whether the call was rerouted below the serial cutover with
+        #: nothing to supervise or trace: the entry point then merges in
+        #: one segment, skipping the diagonal search.  Set on entry.
+        self.inline = False
         self._p = p
         self._op = op
         self._n = n
@@ -102,6 +116,9 @@ class Execution:
         if self.trace is not None and not self._nested:
             self._install_tracer()
         self._token = _CURRENT.set(self)
+        self._metrics_token = None
+        if self.metrics is not None:
+            self._metrics_token = CALL_METRICS.set(self.metrics)
         return self
 
     def _resolve(self) -> None:
@@ -116,6 +133,7 @@ class Execution:
             else:
                 if self._n is not None:
                     name = get_autotuner().choose_backend(name, self._n)
+                    self.inline = name != be and not self._resilience
                 be = shared_backend(name, self._p)
                 self._owned = name not in POOLED_BACKENDS
         if self._resilience:
@@ -127,8 +145,6 @@ class Execution:
             )
             be = ResilientBackend(be, policy, owns_inner=self._owned)
             self._owned = True
-        if self.metrics is not None and getattr(be, "metrics", False) is None:
-            be.metrics = self.metrics
         self.backend = be
 
     def _install_tracer(self) -> None:
@@ -155,6 +171,8 @@ class Execution:
 
     def __exit__(self, *exc_info: object) -> None:
         _CURRENT.reset(self._token)
+        if self._metrics_token is not None:
+            CALL_METRICS.reset(self._metrics_token)
         for be, prev in self._tracers:
             if prev is _ABSENT:
                 be.__dict__.pop("tracer", None)

@@ -26,18 +26,24 @@ a sort round (:func:`run_merge_round`: every pair of the round, so a
 sort costs one dispatch per round, ``O(log N)`` per call), and an SPM
 block (one job per cache block).  :func:`run_chunk_sorts` is round 0 of
 the sort: every chunk's local sort as one batch.
+
+Below the serial cutover a merge has nothing to split:
+:func:`merge_whole` runs the one-segment plan (Theorem 14 with one
+segment needs no diagonal search) as one task in one batch, and
+publishes the same plan counts.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from ..backends import Backend, TaskBatch, tasks_must_pickle
 from ..obs.tracer import NULL_SPAN
-from ..types import Partition
+from ..types import Partition, Segment
 from ..core.merge_path import partition_merge_path
 from ..core.sequential import merge_into, result_dtype
 from .arena import ChunkSortArena, RoundArena
@@ -46,7 +52,9 @@ from .context import Execution
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
 
-__all__ = ["run_segments", "run_merge_round", "run_chunk_sorts"]
+__all__ = [
+    "merge_whole", "run_segments", "run_merge_round", "run_chunk_sorts",
+]
 
 #: One partitioned merge: ``partition`` cuts the merge of ``a`` and
 #: ``b`` into segments that fill ``out``.
@@ -82,6 +90,27 @@ def run_segments(
         ex.run(TaskBatch(tasks, label=label, meta=meta))  # the barrier
         if staged:
             arena.results([out for out, *_ in jobs])
+
+
+def merge_whole(ex: Execution, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Merge ``a`` and ``b`` as **one** segment, for an
+    :attr:`~repro.execution.context.Execution.inline` call.
+
+    No diagonal search, no per-segment closure: one
+    :func:`~repro.core.sequential.merge_into` task in one batch (so the
+    call still counts one dispatch).  With ``metrics`` it publishes the
+    one-segment plan's counts: ``merge.segments`` 1, ``merge.moves``
+    ``n``, ``merge.comparisons`` ``n - 1`` when both sides are
+    non-empty, ``merge.search_probes`` 0, ``balance.work_spread`` 0.
+    """
+    la, lb = len(a), len(b)
+    out = np.empty(la + lb, dtype=result_dtype(a, b))
+    tasks = [partial(merge_into, out, a, b)] if la + lb else []
+    if ex.metrics is not None:
+        part = Partition(la, lb, (Segment(0, 0, la, 0, lb, 0, la + lb),))
+        _publish(ex.metrics, [(out, a, b, part)], len(tasks))
+    ex.run(TaskBatch(tasks, label="merge.partition"))
+    return out
 
 
 def _publish(

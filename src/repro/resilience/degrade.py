@@ -10,7 +10,8 @@ level, and a level that exhausts its strike budget trips its per-level
 :class:`~repro.resilience.breaker.CircuitBreaker`.  Every hop down the
 chain emits a :class:`DegradationWarning` naming the level and the
 reason, and counts ``resilience.degradations`` into the chain's
-``metrics`` registry.
+``metrics`` registry (or, with none set, the calling context's
+:data:`~repro.resilience.resilient.CALL_METRICS`).
 
 Degradation is no longer a one-way ratchet: pass a
 :class:`~repro.resilience.breaker.RecoveryPolicy` and a tripped level
@@ -39,7 +40,7 @@ from ..backends.base import Backend, tasks_must_pickle
 from ..errors import BackendError, BackendUnavailableError, InputError
 from .breaker import CLOSED, CircuitBreaker, RecoveryPolicy
 from .policy import RetryPolicy
-from .resilient import ResilientBackend
+from .resilient import CALL_METRICS, ResilientBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry
@@ -242,8 +243,11 @@ class DegradingBackend(Backend):
         return out
 
     def _count(self, name: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(name).inc()
+        registry = self._metrics
+        if registry is None:
+            registry = CALL_METRICS.get()
+        if registry is not None:
+            registry.counter(name).inc()
 
     def _recover(self, index: int, breaker: CircuitBreaker) -> bool:
         """Run the half-open health probe for ``index``.

@@ -30,7 +30,8 @@ for lock-free *recovery*:
 Every batch leaves a full :class:`~repro.resilience.BatchTelemetry`
 (dispatches, retries, timeouts, speculations, backoff delays) in
 ``last_batch``, and its totals go to the ``resilience.*`` counters of
-the registry on ``metrics``, when one is set.
+the registry on ``metrics`` or, when none is set, of the calling
+context's :data:`CALL_METRICS`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ import random
 import statistics
 import threading
 import time
+from contextvars import ContextVar
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..backends.base import Backend, TaskResult, get_backend, innermost_backend
@@ -51,7 +53,16 @@ from .telemetry import BatchTelemetry, TaskTelemetry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry
 
-__all__ = ["ResilientBackend", "innermost_backend"]
+__all__ = ["CALL_METRICS", "ResilientBackend", "innermost_backend"]
+
+#: The ``metrics=`` registry of the entry-point call running in this
+#: context, set by :class:`repro.execution.Execution` for the call's
+#: duration.  A supervising backend with no ``metrics`` of its own
+#: counts into it, so one chain shared by concurrent calls counts each
+#: call into that call's registry without being rebound.
+CALL_METRICS: "ContextVar[MetricsRegistry | None]" = ContextVar(
+    "repro_call_metrics", default=None
+)
 
 
 def _classify(exc: BaseException) -> tuple[str, str, BaseException]:
@@ -311,8 +322,11 @@ class ResilientBackend(Backend):
 
     def _record(self, batch: BatchTelemetry) -> None:
         self.last_batch = batch
-        if self.metrics is not None:
-            batch.publish(self.metrics)
+        registry = self.metrics
+        if registry is None:
+            registry = CALL_METRICS.get()
+        if registry is not None:
+            batch.publish(registry)
 
     @staticmethod
     def _final_failure(st: _TaskState) -> TaskFailure:

@@ -177,7 +177,8 @@ class MergeServer:
     coalesced batches land on the PR-5 persistent pools) and whose
     tail is ``serial`` (which cannot die); tests inject fault-wrapped
     chains here.  ``registry`` defaults to a fresh
-    :class:`MetricsRegistry` owned by the server.
+    :class:`MetricsRegistry` owned by the server; a passed-in backend
+    with no registry of its own counts into it until :meth:`stop`.
     """
 
     def __init__(
@@ -209,7 +210,11 @@ class MergeServer:
                 recovery=RecoveryPolicy(cooldown_s=2.0, cooldown_cap_s=60.0),
             )
         self.backend = backend
-        if getattr(backend, "metrics", False) is None:
+        #: Whether this server bound its registry to the backend, which
+        #: :meth:`stop` undoes so a passed-in chain outlives the server
+        #: unbound.
+        self._bound_metrics = getattr(backend, "metrics", False) is None
+        if self._bound_metrics:
             backend.metrics = self.registry
         self.admission = AdmissionController(
             self.config.capacity, metrics=self.registry
@@ -336,6 +341,9 @@ class MergeServer:
             await asyncio.gather(*list(self._conn_tasks),
                                  return_exceptions=True)
         await self.coalescer.drain()
+        if self._bound_metrics and self.backend.metrics is self.registry:
+            self.backend.metrics = None
+            self._bound_metrics = False
         if self._owns_backend:
             # Closes levels the chain constructed itself; the shared
             # pooled level is owned by repro.execution.pool, not us.

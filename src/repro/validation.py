@@ -8,6 +8,7 @@ internally with ``check=False``.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -40,14 +41,15 @@ def as_array(x: Sequence | np.ndarray, name: str = "array") -> np.ndarray:
 def first_disorder(arr: np.ndarray) -> int | None:
     """Return the first index ``i`` with ``arr[i] > arr[i+1]``, else ``None``.
 
-    Vectorized: O(n) with a single numpy comparison pass.
+    Vectorized: O(n) with a single numpy comparison pass; ``argmax``
+    finds the first descent without building an index array, and a
+    sorted input (no descent) reads as index 0 with ``gt[0]`` false.
     """
     if len(arr) < 2:
         return None
-    bad = np.nonzero(arr[:-1] > arr[1:])[0]
-    if bad.size:
-        return int(bad[0])
-    return None
+    gt = arr[:-1] > arr[1:]
+    i = int(gt.argmax())
+    return i if gt[i] else None
 
 
 def check_sorted(arr: np.ndarray, name: str = "array") -> None:
@@ -69,25 +71,37 @@ def check_mergeable(a: np.ndarray, b: np.ndarray, check_order: bool = True) -> N
         raise InputError(
             f"merge inputs must be 1-D, got shapes {a.shape} and {b.shape}"
         )
-    try:
-        promoted = np.promote_types(a.dtype, b.dtype)
-    except TypeError as exc:
-        raise DTypeMismatchError(
-            f"cannot merge dtypes {a.dtype} and {b.dtype}: {exc}"
-        ) from exc
-    # numpy "promotes" numeric+string to string by casting numbers to
-    # text, which silently changes comparison semantics — reject it.
-    a_text = np.issubdtype(a.dtype, np.str_) or np.issubdtype(a.dtype, np.bytes_)
-    b_text = np.issubdtype(b.dtype, np.str_) or np.issubdtype(b.dtype, np.bytes_)
-    if a_text != b_text:
-        raise DTypeMismatchError(
-            f"cannot merge text dtype with numeric dtype "
-            f"({a.dtype} vs {b.dtype}; promotion to {promoted} would "
-            "compare numbers as text)"
-        )
+    _check_dtypes(a.dtype, b.dtype)
     if check_order:
         check_sorted(a, "A")
         check_sorted(b, "B")
+
+
+@functools.lru_cache(maxsize=256)
+def _check_dtypes(a: np.dtype, b: np.dtype) -> None:
+    """Raise :class:`~repro.errors.DTypeMismatchError` unless dtypes
+    ``a`` and ``b`` can be merged.
+
+    The verdict depends on the dtype pair alone, so a pass is cached per
+    pair; a mismatch raises and is never cached, so it raises again on
+    every call.
+    """
+    try:
+        promoted = np.promote_types(a, b)
+    except TypeError as exc:
+        raise DTypeMismatchError(
+            f"cannot merge dtypes {a} and {b}: {exc}"
+        ) from exc
+    # numpy "promotes" numeric+string to string by casting numbers to
+    # text, which silently changes comparison semantics — reject it.
+    a_text = np.issubdtype(a, np.str_) or np.issubdtype(a, np.bytes_)
+    b_text = np.issubdtype(b, np.str_) or np.issubdtype(b, np.bytes_)
+    if a_text != b_text:
+        raise DTypeMismatchError(
+            f"cannot merge text dtype with numeric dtype "
+            f"({a} vs {b}; promotion to {promoted} would "
+            "compare numbers as text)"
+        )
 
 
 def check_positive(value: int, name: str) -> None:

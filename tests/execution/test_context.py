@@ -8,6 +8,7 @@ exercises.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -210,3 +211,68 @@ def test_concurrent_calls_count_their_own_dispatches():
     assert reg.value("merge.calls") == 800
     assert reg.value("exec.dispatches") == reg.value("merge.calls")
     assert reg.value("exec.dispatches_per_call") == 1
+
+
+def test_supervising_backend_counts_into_each_call_s_registry():
+    """A chain with no registry of its own counts a call's
+    ``resilience.*`` into that call's registry for the call's duration
+    only, so reusing it with another registry moves no count across."""
+    from repro.resilience import DegradingBackend
+
+    chain = DegradingBackend(["serial"])
+    r1, r2 = MetricsRegistry(), MetricsRegistry()
+    try:
+        parallel_merge(_A, _B, 2, backend=chain, metrics=r1)
+        assert chain.metrics is None
+        parallel_merge(_A, _B, 2, backend=chain, metrics=r2)
+        assert chain.metrics is None
+        assert r1.value("resilience.batches") == 1
+        assert r2.value("resilience.batches") == 1
+
+        own = MetricsRegistry()
+        chain.metrics = own  # a chain's own registry is never replaced
+        parallel_merge(_A, _B, 2, backend=chain, metrics=r1)
+        assert chain.metrics is own
+        assert own.value("resilience.batches") == 1
+        assert r1.value("resilience.batches") == 1
+    finally:
+        chain.close()
+
+
+def test_concurrent_calls_on_one_chain_count_into_their_own_registries():
+    """Calls running at once on one shared chain with no registry each
+    count their ``resilience.*`` into their own ``metrics=``, and the
+    chain is never rebound."""
+    from repro.resilience import DegradingBackend
+
+    chain = DegradingBackend(["serial"])
+    registries = [MetricsRegistry() for _ in range(4)]
+    start = threading.Barrier(len(registries))
+    errors = []
+
+    def worker(reg: MetricsRegistry) -> None:
+        try:
+            start.wait()
+            for _ in range(50):
+                parallel_merge(_A, _B, 2, backend=chain, metrics=reg)
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(reg,))
+               for reg in registries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        chain.close()
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert chain.metrics is None
+    for reg in registries:
+        assert reg.value("merge.calls") == 50
+        assert reg.value("resilience.batches") == 50

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import parallel_merge
+from repro.backends import ThreadBackend
 from repro.obs import Tracer, write_chrome_trace
 from repro.obs.export import (
     chrome_trace,
@@ -15,17 +16,28 @@ from repro.obs.export import (
     flame_summary,
     validate_chrome_trace,
 )
+from repro.resilience import FaultInjector, FaultyBackend
 
 from ..conftest import reference_merge
 
 
 @pytest.fixture(scope="module")
 def traced_merge() -> Tracer:
+    """One traced p=4 merge on a four-thread pool.  Every task sleeps
+    50 ms before it merges, so no worker can drain all four segments
+    before another picks one up: at least two workers record
+    ``segment.merge`` spans however fast the segments are."""
     tracer = Tracer()
     g = np.random.default_rng(42)
     a = np.sort(g.integers(0, 10**6, 20_000))
     b = np.sort(g.integers(0, 10**6, 20_000))
-    out = parallel_merge(a, b, 4, backend="threads", trace=tracer)
+    backend = FaultyBackend(
+        ThreadBackend(4), FaultInjector(delay_rate=1.0, delay_s=0.05)
+    )
+    try:
+        out = parallel_merge(a, b, 4, backend=backend, trace=tracer)
+    finally:
+        backend.close()
     assert (out == reference_merge(a, b)).all()
     return tracer
 

@@ -185,6 +185,30 @@ class TestLargePath:
         assert resp["error"]["code"] == 413
 
 
+class TestPassedInBackend:
+    def test_stop_unbinds_the_server_registry(self):
+        """A passed-in chain with no registry counts into the server's
+        while it runs and is handed back unbound; one with a registry of
+        its own keeps it."""
+        from repro.obs import MetricsRegistry
+        from repro.resilience import DegradingBackend
+
+        config = ServeConfig(capacity=16, max_batch=4, window_s=0.001, p=2)
+        chain = DegradingBackend(["serial"])
+        try:
+            with ServerThread(config, backend=chain) as handle:
+                assert chain.metrics is handle.registry
+            assert chain.metrics is None
+
+            own = MetricsRegistry()
+            chain.metrics = own
+            with ServerThread(config, backend=chain):
+                assert chain.metrics is own
+            assert chain.metrics is own
+        finally:
+            chain.close()
+
+
 class TestAdmissionAndDeadlines:
     def test_queue_full_sheds_with_429(self):
         # Capacity 1 + a slow large request = the second request must

@@ -32,6 +32,16 @@ retired counting types (``MergeStats``, ``ExecutionTelemetry``,
 primitives ``sequential.py``, ``merge_path.py`` and ``selection.py``
 keep ``MergeStats``.
 
+One-segment-versus-partitioned is decided in one place.  Below the
+serial cutover :class:`~repro.execution.Execution` sets ``inline`` and
+the merge runs as one segment, so no module under ``repro/core``,
+``repro/external`` or ``repro/serve`` calls ``choose_backend`` or reads
+``serial_cutover`` to route around it.  A production merge reaches the
+kernel only through the engine: outside ``core/sequential.py``, only
+``execution/engine.py`` (segment tasks and :func:`merge_whole`) and
+``execution/arena.py`` (the engine's picklable segment task, which runs
+in worker processes) call ``merge_into`` or hand it on as a task.
+
 Resilience counts have one writer.  ``resilience.*`` counters are
 written only under ``repro/resilience``, and only
 ``resilience/degrade.py`` (the :class:`~repro.resilience.DegradingBackend`
@@ -63,6 +73,12 @@ COUNTING_NAMES = (
     "MergeStats", "ExecutionTelemetry", "merge_stats", "record_merge_delta",
 )
 CHAIN_EVENTS = ("degradations", "recoveries")
+ROUTING_NAMES = ("choose_backend", "serial_cutover")
+ROUTING_FREE_MODULES = sorted(
+    path for pkg in ("core", "external", "serve")
+    for path in (SRC / pkg).glob("*.py")
+)
+KERNEL_CALLERS = ("execution/engine.py", "execution/arena.py")
 STEP_COUNTERS = ("sequential.py", "merge_path.py", "selection.py")
 COUNTING_FREE_MODULES = sorted(
     path
@@ -121,6 +137,21 @@ def _kernel_references(tree: ast.AST) -> list[str]:
 
 def _counting_references(tree: ast.AST) -> list[str]:
     return _references(tree, COUNTING_NAMES)
+
+
+def _routing_references(tree: ast.AST) -> list[str]:
+    return _references(tree, ROUTING_NAMES)
+
+
+def _kernel_uses(tree: ast.AST) -> list[str]:
+    """Every call of ``merge_into`` and every other use of the name
+    (``partial(merge_into, ...)`` hands it on as a task)."""
+    return [
+        f"line {node.lineno}: uses merge_into"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "merge_into")
+        or (isinstance(node, ast.Attribute) and node.attr == "merge_into")
+    ]
 
 
 def _counter_names(tree: ast.AST) -> list[tuple[int, str]]:
@@ -201,6 +232,23 @@ def test_module_runs_the_one_kernel(path):
 
 
 @pytest.mark.parametrize(
+    "path", ROUTING_FREE_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_module_leaves_routing_to_the_execution_layer(path):
+    assert _routing_references(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_only_the_engine_calls_the_kernel():
+    found = [
+        f"{path.relative_to(SRC)} {violation}"
+        for path in PRODUCTION_MODULES
+        if path.relative_to(SRC).as_posix() not in KERNEL_CALLERS
+        for violation in _kernel_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
     "path", COUNTING_FREE_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
 )
 def test_module_counts_only_into_the_registry(path):
@@ -267,6 +315,21 @@ def test_guard_catches_each_violation():
         "fn = KERNELS[name]\n"
     )
     assert len(_kernel_references(python_kernels)) == 4
+    routing = ast.parse(
+        "name = get_autotuner().choose_backend('threads', n)\n"
+        "if n < tuner.thresholds().serial_cutover:\n"
+        "    pass\n"
+        "from ..execution.autotune import choose_backend\n"
+    )
+    assert len(_routing_references(routing)) == 3
+    kernel_uses = ast.parse(
+        "from .sequential import merge_into\n"
+        "merge_into(out, a, b)\n"
+        "sequential.merge_into(out[lo:hi], a, b)\n"
+        "task = partial(merge_into, out, a, b)\n"
+        "merge_vectorized(a, b)\n"
+    )
+    assert len(_kernel_uses(kernel_uses)) == 3
     counting = ast.parse(
         "from ..types import MergeStats\n"
         "tel = ExecutionTelemetry()\n"
