@@ -22,6 +22,7 @@ from ..backends import Backend
 from ..execution.context import Execution
 from ..validation import as_array, check_positive
 from .merge_sort import parallel_merge_sort
+from .sequential import sort_keys, sorted_as
 from .segmented_merge import block_length, segmented_parallel_merge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,11 +73,12 @@ def cache_efficient_sort(
     if n <= 1:
         return arr.copy()
 
+    keys = sort_keys(arr)
     L = block_length(cache_elements, block_fraction)
     with Execution(backend, p, trace=trace, metrics=metrics) as ex:
         # Stage 1+2: cache-sized blocks, each sorted by all p processors.
         runs = [
-            parallel_merge_sort(arr[lo:lo + L], p, backend=ex.backend,
+            parallel_merge_sort(keys[lo:lo + L], p, backend=ex.backend,
                                 trace=trace, metrics=metrics)
             for lo in range(0, n, L)
         ]
@@ -93,4 +95,4 @@ def cache_efficient_sort(
             if len(runs) % 2:
                 next_runs.append(runs[-1])
             runs = next_runs
-    return runs[0]
+    return sorted_as(runs[0], arr)

@@ -19,6 +19,11 @@ returns the unique ``i`` such that
 
 which encodes the stable tie-break *A before equal B* used throughout
 the package (a down move on ``A[i] <= B[j]``, per Section II.A).
+
+``<=`` here is NumPy's sort order, in which NaN sorts after every other
+value and equals itself: ``x <= y or y != y``.  A plain ``<=`` is false
+against NaN, which would make the cuts on neighbouring diagonals
+non-monotone for float inputs holding NaN.
 """
 
 from __future__ import annotations
@@ -85,13 +90,14 @@ def diagonal_intersection(
     """
     lo, hi = diagonal_bounds(d, len(a), len(b))
     # Invariant: the answer i* lies in [lo, hi].  Probe mid: if
-    # A[mid] <= B[d - 1 - mid], the path consumes A[mid] before reaching
-    # this diagonal, so i* > mid; otherwise i* <= mid.
+    # A[mid] <= B[d - 1 - mid] (NaN last), the path consumes A[mid]
+    # before reaching this diagonal, so i* > mid; otherwise i* <= mid.
     while lo < hi:
         mid = (lo + hi) // 2
         if stats is not None:
             stats.search_probes += 1
-        if a[mid] <= b[d - 1 - mid]:
+        y = b[d - 1 - mid]
+        if a[mid] <= y or y != y:
             lo = mid + 1
         else:
             hi = mid
@@ -139,7 +145,8 @@ def diagonal_intersections_vectorized(
         mid = (lo + hi) // 2
         am = np.where(active, mid, 0)
         bm = np.where(active, ds - 1 - mid, 0)
-        take_a = a[am] <= b[bm]
+        bv = b[bm]
+        take_a = (a[am] <= bv) | (bv != bv)  # NaN last
         go_up = active & take_a
         go_dn = active & ~take_a
         lo = np.where(go_up, mid + 1, lo)

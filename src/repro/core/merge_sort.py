@@ -2,7 +2,13 @@
 
 The classic structure: split the input into ``p`` chunks, sort each
 chunk independently (one per processor), then run ``log2 p`` rounds of
-pairwise merges.  Early rounds have more array pairs than processors
+pairwise merges.  Any sequential sort will do for the chunks (Section
+III); each is one :func:`~repro.core.sequential.sort_chunk` call, which
+sorts integer chunks with NumPy's SIMD quicksort (same bytes as a
+stable sort) and every other dtype stably.  The chunks are read
+straight from the input, never from a copy of it.
+
+Early rounds have more array pairs than processors
 and parallelize trivially across pairs; once pairs become scarce the
 processors *within* each pair cooperate using Algorithm 1's merge-path
 partitioning — this is precisely the regime the paper says motivates
@@ -29,6 +35,7 @@ from ..execution.context import Execution
 from ..execution.engine import run_chunk_sorts, run_merge_round
 from ..obs.tracer import NULL_SPAN
 from ..validation import as_array, check_positive
+from .sequential import sort_keys, sorted_as
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
@@ -124,10 +131,11 @@ def parallel_merge_sort(
         Sorted copy of ``x`` (the input is never mutated).
     """
     check_positive(p, "p")
-    arr = as_array(x, "x").copy()
+    arr = as_array(x, "x")  # only read: every chunk sorts into a fresh array
     n = len(arr)
     if n <= 1:
-        return arr
+        return arr.copy()
+    keys = sort_keys(arr)
 
     with Execution(
         backend, p, op="sort", n=n, resilience=resilience,
@@ -144,7 +152,7 @@ def parallel_merge_sort(
         )
         with span0:
             runs = run_chunk_sorts(
-                arr, chunks, backend=ex.backend, trace=trace, metrics=metrics,
+                keys, chunks, backend=ex.backend, trace=trace, metrics=metrics,
             )
 
         # --- Merge rounds: every pair of a round rides one batch;
@@ -167,5 +175,5 @@ def parallel_merge_sort(
             if metrics is not None:
                 metrics.counter("sort.rounds").inc()
             round_index += 1
-    return runs[0]
+    return sorted_as(runs[0], arr)
 

@@ -21,6 +21,7 @@ from ..backends import Backend
 from ..execution.context import Execution
 from ..execution.engine import run_merge_round
 from ..validation import as_array, check_positive
+from .sequential import sort_keys, sorted_as
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry
@@ -42,8 +43,12 @@ def find_natural_runs(x: np.ndarray, *, reverse_descending: bool = True) -> list
     n = len(x)
     if n <= 1:
         return [0, n] if n else [0, 0]
+    # x[t] > x[t+1] in NumPy's sort order, where NaN sorts last
+    desc = x[:-1] > x[1:]
+    if x.dtype.kind == "f":
+        desc |= (x[:-1] != x[:-1]) & (x[1:] == x[1:])
     if not reverse_descending:
-        breaks = np.nonzero(x[:-1] > x[1:])[0] + 1
+        breaks = np.nonzero(desc)[0] + 1
         return [0, *breaks.tolist(), n]
 
     # TimSort-style left-to-right scan: at each run start, the first
@@ -52,12 +57,12 @@ def find_natural_runs(x: np.ndarray, *, reverse_descending: bool = True) -> list
     # jumps run to run with binary searches over the precomputed
     # descending-adjacency index list, so the cost is
     # O(n + runs·log n), not O(n·runs).
-    desc_idx = np.nonzero(x[:-1] > x[1:])[0]  # t where x[t] > x[t+1]
-    asc_idx = np.nonzero(x[:-1] <= x[1:])[0]  # t where x[t] <= x[t+1]
+    desc_idx = np.nonzero(desc)[0]  # t where x[t] > x[t+1]
+    asc_idx = np.nonzero(~desc)[0]  # t where x[t] <= x[t+1]
     bounds = [0]
     i = 0
     while i < n - 1:
-        if x[i] <= x[i + 1]:
+        if not desc[i]:
             # ascending run: ends before the next descending adjacency
             k = np.searchsorted(desc_idx, i)
             end = int(desc_idx[k]) + 1 if k < len(desc_idx) else n
@@ -96,9 +101,10 @@ def natural_merge_sort(
     if n <= 1:
         return arr
 
-    bounds = find_natural_runs(arr)
+    keys = sort_keys(arr)
+    bounds = find_natural_runs(keys)
     runs: list[np.ndarray] = [
-        arr[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo
+        keys[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo
     ]
     if len(runs) == 1:
         return arr
@@ -111,4 +117,4 @@ def natural_merge_sort(
                 metrics=metrics, round_index=round_index,
             )
             round_index += 1
-    return runs[0]
+    return sorted_as(runs[0], arr)

@@ -169,18 +169,26 @@ def merge(
     backend to parallelize.  This is the function the quickstart example
     showcases.
 
-    Defaults are adaptive: ``backend="auto"`` resolves to ``"serial"``
-    for ``p == 1`` and ``"threads"`` otherwise, then the autotuner
-    (:mod:`repro.execution.autotune`) reroutes ``"threads"`` calls below
-    the measured per-host serial crossover, which then merge as one
-    segment with no diagonal search.  ``"serial"`` is never rerouted,
-    so the ``p == 1`` default runs Algorithm 1's partition-and-dispatch
-    path with one segment (the REM6PCT single-thread reference), not
-    the leaner one-segment path of a rerouted call.
+    Defaults are adaptive.  With ``backend="auto"`` and ``p == 1`` the
+    merge is one segment at every size
+    (:func:`repro.execution.engine.merge_whole`: no diagonal search,
+    one kernel call on the serial backend).  With ``p > 1`` ``"auto"``
+    means ``"threads"``, which the autotuner
+    (:mod:`repro.execution.autotune`) reroutes to that same one-segment
+    path below the measured per-host serial crossover.  An explicit
+    ``backend="serial"`` is never rerouted and keeps Algorithm 1's
+    partition-and-dispatch path (the REM6PCT single-thread reference).
     Pass a backend instance (or set ``REPRO_AUTOTUNE=0``) to pin the
     configuration.  Every segment runs the one linear kernel,
     :func:`~repro.core.sequential.merge_into`.
     """
+    if backend == "auto" and p == 1:
+        a = as_array(a, "A")
+        b = as_array(b, "B")
+        if check:
+            check_mergeable(a, b)
+        with Execution("serial", op="merge") as ex:
+            return merge_whole(ex, a, b)
     if backend == "auto":
-        backend = "serial" if p == 1 else "threads"
+        backend = "threads"
     return parallel_merge(a, b, p, backend=backend, check=check)

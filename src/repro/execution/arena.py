@@ -15,7 +15,7 @@ jobs that carry only integer offsets into them:
 
 :class:`ChunkSortArena`
     Round 0 of the sort: the unsorted array in one block, each chunk
-    sorted in place into a second block by its worker.
+    sorted into its slice of a second block by its worker.
 
 Both are context managers; the parent owns block lifetime (workers only
 ever ``close()``, never ``unlink()``).
@@ -76,7 +76,14 @@ def _merge_segment_offsets(
 def _sort_chunk_shm(
     args: tuple[str, str, str, int, int],
 ) -> int:
-    """Sort one chunk of the round-0 input inside a worker process."""
+    """Sort one chunk of the round-0 input inside a worker process.
+
+    The chunk is sorted into a private array and then copied whole into
+    its output slice, so a speculative duplicate only ever writes the
+    same finished bytes.
+    """
+    from ..core.sequential import sort_chunk
+
     (name_in, name_out, dtype_str, lo, hi) = args
     dtype = np.dtype(dtype_str)
     item = dtype.itemsize
@@ -87,7 +94,7 @@ def _sort_chunk_shm(
                          offset=lo * item)
         dst = np.ndarray((hi - lo,), dtype=dtype, buffer=shm_out.buf,
                          offset=lo * item)
-        dst[:] = np.sort(src, kind="mergesort")
+        dst[:] = sort_chunk(src)
     finally:
         shm_in.close()
         shm_out.close()

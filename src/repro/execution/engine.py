@@ -25,7 +25,8 @@ Its callers differ only in how they plan: ``merge_partition`` (one job),
 a sort round (:func:`run_merge_round`: every pair of the round, so a
 sort costs one dispatch per round, ``O(log N)`` per call), and an SPM
 block (one job per cache block).  :func:`run_chunk_sorts` is round 0 of
-the sort: every chunk's local sort as one batch.
+the sort: every chunk's :func:`~repro.core.sequential.sort_chunk` as
+one batch.
 
 Below the serial cutover a merge has nothing to split:
 :func:`merge_whole` runs the one-segment plan (Theorem 14 with one
@@ -45,7 +46,7 @@ from ..backends import Backend, TaskBatch, tasks_must_pickle
 from ..obs.tracer import NULL_SPAN
 from ..types import Partition, Segment
 from ..core.merge_path import partition_merge_path
-from ..core.sequential import merge_into, result_dtype
+from ..core.sequential import merge_into, result_dtype, sort_chunk
 from .arena import ChunkSortArena, RoundArena
 from .context import Execution
 
@@ -217,8 +218,10 @@ def run_chunk_sorts(
 ) -> list[np.ndarray]:
     """Round 0 of the sort: every chunk's local sort as one batch.
 
-    Each chunk gets a stable numpy sort.  When tasks must be picklable,
-    the chunks are staged through a :class:`ChunkSortArena`.
+    Each chunk is sorted by :func:`~repro.core.sequential.sort_chunk`
+    into a fresh array (``arr`` is only read, so a speculative duplicate
+    of a task never races on it).  When tasks must be picklable, the
+    chunks are staged through a :class:`ChunkSortArena`.
     """
     n = len(arr)
     chunks = min(chunks, n)
@@ -242,7 +245,7 @@ def run_chunk_sorts(
                     else NULL_SPAN
                 )
                 with span:
-                    return np.sort(chunk, kind="mergesort")
+                    return sort_chunk(chunk)
 
             return task
 

@@ -43,7 +43,7 @@ import numpy as np
 from ..backends import TaskBatch
 from ..control.slo import SLO
 from ..core.selection import topk_of_union
-from ..core.sequential import merge_vectorized
+from ..core.sequential import merge_vectorized, sort_chunk
 from ..errors import InputError
 from ..execution.pool import shared_backend
 from ..obs.metrics import MetricsRegistry
@@ -557,7 +557,7 @@ class MergeServer:
         if request.op == "merge":
             return merge_vectorized(request.a, request.b, check=False)
         if request.op == "sort":
-            return np.sort(request.data, kind="mergesort")
+            return sort_chunk(request.data)
         if request.op == "topk":
             return topk_of_union(request.a, request.b, request.k)
         raise InputError(f"op {request.op!r} has no compute")

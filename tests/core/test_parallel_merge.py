@@ -1,5 +1,7 @@
 """Tests for Algorithm 1 across backends, against the reference kernels."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,20 @@ class TestTopLevelMerge:
         out = merge(np.array([5, 5]), np.array([5.0]))
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, [5.0, 5.0, 5.0])
+
+    def test_default_runs_one_segment(self, monkeypatch):
+        pm = importlib.import_module("repro.core.parallel_merge")
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("merge(a, b) must not cut the merge path")
+
+        monkeypatch.setattr(pm, "partition_merge_path", no_search)
+        a, b = np.arange(0, 10**5, 2), np.arange(1, 10**5, 2)
+        np.testing.assert_array_equal(merge(a, b), np.arange(10**5))
+        with pytest.raises(NotSortedError):
+            merge(b[::-1], a)
+        with pytest.raises(AssertionError, match="cut the merge path"):
+            merge(a, b, backend="serial")  # the REM6PCT reference
 
 
 class TestOversubscription:

@@ -47,6 +47,17 @@ class TestBasicOps:
         )
         assert resp["result"] == sorted(data)
 
+    def test_sort_gives_the_stable_bytes_on_int64(self, server):
+        g = np.random.default_rng(11)
+        data = g.integers(-2**62, 2**62, 500, dtype=np.int64)
+        data[::4] = data[3]  # ties: the leaf's quicksort reorders them
+        resp = request_sync(
+            server.host, server.port,
+            {"id": "s64", "op": "sort", "data": data.tolist()},
+        )
+        out = np.array(resp["result"], dtype=np.int64)
+        assert out.tobytes() == np.sort(data, kind="stable").tobytes()
+
     def test_topk_matches_oracle(self, server):
         req = {"id": "k", "op": "topk", "a": [1, 4, 9], "b": [2, 3], "k": 3}
         resp = request_sync(server.host, server.port, req)

@@ -42,6 +42,13 @@ kernel only through the engine: outside ``core/sequential.py``, only
 ``execution/arena.py`` (the engine's picklable segment task, which runs
 in worker processes) call ``merge_into`` or hand it on as a task.
 
+Runs are formed by one leaf, :func:`repro.core.sequential.sort_chunk`,
+which picks the NumPy sort kind by dtype.  So outside
+``core/sequential.py`` no module under ``repro/core``,
+``repro/execution``, ``repro/external`` or ``repro/serve`` passes a
+``kind=`` to a NumPy sort (``np.sort``, ``ndarray.sort`` or
+``argsort``): a hard-coded run sort cannot come back.
+
 Resilience counts have one writer.  ``resilience.*`` counters are
 written only under ``repro/resilience``, and only
 ``resilience/degrade.py`` (the :class:`~repro.resilience.DegradingBackend`
@@ -79,6 +86,12 @@ ROUTING_FREE_MODULES = sorted(
     for path in (SRC / pkg).glob("*.py")
 )
 KERNEL_CALLERS = ("execution/engine.py", "execution/arena.py")
+SORT_KIND_FREE_MODULES = sorted(
+    path
+    for pkg in ("core", "execution", "external", "serve")
+    for path in (SRC / pkg).glob("*.py")
+    if path != SRC / "core" / "sequential.py"
+)
 STEP_COUNTERS = ("sequential.py", "merge_path.py", "selection.py")
 COUNTING_FREE_MODULES = sorted(
     path
@@ -151,6 +164,18 @@ def _kernel_uses(tree: ast.AST) -> list[str]:
         for node in ast.walk(tree)
         if (isinstance(node, ast.Name) and node.id == "merge_into")
         or (isinstance(node, ast.Attribute) and node.attr == "merge_into")
+    ]
+
+
+def _sort_kinds(tree: ast.AST) -> list[str]:
+    """Every NumPy sort call that picks its own ``kind=``."""
+    return [
+        f"line {node.lineno}: sorts with kind="
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None)
+             or getattr(node.func, "id", None)) in ("sort", "argsort")
+        and any(kw.arg == "kind" for kw in node.keywords)
     ]
 
 
@@ -249,6 +274,13 @@ def test_only_the_engine_calls_the_kernel():
 
 
 @pytest.mark.parametrize(
+    "path", SORT_KIND_FREE_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_module_forms_runs_with_the_one_leaf(path):
+    assert _sort_kinds(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize(
     "path", COUNTING_FREE_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
 )
 def test_module_counts_only_into_the_registry(path):
@@ -330,6 +362,15 @@ def test_guard_catches_each_violation():
         "merge_vectorized(a, b)\n"
     )
     assert len(_kernel_uses(kernel_uses)) == 3
+    sort_kinds = ast.parse(
+        "run = np.sort(chunk, kind='mergesort')\n"
+        "chunk.sort(kind='stable')\n"
+        "order = keys.argsort(kind='stable')\n"
+        "run = sort(chunk, kind=k)\n"
+        "run = np.sort(chunk)\n"
+        "run = sort_chunk(chunk)\n"
+    )
+    assert len(_sort_kinds(sort_kinds)) == 4
     counting = ast.parse(
         "from ..types import MergeStats\n"
         "tel = ExecutionTelemetry()\n"
