@@ -70,7 +70,7 @@ def start_server(
 ) -> tuple[subprocess.Popen, str, int]:
     proc = subprocess.Popen(
         [python, "-m", "repro", "serve", "--port", "0",
-         "--no-control", *(extra_args or [])],
+         *(extra_args or [])],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,

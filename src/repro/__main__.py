@@ -29,9 +29,6 @@ doctor
     workload through the tuned path, print PASS/WARN/FAIL per SLO
     clause with the offending metric.  ``--json verdict.json`` writes
     the structured verdict; exit status 1 on any FAIL clause.
-tune
-    The continuous control loop: run the canary, evaluate the SLO,
-    retune the autotuner; ``--watch`` repeats for ``--cycles`` rounds.
 serve
     The asyncio front door: newline-delimited JSON over TCP, coalesced
     batches on the shared pools, admission control with load shedding
@@ -67,7 +64,7 @@ _LEGACY_FLAGS = ("--quick", "--full", "--chart", "--chaos")
 
 _SUBCOMMANDS = (
     "run", "report", "selftest", "scorecard", "conformance", "api",
-    "trace", "bench", "doctor", "tune", "serve", "extsort",
+    "trace", "bench", "doctor", "serve", "extsort",
 )
 
 
@@ -86,7 +83,7 @@ def _fig5_chart(result: ExperimentResult) -> str:
 def _print_listing() -> None:
     print("usage: python -m repro SUBCOMMAND ... "
           "(run | report | selftest | scorecard | conformance | api | "
-          "trace | bench | doctor | tune | serve | extsort)\n")
+          "trace | bench | doctor | serve | extsort)\n")
     print("available experiments (python -m repro run EXP_ID ...):")
     for exp_id, (_fn, desc) in EXPERIMENTS.items():
         print(f"  {exp_id:<8} {desc}")
@@ -102,8 +99,6 @@ def _print_listing() -> None:
     print("  bench        emit a BENCH_<date>.json regression snapshot")
     print("  doctor       one-shot SLO verdict for this host "
           "(--quick, --json out.json)")
-    print("  tune         obs→autotune control loop "
-          "(--watch --cycles N --interval S)")
     print("  serve        NDJSON-over-TCP front door "
           "(--host --port; see docs/serving.md)")
     print("  extsort      out-of-core SPM-planned parallel external sort "
@@ -207,20 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "server's snapshot) instead of replaying the "
                             "canary")
 
-    p_tune = sub.add_parser(
-        "tune", help="obs→autotune→SLO control loop over the canary")
-    p_tune.add_argument("--watch", action="store_true",
-                        help="repeat for --cycles rounds instead of one")
-    p_tune.add_argument("--cycles", type=int, default=5)
-    p_tune.add_argument("--interval", type=float, default=1.0,
-                        metavar="SECONDS")
-    p_tune.add_argument("--quick", action="store_true",
-                        help="smaller canary per cycle")
-    p_tune.add_argument("--full", action="store_true",
-                        help=argparse.SUPPRESS)
-    p_tune.add_argument("--seed", type=int, default=7)
-    p_tune.add_argument("--slo", default=None, metavar="SLO.json")
-
     p_srv = sub.add_parser(
         "serve", help="NDJSON-over-TCP merge service (see docs/serving.md)")
     p_srv.add_argument("--host", default="127.0.0.1")
@@ -246,12 +227,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="deadline_ms",
                        help="default per-request deadline when the client "
                             "sends none")
+    # Accepted and ignored: the server runs no control loop, but
+    # existing launch scripts still pass it.
     p_srv.add_argument("--no-control", action="store_true",
-                       help="disable the background SLO controller")
-    p_srv.add_argument("--control-interval", type=float, default=5.0,
-                       dest="control_interval", metavar="SECONDS")
-    p_srv.add_argument("--slo", default=None, metavar="SLO.json",
-                       help="JSON file overriding the serve default SLO")
+                       help=argparse.SUPPRESS)
     p_srv.add_argument("--drain-timeout", type=float, default=5.0,
                        dest="drain_timeout", metavar="SECONDS",
                        help="SIGTERM/SIGINT drain budget: in-flight "
@@ -391,29 +370,6 @@ def _cmd_doctor(ns: argparse.Namespace) -> int:
     return 0 if doc.ok else 1
 
 
-def _cmd_tune(ns: argparse.Namespace) -> int:
-    from .control import SLO, Controller, DEFAULT_SLO
-    from .obs.metrics import MetricsRegistry
-    from .workloads.canary import run_canary
-
-    slo = SLO.from_file(ns.slo) if ns.slo else DEFAULT_SLO
-    registry = MetricsRegistry()
-    cycles = ns.cycles if ns.watch else 1
-    status = "PASS"
-    for i, decision in enumerate(Controller(slo, registry).watch(
-        lambda reg: run_canary(reg, quick=ns.quick, seed=ns.seed),
-        cycles=cycles,
-        interval_s=ns.interval if ns.watch else 0.0,
-    )):
-        print(f"-- cycle {i + 1}/{cycles} --")
-        print(decision.describe())
-        status = decision.report.status
-    print(f"\nfinal status: {status} "
-          f"(steps={int(registry.value('control.steps'))} "
-          f"retunes={int(registry.value('control.retunes'))})")
-    return 0 if status != "FAIL" else 1
-
-
 def _cmd_extsort(ns: argparse.Namespace) -> int:
     import os
     import tempfile
@@ -519,8 +475,7 @@ def _cmd_serve(ns: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from .control import SLO
-    from .serve import SERVE_DEFAULT_SLO, MergeServer, ServeConfig
+    from .serve import MergeServer, ServeConfig
 
     config = ServeConfig(
         host=ns.host,
@@ -532,11 +487,9 @@ def _cmd_serve(ns: argparse.Namespace) -> int:
         window_s=ns.window_ms / 1000.0,
         small_cutover=ns.small_cutover,
         default_deadline_ms=ns.deadline_ms,
-        control_interval_s=0.0 if ns.no_control else ns.control_interval,
         drain_timeout_s=ns.drain_timeout,
         metrics_snapshot=ns.metrics_snapshot,
         reprobe_interval_s=ns.reprobe_interval,
-        slo=SLO.from_file(ns.slo) if ns.slo else SERVE_DEFAULT_SLO,
     )
 
     async def run() -> int:
@@ -636,8 +589,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_bench(ns)
     if ns.command == "doctor":
         return _cmd_doctor(ns)
-    if ns.command == "tune":
-        return _cmd_tune(ns)
     if ns.command == "serve":
         return _cmd_serve(ns)
     if ns.command == "extsort":

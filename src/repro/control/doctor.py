@@ -139,11 +139,15 @@ def run_doctor(
             for name in ("threads",) if quick else ("threads", "processes"):
                 defect = probe_backend(name)
                 probes[name] = "ok" if defect is None else defect
-            th = tuner.thresholds()  # may probe + write the cache
+            # Read the cache before thresholds(), which re-probes and
+            # overwrites a stale or corrupt one: the finding is the
+            # state the doctor found, not the state it left.
+            cache_state = tuner.cache_state()
+            th = tuner.thresholds()
             autotune_facts: dict[str, Any] = {
                 "enabled": autotune_enabled(),
                 "cache_path": str(tuner.cache_path),
-                "cache_state": tuner.cache_state(),
+                "cache_state": cache_state,
                 "thresholds": {
                     "serial_cutover": th.serial_cutover,
                     "source": th.source,

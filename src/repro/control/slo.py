@@ -7,8 +7,7 @@ gauge, the batched engine's dispatch accounting, the resilience
 layer's retry counters.  :func:`evaluate_slo` turns one registry
 snapshot (or a :meth:`~repro.obs.MetricsRegistry.delta` window) into a
 per-clause PASS/WARN/FAIL report naming the offending metric, which is
-exactly what ``python -m repro doctor`` prints and what the
-:class:`~repro.control.Controller` acts on.
+exactly what ``python -m repro doctor`` prints.
 
 Clause semantics: every bound is a *maximum*.  A clause whose metric
 was never recorded is ``SKIP`` (it does not gate — a quick doctor run

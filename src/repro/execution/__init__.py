@@ -18,9 +18,7 @@
   cutover (below it a pooled request runs serially), persisted and
   consulted for string-named backends on untraced calls.
 * :mod:`~repro.execution.tuning` — the pure policy half of the tuner
-  (probe samples → thresholds, host fingerprinting), shared by the
-  cold-start path above and the continuous controller in
-  :mod:`repro.control`.
+  (probe samples → thresholds, host fingerprinting).
 """
 
 from .autotune import (

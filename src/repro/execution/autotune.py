@@ -19,9 +19,10 @@ This module is the *IO* half of the tuner: timing probes, cache
 persistence, the process-wide singleton, and the one routing comparison
 (:meth:`Autotuner.choose_backend`).  How probe timings become thresholds
 and when a cached calibration is stale live in the pure policy module
-:mod:`repro.execution.tuning`, which the continuous controller
-(:mod:`repro.control`) drives through the same :meth:`Autotuner.seed`
-/ :meth:`Autotuner.calibrate` API used here for cold start.
+:mod:`repro.execution.tuning`, so tests can drive the rules with
+synthetic timings.  Nothing retunes a running process: the cutover is
+probed once per host fingerprint, and ``python -m repro doctor``
+reports a stale or corrupt cache as a finding.
 
 Policy knobs (all overridable by environment):
 
@@ -127,14 +128,10 @@ class Autotuner:
 
     ``thresholds()`` is the only consultation point: the first call
     loads the per-host cache (rejecting payloads whose host fingerprint
-    no longer matches) or runs the probe suite (a few tens
-    of milliseconds, once per host, best-effort — any probe failure falls
-    back to conservative defaults and does not propagate).
-
-    ``calibrate()`` and ``seed()`` are the *control surface*: the
-    :class:`repro.control.Controller` drives them to re-tune a live
-    process when the host changes or an SLO clause fails, instead of
-    duplicating the one-shot cold-start probe.
+    no longer matches) or runs the probe suite and stores the result (a
+    few tens of milliseconds, once per host, best-effort — any probe
+    failure falls back to conservative defaults and does not propagate).
+    ``seed()`` pins thresholds without probing.
     """
 
     def __init__(self, cache_path: Path | None = None) -> None:
@@ -226,14 +223,6 @@ class Autotuner:
 
     # -- calibration ---------------------------------------------------
 
-    def calibrate(self) -> Thresholds:
-        """Run the probe suite now and persist the result."""
-        th = derive_thresholds(self.probe_suite())
-        self._store(th)
-        with self._lock:
-            self._thresholds = th
-        return th
-
     def thresholds(self) -> Thresholds:
         """Calibrated thresholds (fresh cache → probed → defaults)."""
         with self._lock:
@@ -291,7 +280,7 @@ class Autotuner:
         return "serial" if n < self.thresholds().serial_cutover else name
 
     def seed(self, **overrides: int) -> None:
-        """Pin thresholds without probing (tests, controller nudges)."""
+        """Pin thresholds without probing (tests, bench pinning)."""
         with self._lock:
             base = self._thresholds or Thresholds()
             self._thresholds = replace(

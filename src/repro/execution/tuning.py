@@ -3,9 +3,8 @@
 This module is the *policy* half of the autotuner split.  Everything
 here is a pure function of its inputs — no clocks, no filesystem, no
 environment reads except the explicit ``environ`` parameters — so the
-cold-start path (:class:`repro.execution.autotune.Autotuner`) and the
-continuous controller (:class:`repro.control.Controller`) share exactly
-one calibration rule and tests can drive it with synthetic samples.
+IO half (:class:`repro.execution.autotune.Autotuner`) only probes and
+stores, and tests drive the one calibration rule with synthetic samples.
 
 The split:
 
@@ -21,8 +20,8 @@ The split:
     *host properties*, so a calibration made on a different host shape
     (cpu count, python build, ``REPRO_*`` overrides) must not be
     reused.  Load average is deliberately **not** part of the equality
-    check — it changes by the second; the controller watches it live
-    instead (see :mod:`repro.control`).
+    check — it changes by the second; ``python -m repro doctor``
+    reports it beside the verdict instead.
 """
 
 from __future__ import annotations

@@ -48,10 +48,6 @@ Metric name conventions (full table in ``docs/observability.md``):
 ``slo.ns_per_elem`` (+ per-op ``slo.merge.*`` / ``slo.sort.*``)
     Canary-workload latency histograms; the SLO evaluator reads p50/p99
     straight off their summaries (see ``repro.control``).
-``control.steps`` / ``.retunes`` / ``.slo_failures`` and gauge
-``control.last_status``
-    The controller's own decisions — the control plane is observable
-    through the same registry it reads.
 ``autotune.cache_corrupt``
     Calibration-cache loads that found garbage bytes instead of JSON
     (each is a counted miss, never a crash; see ``repro.durable``).
@@ -313,8 +309,8 @@ class MetricsRegistry:
     def delta(self, before: dict[str, Any] | None = None) -> dict[str, Any]:
         """Changes since ``before`` (a prior :meth:`snapshot` dict).
 
-        The controller's reading protocol: take ``snapshot()`` at the
-        start of a control window, ``delta(before)`` at the end, and
+        The windowed reading protocol: take ``snapshot()`` at the
+        start of a window, ``delta(before)`` at the end, and
         every subsystem's activity *within the window* falls out of one
         source of truth — counters report their increment, gauges their
         current value (gauges are instantaneous, a difference would be

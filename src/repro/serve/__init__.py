@@ -5,8 +5,8 @@ newline-delimited JSON in (:mod:`.protocol`), coalesced ``TaskBatch``
 dispatches on the shared pools out (:mod:`.coalescer`), bounded by
 admission control with load shedding and per-request deadlines
 (:mod:`.admission`), supervised by the resilience layer, and measured
-into a :class:`~repro.obs.MetricsRegistry` the PR-6 control plane can
-judge (``doctor --slo --metrics-from``).  See ``docs/serving.md``.
+into a :class:`~repro.obs.MetricsRegistry` that ``python -m repro doctor
+--slo ... --metrics-from`` judges.  See ``docs/serving.md``.
 """
 
 from .admission import AdmissionController

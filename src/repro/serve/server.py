@@ -19,10 +19,9 @@ scheduler.  The moving parts, each separately testable:
 * one :class:`~repro.obs.MetricsRegistry` per server — ``serve.*``
   counters, ``slo.ns_per_elem`` histograms and the load-balance
   gauges, so ``python -m repro doctor --slo ... --metrics-from`` can
-  judge a live traffic window with the PR-6 machinery;
-* optionally a background :class:`~repro.control.Controller` stepping
-  against the server's own registry — the ROADMAP item-5 follow-up:
-  the control loop runs on live traffic instead of the canary.
+  judge a live traffic window (a ``metrics`` op scrape or the drain
+  snapshot) with the same clauses as the canary.  The server judges
+  nothing itself and retunes nothing.
 
 Requests larger than ``small_cutover`` skip the coalescer and run
 through the parallel entry points (``parallel_merge`` /
@@ -35,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -99,11 +98,9 @@ class ServeConfig:
     default_deadline_ms: float | None = None  #: applied when requests carry none.
     max_request_elems: int = 1 << 20  #: 413 beyond this.
     max_line_bytes: int = 1 << 26  #: request-line cap (64 MiB); typed 413 beyond.
-    control_interval_s: float = 0.0  #: > 0 runs a background Controller.
     drain_timeout_s: float = 5.0  #: graceful-drain budget on SIGTERM.
     metrics_snapshot: str | None = None  #: path for the post-mortem snapshot.
     reprobe_interval_s: float = 0.0  #: > 0 re-probes open breakers in background.
-    slo: SLO = field(default_factory=lambda: SERVE_DEFAULT_SLO)
 
     def resolved_p(self) -> int:
         import os
@@ -226,7 +223,6 @@ class MergeServer:
         )
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
-        self._control_task: asyncio.Task | None = None
         self._reprobe_task: asyncio.Task | None = None
         self._draining = False
 
@@ -255,10 +251,6 @@ class MergeServer:
             self.config.port,
             limit=self.config.max_line_bytes,
         )
-        if self.config.control_interval_s > 0:
-            self._control_task = asyncio.get_running_loop().create_task(
-                self._control_loop()
-            )
         if (self.config.reprobe_interval_s > 0
                 and hasattr(self.backend, "reprobe")):
             self._reprobe_task = asyncio.get_running_loop().create_task(
@@ -322,15 +314,13 @@ class MergeServer:
         return target
 
     async def stop(self) -> None:
-        for attr in ("_control_task", "_reprobe_task"):
-            task = getattr(self, attr)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                setattr(self, attr, None)
+        if self._reprobe_task is not None:
+            self._reprobe_task.cancel()
+            try:
+                await self._reprobe_task
+            except asyncio.CancelledError:
+                pass
+            self._reprobe_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -364,22 +354,6 @@ class MergeServer:
                 await loop.run_in_executor(None, self.backend.reprobe)
             except Exception:  # noqa: BLE001 - keep the loop alive
                 pass
-
-    async def _control_loop(self) -> None:
-        """The live-traffic control loop (ROADMAP item-5 follow-up).
-
-        Between steps the registry accumulates real request metrics, so
-        :meth:`Controller.step` sees a genuine traffic window — the
-        exact role the canary plays for ``tune --watch``.  Steps run in
-        the executor because a retune may run timing probes.
-        """
-        from ..control.controller import Controller
-
-        controller = Controller(self.config.slo, self.registry)
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(self.config.control_interval_s)
-            await loop.run_in_executor(None, controller.step)
 
     # -- connection handling -------------------------------------------
 

@@ -39,15 +39,22 @@ def as_array(x: Sequence | np.ndarray, name: str = "array") -> np.ndarray:
 
 
 def first_disorder(arr: np.ndarray) -> int | None:
-    """Return the first index ``i`` with ``arr[i] > arr[i+1]``, else ``None``.
+    """Return the first index ``i`` where ``arr[i+1]`` sorts before
+    ``arr[i]`` in NumPy's order, else ``None``.
 
-    Vectorized: O(n) with a single numpy comparison pass; ``argmax``
+    That order puts NaN last, so for float arrays a NaN followed by a
+    non-NaN is a descent too (``[1.0, nan, 0.5]`` is out of order at 1);
+    every comparison with NaN is false, and ``>`` alone misses it.
+    Integer and bool arrays take the single comparison pass.  ``argmax``
     finds the first descent without building an index array, and a
     sorted input (no descent) reads as index 0 with ``gt[0]`` false.
     """
     if len(arr) < 2:
         return None
     gt = arr[:-1] > arr[1:]
+    if arr.dtype.kind in "fc":
+        nan = np.isnan(arr)
+        gt |= nan[:-1] & ~nan[1:]
     i = int(gt.argmax())
     return i if gt[i] else None
 

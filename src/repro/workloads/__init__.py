@@ -9,7 +9,7 @@
 * :mod:`repro.workloads.datasets` — scenario data for the examples
   (timestamped log records, time-series shards).
 * :mod:`repro.workloads.canary` — the fixed SLO-instrumented replay
-  behind ``python -m repro doctor`` and the tune loop (kept out of
+  behind ``python -m repro doctor`` (kept out of
   this namespace on purpose: it imports :mod:`repro.core`).
 * :mod:`repro.workloads.loadgen` — the deterministic client fleet for
   the serve front door: many tiny merges plus occasional large sorts,

@@ -1,6 +1,6 @@
 """The canary workload: a fixed, fast, SLO-instrumented replay.
 
-``python -m repro doctor`` and the ``tune --watch`` loop both need a
+``python -m repro doctor`` needs a
 *reference* workload whose latency profile is comparable across runs:
 deterministic inputs, fixed sizes, a mix of the two hot entry points
 (parallel merge and parallel merge sort).  Each timed call lands one
@@ -13,7 +13,7 @@ same source of truth every other subsystem feeds.
 The canary runs through the *tuned* path on purpose (string backend
 names, untraced timing runs): the verdict judges the configuration the
 autotuner actually routes production calls to, not a pinned one.  One
-additional traced merge per cycle attaches the load-balance gauges.
+additional traced merge per run attaches the load-balance gauges.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = ["CanaryResult", "run_canary"]
 
 @dataclass
 class CanaryResult:
-    """One canary cycle: per-call rows plus human-readable notes."""
+    """One canary run: per-call rows plus human-readable notes."""
 
     rows: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)

@@ -8,6 +8,12 @@ from repro.__main__ import main
 from repro.control import SLO, render_doctor, run_doctor, write_doctor_json
 from repro.control.doctor import DOCTOR_SCHEMA
 from repro.execution.autotune import Autotuner, get_autotuner
+from repro.execution.tuning import (
+    HostFingerprint,
+    ProbeSuite,
+    Thresholds,
+    TuningState,
+)
 
 #: Limits no functional run can breach — CLI tests must not flake on a
 #: loaded test runner; the structural clauses still gate for real.
@@ -64,6 +70,32 @@ class TestRunDoctor:
         assert "processes>=" not in text and "tiny<" not in text
         assert "4611686018427387904" not in text  # NEVER renders as 'never'
 
+    def test_stale_cache_is_reported_as_found(self, tmp_path, monkeypatch):
+        """A cache calibrated on another host shape is a finding: the
+        doctor reports the state it found, before its own thresholds()
+        call re-probes and overwrites the file."""
+        path = tmp_path / "tune.json"
+        here = HostFingerprint.current()
+        foreign = HostFingerprint(
+            cpu_count=here.cpu_count + 1, python=here.python,
+            machine=here.machine, env=here.env,
+        )
+        path.write_text(json.dumps(TuningState(
+            thresholds=Thresholds(serial_cutover=777, calibrated=True),
+            fingerprint=foreign,
+        ).to_payload()))
+        tuner = Autotuner(cache_path=path)
+        assert tuner.cache_state() == "stale"
+        # an empty probe suite keeps the re-probe off the host
+        monkeypatch.setattr(tuner, "probe_suite", ProbeSuite)
+
+        doc = run_doctor(_LOOSE, quick=True, autotuner=tuner)
+        assert doc.autotune["cache_state"] == "stale"
+        assert "cache=stale" in render_doctor(doc)
+        # the thresholds it then used came from a fresh probe, now stored
+        assert doc.autotune["thresholds"]["source"] == "probe"
+        assert tuner.cache_state() == "fresh"
+
     def test_failing_slo_flips_ok(self, tmp_path):
         # an impossible latency bound must FAIL and clear `ok`
         slo = SLO(name="impossible", p50_ns_per_elem=1e-6,
@@ -101,10 +133,3 @@ class TestDoctorCLI:
         ))
         rc = main(["doctor", "--quick", "--slo", str(slo_path)])
         assert rc == 1
-
-    def test_tune_watch_quick_runs_cycles(self, tmp_path):
-        slo_path = tmp_path / "slo.json"
-        slo_path.write_text(json.dumps(_LOOSE.to_dict()))
-        rc = main(["tune", "--watch", "--cycles", "2", "--interval", "0",
-                   "--quick", "--slo", str(slo_path)])
-        assert rc == 0

@@ -6,6 +6,7 @@ import pytest
 
 from repro.control import DEFAULT_SLO, SLO, evaluate_slo
 from repro.control.slo import FAIL, PASS, SKIP, WARN
+from repro.obs import MetricsRegistry
 
 
 def _hist(p50, p99, count=10):
@@ -104,6 +105,23 @@ class TestClauseJudging:
         slo = SLO(max_time_imbalance=1.5)
         report = evaluate_slo(slo, {"balance.time_imbalance": 2.0})
         assert report.clause("max_time_imbalance").status == FAIL
+
+
+class TestWindows:
+    def test_delta_window_forgets_old_failures(self):
+        """A window judges the current gauge: a failure in an earlier
+        window does not carry over once the metric recovers."""
+        slo = SLO(max_dispatches_per_call=4.0)
+        registry = MetricsRegistry()
+        before = registry.snapshot()
+        registry.gauge("exec.dispatches_per_call").set(100.0)
+        first = evaluate_slo(slo, registry.delta(before))
+        assert first.clause("max_dispatches_per_call").status == FAIL
+        before = registry.snapshot()
+        registry.gauge("exec.dispatches_per_call").set(1.0)
+        second = evaluate_slo(slo, registry.delta(before))
+        assert second.clause("max_dispatches_per_call").status == PASS
+        assert second.status == PASS
 
 
 class TestReport:

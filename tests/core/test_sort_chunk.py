@@ -120,6 +120,12 @@ def test_external_sort_gives_the_stable_bytes(tmp_path):
     _same(external_sort(x, 64, directory=str(tmp_path)), x)  # processes
 
 
+@pytest.mark.parametrize("name", [">i4", "bool", "bool-two-one"])
+def test_external_sort_gives_the_stable_bytes_of_every_kind(tmp_path, name):
+    x = INPUTS[name]()
+    _same(external_sort(x, 64, directory=str(tmp_path)), x)
+
+
 class TestNaNLast:
     """NumPy sorts NaN after every other value; the diagonal search
     must cut in that order, or neighbouring cuts cross."""

@@ -113,17 +113,20 @@ class TestBadInputsSurfaceEarly:
         assert exc.value.index == 49
 
     def test_nan_poisoned_float_input(self):
-        """NaNs break the total order; the sortedness check rejects any
-        array where a NaN creates a descent."""
-        a = np.array([1.0, np.nan, 2.0])
-        # nan comparisons are all False, so [1, nan] passes <= checks but
-        # [nan, 2] has nan > 2 False too; construct a detectable descent:
+        """The sortedness check uses NumPy's order, which puts NaN last:
+        a NaN before a number is a descent even though every comparison
+        with NaN is false."""
         bad = np.array([3.0, 1.0, np.nan])
         with pytest.raises(NotSortedError):
             parallel_merge(bad, np.array([1.0]), 2, backend="serial")
-        # and document the undetectable case: sorted-looking NaN arrays
-        out = parallel_merge(a, np.array([1.5]), 1, backend="serial")
-        assert len(out) == 4  # completes; NaN placement is unspecified
+        with pytest.raises(NotSortedError) as exc:
+            parallel_merge(np.array([1.0, np.nan, 2.0]), np.array([1.5]), 1,
+                           backend="serial")
+        assert exc.value.index == 1
+        # NaN-last input is sorted, and the NaN stays last
+        out = parallel_merge(np.array([1.0, 2.0, np.nan]), np.array([1.5]),
+                             2, backend="serial")
+        assert np.array_equal(out, [1.0, 1.5, 2.0, np.nan], equal_nan=True)
 
 
 class TestPRAMFaults:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.backends.serial import SerialBackend
 from repro.errors import InputError
+from repro.execution.tuning import ProbeSuite
 from repro.obs import MetricsRegistry
 from repro.resilience import (
     CLOSED,
@@ -274,3 +275,114 @@ class TestEndToEndRecovery:
             chain.run_tasks([lambda: 2])
         assert chain.active_backend == "serial"
         chain.close()
+
+
+class TestFallsAndRecoveriesLeaveTheTuner:
+    """A fall or a recovery is counted once, into the chain's registry,
+    and retunes nothing: the serial cutover does not depend on which
+    chain level is up, so the process-wide tuner keeps its thresholds,
+    never probes and never writes its cache."""
+
+    @pytest.fixture
+    def tuner(self, tmp_path, monkeypatch):
+        from repro.execution.autotune import get_autotuner
+
+        monkeypatch.setenv("REPRO_AUTOTUNE", "1")
+        monkeypatch.setenv("REPRO_AUTOTUNE_CACHE", str(tmp_path / "t.json"))
+        tuner = get_autotuner()
+        tuner.seed(serial_cutover=2048)
+        probes = []
+        monkeypatch.setattr(tuner, "probe_suite",
+                            lambda: probes.append(1) or ProbeSuite())
+        monkeypatch.setattr(tuner, "probes", probes, raising=False)
+        yield tuner
+        tuner.forget()
+
+    @staticmethod
+    def _chain(registry, clock, seed=11):
+        doomed, injector = _transient_processes(seed)
+        chain = DegradingBackend(
+            [doomed, "serial"], policy=_FAST, failure_threshold=1,
+            recovery=RecoveryPolicy(cooldown_s=5.0, jitter=0.0), clock=clock,
+        )
+        chain.metrics = registry
+        return chain, injector
+
+    @staticmethod
+    def _fall(chain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            assert [r.value for r in chain.run_tasks([lambda: 42])] == [42]
+
+    @staticmethod
+    def _recover(chain, injector, clock):
+        """The outage ends and the cooldown elapses (fake clock); the
+        background re-probe promotes the level."""
+        injector.disarm()
+        clock.advance(5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            assert chain.reprobe() == ["processes"]
+
+    @staticmethod
+    def _untouched(tuner, cutover):
+        assert tuner.probes == []
+        th = tuner.thresholds()
+        assert (th.serial_cutover, th.source) == (cutover, "seeded")
+        assert not tuner.cache_path.exists()
+
+    def test_processes_degradation_is_only_recorded(self, tuner):
+        registry = MetricsRegistry()
+        chain, _ = self._chain(registry, FakeClock())
+        before = registry.snapshot()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegradationWarning)
+            assert [r.value for r in chain.run_tasks([lambda: 42])] == [42]
+        chain.close()
+
+        assert any("'processes'" in str(w.message) for w in caught)
+        delta = registry.delta(before)
+        assert delta["resilience.degradations"] == 1
+        assert [k for k in delta if "degradation" in k] == [
+            "resilience.degradations"]
+        self._untouched(tuner, 2048)
+        assert tuner.choose_backend("threads", 1 << 20) == "threads"
+
+    def _recover_once(self, tuner):
+        registry = MetricsRegistry()
+        clock = FakeClock()
+        chain, injector = self._chain(registry, clock)
+        self._fall(chain)
+        before = registry.snapshot()
+        self._recover(chain, injector, clock)
+        chain.close()
+        return registry.delta(before)
+
+    def test_recovery_is_recorded_without_retuning(self, tuner):
+        delta = self._recover_once(tuner)
+        assert delta["resilience.recoveries"] == 1
+        assert [k for k in delta if "recover" in k] == [
+            "resilience.recoveries"]
+        self._untouched(tuner, 2048)
+
+    def test_recovery_leaves_a_healthy_cutover_alone(self, tuner):
+        """A cutover far from the default survives a recovery as is."""
+        tuner.seed(serial_cutover=1 << 16)
+        self._recover_once(tuner)
+        self._untouched(tuner, 1 << 16)
+
+    def test_repeated_recoveries_never_recalibrate(self, tuner):
+        """Every ``processes`` recovery once re-ran the probe suite,
+        rewriting the cache and re-drawing the serial cutover."""
+        registry = MetricsRegistry()
+        clock = FakeClock()
+        chain, injector = self._chain(registry, clock)
+        for _ in range(4):
+            injector.rearm()
+            self._fall(chain)
+            self._recover(chain, injector, clock)
+        chain.close()
+
+        assert registry.value("resilience.degradations") == 4
+        assert registry.value("resilience.recoveries") == 4
+        self._untouched(tuner, 2048)

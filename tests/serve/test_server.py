@@ -435,3 +435,24 @@ class TestOversizeLines:
         # the bad frame cost one request, not the connection
         assert second["ok"] is True and second["result"] == [1, 2]
         assert snapshot["serve.oversize_lines"] == 1
+
+
+class TestServeCLI:
+    def test_no_control_still_parses(self):
+        """Launch scripts pass ``--no-control``; the server runs no
+        control loop, so the flag is accepted and changes nothing."""
+        from repro.__main__ import _build_parser
+
+        ns = _build_parser().parse_args(
+            ["serve", "--port", "0", "--no-control"])
+        assert ns.command == "serve" and ns.port == 0 and ns.no_control
+
+    @pytest.mark.parametrize("args", [
+        ["--control-interval", "1"], ["--slo", "slo.json"],
+    ])
+    def test_removed_options_are_rejected(self, args, capsys):
+        from repro.__main__ import _build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(["serve", "--port", "0", *args])
+        assert exc.value.code == 2

@@ -396,7 +396,7 @@ def test_guard_catches_each_violation():
         "reg.counter(f'resilience.{key}').inc()\n"
         "reg.counter('serve.degradations').inc()\n"
         "reg.counter(f'serve.degradations.{event.kind}').inc()\n"
-        "self.registry.counter('control.recoveries').inc(2)\n"
+        "self.registry.counter('serve.recoveries').inc(2)\n"
         "reg.counter('serve.requests').inc()\n"
         "reg.counter(name).inc()\n"
     )

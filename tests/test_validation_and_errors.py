@@ -52,6 +52,24 @@ class TestCheckSorted:
         assert exc.value.index == 1
         assert "B" in str(exc.value)
 
+    def test_nan_before_a_number_is_a_descent(self):
+        """NumPy's order puts NaN last, and every comparison with NaN is
+        false, so a NaN followed by a number must still count."""
+        with pytest.raises(errors.NotSortedError) as exc:
+            check_sorted(np.array([1.0, np.nan, 0.5]))
+        assert exc.value.index == 1
+        with pytest.raises(errors.NotSortedError) as exc:
+            check_sorted(np.array([np.nan, 2.0], dtype=np.float32))
+        assert exc.value.index == 0
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_nan_last_order_passes(self, dtype):
+        x = np.array([-np.inf, -0.0, 0.0, 1.0, np.inf, np.nan, np.nan],
+                     dtype=dtype)
+        assert np.array_equal(np.sort(x), x, equal_nan=True)
+        check_sorted(x)
+        check_sorted(np.array([np.nan, np.nan], dtype=dtype))
+
 
 class TestCheckMergeable:
     def test_accepts_compatible(self):
