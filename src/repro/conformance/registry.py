@@ -59,6 +59,10 @@ class Implementation:
     #: (None: the implementation does not expose the partition +
     #: merge_into structure the tracker instruments).
     race_backend: str | None = None
+    #: Whether the implementation validates its input and must reject
+    #: every case of :func:`~repro.conformance.workloads.unsorted_cases`
+    #: with the ``NotSortedError`` an up-front scan raises.
+    rejects_unsorted: bool = False
     #: Whether the implementation routes its tasks through the shared
     #: :class:`BackendCache` — i.e. whether the chaos tier can inject
     #: faults into it by swapping the cache for a fault-wrapped one.
@@ -215,17 +219,17 @@ def build_registry(
         Implementation(
             "backend.parallel_merge.serial", "backend", "merge",
             lambda a, b, p: parallel_merge(a, b, p, backend=cache.get("serial")),
-            race_backend="serial", injectable=True,
+            race_backend="serial", injectable=True, rejects_unsorted=True,
         ),
         Implementation(
             "backend.parallel_merge.threads", "backend", "merge",
             lambda a, b, p: parallel_merge(a, b, p, backend=cache.get("threads")),
-            race_backend="threads", injectable=True,
+            race_backend="threads", injectable=True, rejects_unsorted=True,
         ),
         Implementation(
             "backend.parallel_merge.processes", "backend", "merge",
             lambda a, b, p: parallel_merge(a, b, p, backend=cache.get("processes")),
-            tiers=("full",), injectable=True,
+            tiers=("full",), injectable=True, rejects_unsorted=True,
             notes="shared-memory process pool; full tier only for speed",
         ),
         # ---- batched execution engine (one dispatch per round) ------

@@ -16,6 +16,10 @@
   for implementations that expose the partition + ``merge_into``
   structure (skip otherwise).
 
+One run-level check, ``unsorted-input``, drives every implementation
+marked ``rejects_unsorted`` over the unsorted grid and compares the
+``NotSortedError``'s ``(name, index)`` with a scan of ``A`` then ``B``.
+
 Implementations flagged ``known_unsound`` (the paper's naive-split
 counterexample) are required to **fail** the differential check — a
 standing mutation test proving the oracle can detect broken merges.
@@ -31,6 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.merge_path import partition_merge_path
+from ..errors import NotSortedError
+from ..validation import first_disorder
 from .fuzzer import (
     Mismatch,
     merge_reproducer,
@@ -49,7 +55,15 @@ from .invariants import (
 )
 from .races import audited_parallel_merge
 from .registry import BackendCache, Implementation, build_registry
-from .workloads import KwayCase, MergeCase, SortCase, kway_cases, merge_cases, sort_cases
+from .workloads import (
+    KwayCase,
+    MergeCase,
+    SortCase,
+    kway_cases,
+    merge_cases,
+    sort_cases,
+    unsorted_cases,
+)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -396,6 +410,38 @@ def _race_check(impl: Implementation, cases: list[MergeCase]) -> CheckResult:
     return CheckResult("races", "pass", cases=audited)
 
 
+def _unsorted_check(
+    impls: list[Implementation], cases: list[MergeCase]
+) -> CheckResult:
+    """Every validating implementation rejects every unsorted case with
+    the error of an up-front scan: ``A``'s first descent, else ``B``'s."""
+    ran = 0
+    for impl in impls:
+        for case in cases:
+            ran += 1
+            expected = next(
+                ((name, idx) for name, arr in (("A", case.a), ("B", case.b))
+                 if (idx := first_disorder(arr)) is not None),
+                None,
+            )
+            try:
+                impl.fn(case.a, case.b, case.p)
+                got = "no error"
+            except NotSortedError as exc:
+                if (exc.name, exc.index) == expected:
+                    continue
+                got = f"NotSortedError{(exc.name, exc.index)}"
+            except Exception as exc:  # noqa: BLE001 - reported
+                got = repr(exc)
+            return CheckResult(
+                "unsorted-input", "fail",
+                f"{impl.name} on {case.name}: {got}, expected "
+                f"NotSortedError{expected}",
+                cases=ran,
+            )
+    return CheckResult("unsorted-input", "pass", cases=ran)
+
+
 # ----------------------------------------------------------------------
 # The runner
 # ----------------------------------------------------------------------
@@ -490,6 +536,10 @@ def run_conformance(
                 "fail" if flip_detail else "pass",
                 flip_detail or "",
                 cases=flip_count,
+            ),
+            _unsorted_check(
+                [impl for impl in reg.values() if impl.rejects_unsorted],
+                list(unsorted_cases(tier, seed)),
             ),
         )
         if chaos_cache is not None:

@@ -14,6 +14,10 @@ exactly (see ``docs/testing.md``).  The generated grid covers:
   ``numpy.signbit`` tells them apart, so the A-before-B tie rule is
   observable through value-only APIs: a stable merge must emit every
   signbit-set zero before every signbit-clear zero.
+
+:func:`unsorted_cases` is the error grid: inputs with one descent in
+``A``, in ``B`` or in both, which a validating merge must reject with
+the ``NotSortedError`` an up-front scan of ``A`` then ``B`` raises.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from typing import Iterator
 
 import numpy as np
 
+from ..core.merge_path import partition_merge_path
+from ..core.sequential import SUB_BLOCK_BYTES
 from ..workloads.adversarial import ADVERSARIAL_PAIRS
 from ..workloads.generators import sorted_pair
 
@@ -33,6 +39,7 @@ __all__ = [
     "merge_cases",
     "sort_cases",
     "kway_cases",
+    "unsorted_cases",
     "stability_probe_pair",
 ]
 
@@ -190,3 +197,47 @@ def kway_cases(tier: str, seed: int) -> Iterator[KwayCase]:
             for _ in range(int(rng.integers(2, 6)))
         )
         yield KwayCase(f"random:{r}", arrays, p=int(rng.integers(1, 9)))
+
+
+def _with_descent(arr: np.ndarray, k: int) -> np.ndarray:
+    """``arr`` (sorted) with exactly one descent, at index ``k``."""
+    arr = arr.copy()
+    arr[k + 1] = arr[k] - 1
+    return arr
+
+
+def unsorted_cases(tier: str, seed: int) -> Iterator[MergeCase]:
+    """Yield the deterministic unsorted-input grid for a tier.
+
+    Each case has a descent in ``A``, ``B`` or both, placed mid-array,
+    at a segment cut of the sorted inputs' partition, in and across the
+    sub-block cuts of one long segment (``p=1`` over more sub-blocks of
+    :func:`~repro.core.sequential.merge_into` than it sorts whole), or
+    as a NaN before a number.
+    """
+    n, _ = _tier_sizes(tier)
+    a, b = sorted_pair(n, n + 11, seed, kind="uniform_ints")
+    yield MergeCase("descent_a", _with_descent(a, n // 2), b, p=4)
+    yield MergeCase("descent_b", a, _with_descent(b, 3), p=4)
+    yield MergeCase("descent_both", _with_descent(a, n - 2),
+                    _with_descent(b, 0), p=3)
+    # the pair across the first segment's right cut, for p = 2..5
+    for p in range(2, 6):
+        k = partition_merge_path(a, b, p).segments[0].a_end - 1
+        yield MergeCase(f"descent_at_cut:{p}", _with_descent(a, k), b, p=p)
+    fa, fb = sorted_pair(n, n, seed + 1, kind="uniform_floats")
+    fa = fa.copy()
+    fa[n // 3] = np.nan  # NaN sorts last: a descent although > is false
+    yield MergeCase("nan_before_number", fa, fb, p=2)
+    big = 150_000  # int64: 2 x 150,000 elements are ten sub-blocks
+    la = np.arange(0, 2 * big, 2, dtype=np.int64)
+    lb = np.arange(1, 2 * big, 2, dtype=np.int64)
+    yield MergeCase("descent_late_a_early_b", _with_descent(la, big - 500),
+                    _with_descent(lb, 100), p=1)
+    yield MergeCase("descent_late_b", la, _with_descent(lb, big - 2), p=2)
+    # The interleave puts the first sub-block's A cut at ``k + 1``; a
+    # raised ``A[k]`` leaves it there, so the descent straddles the cut.
+    k = SUB_BLOCK_BYTES // la.itemsize // 2 - 1
+    cross = la.copy()
+    cross[k] = cross[k + 1] + 1
+    yield MergeCase("descent_across_sub_block_cut", cross, lb, p=1)

@@ -116,9 +116,10 @@ def diagonal_intersections_vectorized(
     fancy-indexing comparison per bisection round, ``ceil(log2)`` rounds
     total.  This mirrors how the p processors of Algorithm 1 search their
     diagonals concurrently; the GPU tile partition
-    (:mod:`repro.gpu.blocked_merge`) uses it.  The merge-path partition
-    searches one diagonal at a time instead: a lockstep round costs
-    several numpy calls whatever the diagonal count.
+    (:mod:`repro.gpu.blocked_merge`) and the sub-block cuts of
+    :func:`~repro.core.sequential.merge_into` use it.  The merge-path
+    partition searches one diagonal at a time instead: a lockstep round
+    costs several numpy calls whatever the diagonal count.
 
     When ``stats`` is given, ``stats.search_probes`` counts the element
     comparisons actually performed (active searches per round), the same
@@ -160,8 +161,15 @@ def _search_points(
     pos: list[int],
     tracer: "Tracer | None",
 ) -> tuple[list[PathPoint], tuple[int, ...]]:
-    """Path points on the diagonals ``pos`` and the probes spent on each,
-    one scalar :func:`diagonal_intersection` per diagonal."""
+    """Path points on the increasing diagonals ``pos`` and the probes
+    spent on each, one scalar :func:`diagonal_intersection` per diagonal.
+
+    On sorted input the points are monotone (Corollary 12).  An
+    unsorted input (``check=False``, or a merge that validates inside
+    its tasks) can give non-monotone ones, so each point is clamped
+    between its predecessor and the predecessor plus the diagonal
+    step: the segments then still tile both inputs, and a per-segment
+    scan covers every adjacent pair."""
     span = (
         tracer.span("partition.search", diagonals=len(pos), a_len=len(a),
                     b_len=len(b))
@@ -171,9 +179,12 @@ def _search_points(
     with span:
         probes = MergeStats()
         points, search_steps = [], []
+        i0 = d0 = 0
         for d in pos:
             before = probes.search_probes
-            points.append(diagonal_intersection(a, b, d, stats=probes))
+            i = diagonal_intersection(a, b, d, stats=probes).i
+            i0, d0 = min(max(i, i0), i0 + d - d0), d
+            points.append(PathPoint(i0, d - i0))
             search_steps.append(probes.search_probes - before)
         span.set(probes=probes.search_probes)
     return points, tuple(search_steps)

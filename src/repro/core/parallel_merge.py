@@ -29,7 +29,7 @@ from ..execution.engine import merge_whole, run_segments
 from ..types import Partition
 from ..validation import as_array, check_mergeable, check_positive
 from .merge_path import partition_merge_path
-from .sequential import result_dtype
+from .sequential import merge_keys, result_dtype, sorted_as
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
@@ -83,7 +83,8 @@ def parallel_merge(
     Parameters
     ----------
     a, b:
-        Sorted input arrays (non-decreasing).
+        Sorted input arrays (non-decreasing).  Two bool arrays are
+        merged as their bytes, the order ``np.sort`` gives them.
     p:
         Number of parallel workers.
     backend:
@@ -100,7 +101,16 @@ def parallel_merge(
         backend.  Explicit instances and ``"serial"`` are used verbatim
         and never rerouted, so they keep ``p`` segments.
     check:
-        Validate input sortedness (O(N) vectorized scan).
+        Validate input sortedness.  Dimensions and dtypes are checked
+        up front, the order inside the segment tasks: each kernel call
+        scans its sub-blocks' input slices while they are cache-hot and
+        each task checks the pair across its right cut
+        (:func:`repro.execution.engine.merge_segment`), so no serial
+        O(N) scan runs before the tasks.  An unsorted input raises the
+        :class:`~repro.errors.NotSortedError` of a scan of ``a``, then
+        ``b`` (first descent of ``a``, else of ``b``) after the barrier,
+        in O(N) work.  ``False`` skips the order check: an unsorted
+        input then comes back as some permutation of its elements.
     oversubscribe:
         Segments per worker (default 1, the paper's static schedule).
         Values > 1 cut ``p * oversubscribe`` segments so a pooled
@@ -138,21 +148,40 @@ def parallel_merge(
     check_positive(oversubscribe, "oversubscribe")
     a = as_array(a, "A")
     b = as_array(b, "B")
-    if check:
-        check_mergeable(a, b)
+    check_mergeable(a, b, check_order=False)
 
     with Execution(
         backend, p, op="merge", n=len(a) + len(b), resilience=resilience,
         trace=trace, metrics=metrics,
     ) as ex:
-        if ex.inline:
-            return merge_whole(ex, a, b)
-        partition = partition_merge_path(
-            a, b, p * oversubscribe, check=False, tracer=trace
+        return _merge_in(
+            ex, a, b, None if ex.inline else p * oversubscribe, check, trace
         )
-        out = np.empty(partition.total_length, dtype=result_dtype(a, b))
-        run_segments(ex, [(out, a, b, partition)], label="merge.partition")
-    return out
+
+
+def _merge_in(
+    ex: Execution,
+    a: np.ndarray,
+    b: np.ndarray,
+    parts: int | None,
+    check: bool,
+    trace: "Tracer | None",
+) -> np.ndarray:
+    """Merge ``a`` and ``b`` inside ``ex``: as one segment
+    (:func:`~repro.execution.engine.merge_whole`) when ``parts`` is
+    ``None``, else over ``parts`` merge-path segments.  Both run on the
+    inputs' :func:`~repro.core.sequential.merge_keys`."""
+    ka, kb = merge_keys(a, b)
+    if parts is None:
+        out = merge_whole(ex, ka, kb, check=check)
+    else:
+        partition = partition_merge_path(
+            ka, kb, parts, check=False, tracer=trace
+        )
+        out = np.empty(partition.total_length, dtype=result_dtype(ka, kb))
+        run_segments(ex, [(out, ka, kb, partition)], label="merge.partition",
+                     check=check)
+    return out if ka is a else sorted_as(out, a)
 
 
 def merge(
@@ -185,10 +214,9 @@ def merge(
     if backend == "auto" and p == 1:
         a = as_array(a, "A")
         b = as_array(b, "B")
-        if check:
-            check_mergeable(a, b)
+        check_mergeable(a, b, check_order=False)
         with Execution("serial", op="merge") as ex:
-            return merge_whole(ex, a, b)
+            return _merge_in(ex, a, b, None, check, None)
     if backend == "auto":
         backend = "threads"
     return parallel_merge(a, b, p, backend=backend, check=check)

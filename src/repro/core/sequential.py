@@ -16,14 +16,14 @@ matching the merge-path tie-break):
     experiment's disjoint-range adversarial inputs); same worst case.
 ``merge_vectorized``
     Copy ``A`` then ``B`` into the output and run numpy's stable sort
-    over it.  On numeric dtypes wider than 16 bits that sort is
-    timsort: it finds the two sorted runs and merges them with
-    galloping in linear time, with the GIL released and a scratch
-    buffer no larger than the smaller run (narrower types get NumPy's
-    radix sort, also linear).  Stability keeps ``A`` before equal
-    ``B``.  This is the production kernel, the ``seq_merge`` leaf under
-    the merge-path split, and plays the role numba-jitted loops play in
-    CPU merge-path libraries.
+    over it, one cache-sized sub-block of the output at a time
+    (:func:`merge_into`).  On numeric dtypes wider than 16 bits that
+    sort is timsort: it finds the two sorted runs and merges them with
+    galloping in linear time, with the GIL released (narrower types get
+    NumPy's radix sort, also linear).  Stability keeps ``A`` before
+    equal ``B``.  This is the production kernel, the ``seq_merge`` leaf
+    under the merge-path split, and plays the role numba-jitted loops
+    play in CPU merge-path libraries.
 
 Only the vectorized kernel runs in production: :func:`merge_into` writes
 it into a caller-provided output slice, which is how parallel workers
@@ -43,7 +43,8 @@ import numpy as np
 
 from ..errors import InputError
 from ..types import MergeStats
-from ..validation import as_array, check_mergeable
+from ..validation import as_array, check_mergeable, first_disorder
+from .merge_path import diagonal_intersections_vectorized
 
 __all__ = [
     "merge_two_pointer",
@@ -53,10 +54,28 @@ __all__ = [
     "merge_runs_into",
     "sort_chunk",
     "sort_keys",
+    "merge_keys",
     "sorted_as",
     "KERNELS",
+    "SUB_BLOCK_BYTES",
+    "WHOLE_SORT_SUB_BLOCKS",
     "result_dtype",
 ]
+
+#: Output bytes per sub-block of :func:`merge_into`: small enough that a
+#: sub-block's two input slices, its output and the stable sort's
+#: scratch stay in a core's L2 cache, large enough that the per-block
+#: Python work is noise next to the sort.
+SUB_BLOCK_BYTES = 256 * 1024
+
+#: A call of at most this many sub-blocks (2 MiB of output at the
+#: default size) is one copy and one sort.  Its inputs and output fit
+#: an L2 cache whole, so the walk's per-block work (the lockstep cuts,
+#: a scan per side, a sort call) is pure cost: measured against one
+#: checked sort on a 2-vCPU x86 VM with a 2 MiB L2 (int32, int64,
+#: float64), the checked walk was 4-10% slower at 4 and 8 sub-blocks,
+#: 0-4% slower at 16, 6-8% faster at 32 and 9-14% faster at 64.
+WHOLE_SORT_SUB_BLOCKS = 8
 
 
 def result_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
@@ -241,9 +260,10 @@ def merge_vectorized(
     and ``A`` comes first.
     """
     a, b = _prepare(a, b, check)
-    out = np.empty(len(a) + len(b), dtype=result_dtype(a, b))
-    merge_into(out, a, b)
-    return out
+    ka, kb = merge_keys(a, b)
+    out = np.empty(len(a) + len(b), dtype=result_dtype(ka, kb))
+    merge_into(out, ka, kb)
+    return out if ka is a else sorted_as(out, a)
 
 
 #: Registry of kernels by name, used by benchmarks, the ablation study
@@ -280,29 +300,55 @@ def merge_into(
     out: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-) -> None:
+    *,
+    check: bool = False,
+) -> tuple[int | None, int | None]:
     """Linear-time stable merge of ``a`` and ``b`` written into ``out``.
 
     This is the worker primitive of Algorithm 1: each processor calls it
     on its disjoint output slice, so no locking is ever needed.
     ``out`` must have length ``len(a) + len(b)``.
 
-    Copies ``a`` into ``out[:len(a)]`` and ``b`` after it, then sorts
-    ``out`` in place with ``kind="stable"``.  For two sorted runs the
-    stable sort is a single galloping timsort merge: O(|A|+|B|) work,
-    the GIL released on numeric dtypes, and a scratch buffer of at most
-    ``min(|A|, |B|)`` elements.  (NumPy sorts types of 16 bits or less
-    by radix sort instead, also linear, with an ``|A|+|B|`` buffer; a
-    non-contiguous ``out`` is sorted through a contiguous copy.)  The
-    result equals ``np.sort(np.concatenate([a, b]), kind="stable")``
-    bit for bit, for every dtype and value (NaN, signed zeros,
-    infinities).
+    The kernel copies ``a`` and then ``b`` into ``out`` and sorts it
+    with ``kind="stable"``.  For two sorted runs the stable sort is a
+    single galloping timsort merge: O(|A|+|B|) work, the GIL released
+    on numeric dtypes, and a scratch buffer no larger than the smaller
+    run.  (NumPy sorts types of 16 bits or less by radix sort instead,
+    also linear; a non-contiguous ``out`` is sorted through a
+    contiguous copy.)  A call of more than :data:`WHOLE_SORT_SUB_BLOCKS`
+    sub-blocks does this one cache-sized sub-block of
+    :data:`SUB_BLOCK_BYTES` at a time, the path blocks of the paper's
+    Section IV.B: the sub-block ends are output ranks, cut on the merge
+    path by one diagonal search
+    (:func:`~repro.core.merge_path.diagonal_intersections_vectorized`),
+    and each sub-block's ``a`` and ``b`` slices are copied into place
+    and sorted while they sit in cache.  Either way the result equals
+    ``np.sort(np.concatenate([a, b]), kind="stable")`` bit for bit, for
+    every dtype and value (NaN, signed zeros, infinities): the cuts use
+    the same A-before-equal-B, NaN-last order as the sort.  Bools are
+    the exception: the sort orders their bytes and the cuts their truth
+    values, so bool arrays holding bytes other than 0 and 1 must come
+    as their keys (:func:`merge_keys`), as ``parallel_merge``,
+    ``merge`` and :func:`merge_vectorized` pass them.  The cuts are
+    kernel work, like timsort's galloping, not partition probes.
+
+    With ``check`` the kernel also validates its input, while each
+    sub-block's slices are cache-hot: it returns ``(i, j)``, the first
+    descent of ``a`` and of ``b`` in NumPy's order
+    (:func:`~repro.validation.first_disorder`; ``None`` where there is
+    none).  After a descent it sorts nothing more, so an unsorted input
+    still costs O(N).  It stops at the first descent of ``a``, whose
+    error wins, and then ``j`` may be ``None`` although ``b`` has one;
+    after a descent of ``b`` alone it keeps scanning ``a``.  On a
+    reported descent ``out`` holds no meaningful result.  Without
+    ``check`` it returns ``(None, None)``.
 
     ``out`` may be exactly the ``[a | b]`` layout (``a`` already at
     ``out[:len(a)]`` and ``b`` right after it), in which case that side
-    is not copied.  Any other overlap of ``out`` with ``a`` or ``b``
-    raises :class:`~repro.errors.InputError`: copying the first side
-    would overwrite the second before it was read.
+    is not copied and the call is one sort at any size.  Any other
+    overlap of ``out`` with ``a`` or ``b`` raises
+    :class:`~repro.errors.InputError`: copying the first side would
+    overwrite the second before it was read.
 
     The kernel counts nothing: a segment's work is fixed by its lengths,
     so :func:`repro.execution.engine.run_segments` publishes it from the
@@ -310,16 +356,58 @@ def merge_into(
     ``|A| + |B| - 1`` comparisons, the worst case of a linear merge).
     """
     la, lb = len(a), len(b)
-    if len(out) != la + lb:
+    n = la + lb
+    if len(out) != n:
         raise InputError(
-            f"output slice length {len(out)} != |A|+|B| = {la + lb}"
+            f"output slice length {len(out)} != |A|+|B| = {n}"
         )
-    if not _in_place(out, a, 0, "A"):
-        out[:la] = a
-    if not _in_place(out, b, la, "B"):
-        out[la:] = b
-    if la and lb:
-        out.sort(kind="stable")
+    a_placed = _in_place(out, a, 0, "A")
+    b_placed = _in_place(out, b, la, "B")
+    if (n * out.itemsize <= WHOLE_SORT_SUB_BLOCKS * SUB_BLOCK_BYTES
+            or a_placed or b_placed):
+        if check:
+            i = first_disorder(a)
+            if i is not None:
+                return i, None
+            j = first_disorder(b)
+            if j is not None:
+                return None, j
+        if not a_placed:
+            out[:la] = a
+        if not b_placed:
+            out[la:] = b
+        if la and lb:
+            out.sort(kind="stable")
+        return None, None
+
+    step = max(1, SUB_BLOCK_BYTES // out.itemsize)
+    ends = np.arange(step, n, step)
+    cuts = diagonal_intersections_vectorized(a, b, ends).tolist()
+    j = None
+    i0 = d0 = 0
+    for d1, i1 in zip([*ends.tolist(), n], [*cuts, la]):
+        # On unsorted input the cuts need not be monotone: clamp each
+        # so the sub-blocks still tile both inputs.
+        i1 = min(max(i1, i0), i0 + d1 - d0)
+        j0, j1 = d0 - i0, d1 - i1
+        block = out[d0:d1]
+        if j is None:
+            block[:i1 - i0] = a[i0:i1]
+            block[i1 - i0:] = b[j0:j1]
+        if check:
+            # The copy just read both slices: scan them while cache-hot,
+            # each one element past its end (the pair across the cut).
+            k = first_disorder(a[i0:i1 + 1])
+            if k is not None:
+                return i0 + k, j
+            if j is None:
+                k = first_disorder(b[j0:j1 + 1])
+                if k is not None:
+                    j = j0 + k
+        if j is None and i1 > i0 and j1 > j0:
+            block.sort(kind="stable")
+        i0, d0 = i1, d1
+    return None, j
 
 
 def merge_runs_into(out: np.ndarray, runs: Sequence[np.ndarray]) -> None:
@@ -369,6 +457,23 @@ def sort_keys(x: np.ndarray) -> np.ndarray:
     viewed as ``uint8``.  Every other array is returned as it is.
     """
     return x.view(np.uint8) if x.dtype == np.bool_ else x
+
+
+def merge_keys(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as the merges cut, check and sort them.
+
+    Two bool arrays are merged as their bytes (:func:`sort_keys`), the
+    order ``np.sort`` gives them, so a true byte other than 1 lands
+    where ``np.sort`` puts it; the merge of the keys is viewed back with
+    :func:`sorted_as` (it ran on keys when ``merge_keys(a, b)[0] is not
+    a``).  A bool merged with another dtype is promoted by value, and
+    every other pair is returned as it is.
+    """
+    if a.dtype.kind == "b" and b.dtype.kind == "b":
+        return sort_keys(a), sort_keys(b)
+    return a, b
 
 
 def sorted_as(out: np.ndarray, x: np.ndarray) -> np.ndarray:

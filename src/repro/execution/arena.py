@@ -41,15 +41,18 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 
 def _merge_segment_offsets(
     args: tuple[str, str, str, int, int, int, int, int, int, int, int, int, int],
-) -> int:
+    check: bool = False,
+) -> tuple[int | None, int | None]:
     """Merge one segment of one pair inside a worker process.
 
     All coordinates are *element* offsets into the round's two shared
     blocks: the pair's A run lives at ``a_off`` (length ``a_len``), its
     B run at ``b_off``, its output at ``out_off``; the segment then
     addresses sub-ranges of those runs exactly as in Algorithm 1.
+    Returns what :func:`repro.execution.engine.merge_segment` returns:
+    with ``check``, the first descents the segment answers for.
     """
-    from ..core.sequential import merge_into
+    from .engine import merge_segment
 
     (name_in, name_out, dtype_str,
      a_off, a_len, b_off, b_len, out_off,
@@ -66,11 +69,11 @@ def _merge_segment_offsets(
         seg_len = (a1 - a0) + (b1 - b0)
         out = np.ndarray((seg_len,), dtype=dtype, buffer=shm_out.buf,
                          offset=(out_off + o0) * item)
-        merge_into(out, a[a0:a1], b[b0:b1])
+        found = merge_segment(out, a, b, a0, a1, b0, b1, check)
     finally:
         shm_in.close()
         shm_out.close()
-    return out_off + o0
+    return found
 
 
 def _sort_chunk_shm(
@@ -172,8 +175,13 @@ class RoundArena(_TwoBlockArena):
             self.close()
             raise
 
-    def tasks(self) -> list[Callable[[], int]]:
-        return [functools.partial(_merge_segment_offsets, j) for j in self.jobs]
+    def tasks(self, check: bool = False) -> list[Callable[[], tuple]]:
+        """One picklable job per non-empty segment; with ``check`` each
+        also validates its segment's input (:func:`_merge_segment_offsets`)."""
+        return [
+            functools.partial(_merge_segment_offsets, j, check)
+            for j in self.jobs
+        ]
 
     def results(
         self, outs: Sequence[np.ndarray] | None = None

@@ -32,6 +32,12 @@ Below the serial cutover a merge has nothing to split:
 :func:`merge_whole` runs the one-segment plan (Theorem 14 with one
 segment needs no diagonal search) as one task in one batch, and
 publishes the same plan counts.
+
+Both validate the input inside the tasks when asked (``check``): each
+task's kernel scans its segment's slices while they are cache-hot
+(:func:`merge_segment`), and after the barrier the first descent any
+task found is raised as :class:`~repro.errors.NotSortedError`, ``A``'s
+before ``B``'s, so no serial scan of the whole input runs first.
 """
 
 from __future__ import annotations
@@ -42,11 +48,13 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from ..backends import Backend, TaskBatch, tasks_must_pickle
+from ..backends import Backend, TaskBatch, TaskResult, tasks_must_pickle
+from ..errors import NotSortedError
 from ..obs.tracer import NULL_SPAN
 from ..types import Partition, Segment
 from ..core.merge_path import partition_merge_path
 from ..core.sequential import merge_into, result_dtype, sort_chunk
+from ..validation import descends_at
 from .arena import ChunkSortArena, RoundArena
 from .context import Execution
 
@@ -54,7 +62,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
 
 __all__ = [
-    "merge_whole", "run_segments", "run_merge_round", "run_chunk_sorts",
+    "merge_segment", "merge_whole", "run_segments", "run_merge_round",
+    "run_chunk_sorts",
 ]
 
 #: One partitioned merge: ``partition`` cuts the merge of ``a`` and
@@ -68,13 +77,16 @@ def run_segments(
     *,
     label: str,
     meta: dict[str, Any] | None = None,
+    check: bool = False,
 ) -> None:
     """Merge every segment of every job in **one** batched dispatch.
 
     ``meta`` is recorded on the batch (and on each ``segment.merge``
-    span).  Every task runs :func:`~repro.core.sequential.merge_into`;
-    staged jobs run it in worker processes, which do not feed the call's
-    tracer.
+    span).  Every task runs :func:`merge_segment`; staged jobs run it in
+    worker processes, which do not feed the call's tracer.  With
+    ``check`` the tasks also validate the input of a single job (its
+    inputs named ``A`` and ``B``) and an unsorted one raises
+    :class:`~repro.errors.NotSortedError` after the barrier.
     """
     meta = dict(meta or ())
     staged = tasks_must_pickle(ex.backend)
@@ -83,35 +95,89 @@ def run_segments(
         else nullcontext()
     ) as arena:
         tasks = (
-            arena.tasks() if staged else _closures(ex.trace, jobs, meta)
+            arena.tasks(check) if staged
+            else _closures(ex.trace, jobs, meta, check)
         )
         meta["segments"] = len(tasks)
         if ex.metrics is not None:
             _publish(ex.metrics, jobs, len(tasks))
-        ex.run(TaskBatch(tasks, label=label, meta=meta))  # the barrier
+        results = ex.run(TaskBatch(tasks, label=label, meta=meta))  # the barrier
+        if check:
+            _raise_first_descent(results)
         if staged:
             arena.results([out for out, *_ in jobs])
 
 
-def merge_whole(ex: Execution, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def merge_whole(
+    ex: Execution, a: np.ndarray, b: np.ndarray, *, check: bool = False
+) -> np.ndarray:
     """Merge ``a`` and ``b`` as **one** segment, for an
     :attr:`~repro.execution.context.Execution.inline` call.
 
     No diagonal search, no per-segment closure: one
     :func:`~repro.core.sequential.merge_into` task in one batch (so the
-    call still counts one dispatch).  With ``metrics`` it publishes the
-    one-segment plan's counts: ``merge.segments`` 1, ``merge.moves``
-    ``n``, ``merge.comparisons`` ``n - 1`` when both sides are
-    non-empty, ``merge.search_probes`` 0, ``balance.work_spread`` 0.
+    call still counts one dispatch), which validates the input when
+    ``check`` is set.  With ``metrics`` it publishes the one-segment
+    plan's counts: ``merge.segments`` 1, ``merge.moves`` ``n``,
+    ``merge.comparisons`` ``n - 1`` when both sides are non-empty,
+    ``merge.search_probes`` 0, ``balance.work_spread`` 0.
     """
     la, lb = len(a), len(b)
     out = np.empty(la + lb, dtype=result_dtype(a, b))
-    tasks = [partial(merge_into, out, a, b)] if la + lb else []
+    tasks = [partial(merge_into, out, a, b, check=check)] if la + lb else []
     if ex.metrics is not None:
         part = Partition(la, lb, (Segment(0, 0, la, 0, lb, 0, la + lb),))
         _publish(ex.metrics, [(out, a, b, part)], len(tasks))
-    ex.run(TaskBatch(tasks, label="merge.partition"))
+    results = ex.run(TaskBatch(tasks, label="merge.partition"))
+    if check:
+        _raise_first_descent(results)
     return out
+
+
+def merge_segment(
+    out: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    a0: int, a1: int, b0: int, b1: int,
+    check: bool = False,
+) -> tuple[int | None, int | None]:
+    """One segment task: merge ``a[a0:a1]`` and ``b[b0:b1]`` into
+    ``out`` (:func:`~repro.core.sequential.merge_into`).
+
+    With ``check`` it returns the first descent of each input the
+    segment answers for, as an index into the whole ``a`` or ``b``
+    (``None`` where there is none): the kernel scans the segment's own
+    slices, and the task adds the one pair of each input that straddles
+    its right cut.  Segments tiling a merge path therefore check every
+    adjacent pair of both inputs exactly as
+    :func:`~repro.validation.check_sorted` does.
+    """
+    i, j = merge_into(out, a[a0:a1], b[b0:b1], check=check)
+    if not check:
+        return i, j
+    if i is not None:
+        i += a0
+    elif 0 < a1 < len(a) and descends_at(a, a1 - 1):
+        i = a1 - 1
+    if j is not None:
+        j += b0
+    elif 0 < b1 < len(b) and descends_at(b, b1 - 1):
+        j = b1 - 1
+    return i, j
+
+
+def _raise_first_descent(results: Sequence[TaskResult]) -> None:
+    """Raise the first descent the tasks found, ``A``'s before ``B``'s:
+    the error :func:`~repro.validation.check_mergeable` raises."""
+    for r in results:
+        if r.value != (None, None):
+            break
+    else:
+        return
+    for side, name in enumerate("AB"):
+        seen = [r.value[side] for r in results if r.value[side] is not None]
+        if seen:
+            raise NotSortedError(name, min(seen))
 
 
 def _publish(
@@ -134,13 +200,16 @@ def _publish(
 
 
 def _closures(
-    trace: "Tracer | None", jobs: Sequence[Job], meta: dict[str, Any]
+    trace: "Tracer | None",
+    jobs: Sequence[Job],
+    meta: dict[str, Any],
+    check: bool,
 ) -> list:
     """One in-process task per non-empty segment, each with its own
     ``segment.merge`` span."""
 
     def make_task(out, a, b, seg, worker):
-        def task() -> None:
+        def task() -> tuple[int | None, int | None]:
             span = (
                 trace.span(
                     "segment.merge",
@@ -154,10 +223,9 @@ def _closures(
                 else NULL_SPAN
             )
             with span:
-                merge_into(
-                    out[seg.out_start:seg.out_end],
-                    a[seg.a_start:seg.a_end],
-                    b[seg.b_start:seg.b_end],
+                return merge_segment(
+                    out[seg.out_start:seg.out_end], a, b,
+                    seg.a_start, seg.a_end, seg.b_start, seg.b_end, check,
                 )
 
         return task

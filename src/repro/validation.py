@@ -22,6 +22,7 @@ __all__ = [
     "check_positive",
     "check_range",
     "first_disorder",
+    "descends_at",
 ]
 
 
@@ -38,6 +39,12 @@ def as_array(x: Sequence | np.ndarray, name: str = "array") -> np.ndarray:
     return arr
 
 
+#: Dtype kinds whose order check adds NumPy's NaN-last rule.  Other
+#: kinds take ``>`` alone, as ``check_sorted`` always has, also where a
+#: value is unequal to itself (NaT, a float NaN in an object array).
+_NAN_KINDS = "fc"
+
+
 def first_disorder(arr: np.ndarray) -> int | None:
     """Return the first index ``i`` where ``arr[i+1]`` sorts before
     ``arr[i]`` in NumPy's order, else ``None``.
@@ -52,11 +59,21 @@ def first_disorder(arr: np.ndarray) -> int | None:
     if len(arr) < 2:
         return None
     gt = arr[:-1] > arr[1:]
-    if arr.dtype.kind in "fc":
+    if arr.dtype.kind in _NAN_KINDS:
         nan = np.isnan(arr)
         gt |= nan[:-1] & ~nan[1:]
     i = int(gt.argmax())
     return i if gt[i] else None
+
+
+def descends_at(arr: np.ndarray, i: int) -> bool:
+    """Whether ``arr[i + 1]`` sorts before ``arr[i]``: the one-pair form
+    of :func:`first_disorder`, in the same order (NaN last for the same
+    dtypes), without building arrays."""
+    x, y = arr[i], arr[i + 1]
+    if x > y:
+        return True
+    return arr.dtype.kind in _NAN_KINDS and bool(x != x and y == y)
 
 
 def check_sorted(arr: np.ndarray, name: str = "array") -> None:

@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.core import sequential
 from repro.core.parallel_merge import parallel_merge
 from repro.core.sequential import (
     KERNELS,
     merge_galloping,
     merge_into,
+    merge_keys,
     merge_two_pointer,
     merge_vectorized,
     result_dtype,
+    sorted_as,
 )
 from repro.errors import DTypeMismatchError, InputError, NotSortedError
 from repro.obs import MetricsRegistry
 from repro.types import MergeStats
+from repro.validation import first_disorder
 from repro.workloads.adversarial import ADVERSARIAL_PAIRS
 
 from ..conftest import reference_merge
@@ -367,3 +371,105 @@ class TestKernelAliasing:
         with pytest.raises(InputError):
             merge_into(buf, buf[2:], buf[:2])
         np.testing.assert_array_equal(buf, [2, 3, 1, 4])
+
+
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    """Sub-blocks of 16 bytes: a few hundred elements cross dozens of
+    sub-block cuts (2 int64, 16 int8 elements a sub-block)."""
+    monkeypatch.setattr(sequential, "SUB_BLOCK_BYTES", 16)
+
+
+def _bool_bytes(n: int, seed: int) -> np.ndarray:
+    """A byte-sorted bool array holding bytes 0-3, as ``np.sort`` orders it."""
+    g = np.random.default_rng(seed)
+    return np.sort(g.integers(0, 4, n).astype(np.uint8).view(np.bool_),
+                   kind="stable")
+
+
+class TestSubBlocks:
+    """``merge_into`` walks its output in sub-blocks cut on the merge
+    path; the result is the stable sort of ``[A | B]`` bit for bit, and
+    ``check`` reports the first descent of each side."""
+
+    @pytest.mark.parametrize("dtype", [
+        np.int8, np.int16, np.int32, np.int64,
+        np.uint8, np.uint16, np.uint32, np.uint64,
+        np.float16, np.float32, np.float64, np.bool_,
+    ])
+    def test_bit_identical_across_sub_blocks(self, tiny_blocks, dtype):
+        """Bools with bytes 0-3 go in as their merge keys, as every
+        entry point passes them."""
+        if dtype is np.bool_:
+            a, b = _bool_bytes(300, 1), _bool_bytes(200, 2)
+        else:
+            a, b = _sorted_sample(dtype, 300, 1), _sorted_sample(dtype, 200, 2)
+        ka, kb = merge_keys(a, b)
+        out = np.empty(len(a) + len(b), dtype=result_dtype(ka, kb))
+        assert merge_into(out, ka, kb, check=True) == (None, None)
+        expected = np.sort(np.concatenate([a, b]), kind="stable")
+        _assert_bits_equal(sorted_as(out, a), expected)
+        _assert_bits_equal(merge_vectorized(a, b), expected)
+
+    def test_default_sub_block_size(self):
+        """Real 256 KiB sub-blocks: 2 x 200,000 int64 is 13 of them."""
+        g = np.random.default_rng(3)
+        a = np.sort(g.integers(0, 1000, 200_000))
+        b = np.sort(g.integers(0, 1000, 200_000))
+        assert len(a) + len(b) > (sequential.WHOLE_SORT_SUB_BLOCKS
+                                  * sequential.SUB_BLOCK_BYTES // 8)
+        out = np.empty(len(a) + len(b), dtype=np.int64)
+        assert merge_into(out, a, b, check=True) == (None, None)
+        _assert_bits_equal(out, reference_merge(a, b))
+
+    def test_small_calls_are_one_sort(self, tiny_blocks, monkeypatch):
+        def no_cuts(*args, **kwargs):
+            raise AssertionError("a call of few sub-blocks must not cut")
+
+        monkeypatch.setattr(sequential, "diagonal_intersections_vectorized",
+                            no_cuts)
+        n = 2 * sequential.WHOLE_SORT_SUB_BLOCKS  # two int64 a sub-block
+        a, b = np.arange(0, n, 2), np.arange(1, n, 2)
+        out = np.empty(n, dtype=np.int64)
+        merge_into(out, a, b)
+        np.testing.assert_array_equal(out, np.arange(n))
+
+    def test_in_place_layout_is_one_sort(self, tiny_blocks):
+        buf = np.concatenate([np.arange(0, 200, 2), np.arange(1, 200, 2)])
+        merge_into(buf, buf[:100], buf[100:])
+        np.testing.assert_array_equal(buf, np.arange(200))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unsorted_input_reports_first_descents(self, tiny_blocks, seed):
+        """Unsorted input gives non-monotone cuts; clamped, they still
+        tile both inputs, so the reported descents are the first ones
+        and nothing raises."""
+        g = np.random.default_rng(seed)
+        a = g.integers(0, 50, int(g.integers(20, 200)))
+        b = g.integers(0, 50, int(g.integers(20, 200)))
+        out = np.empty(len(a) + len(b), dtype=np.int64)
+        i, j = merge_into(out, a, b, check=True)
+        assert i == first_disorder(a)
+        if i is None:
+            assert j == first_disorder(b)
+        merge_into(out, a, b)  # unchecked: garbage out, but no error
+
+    def test_b_descent_keeps_scanning_a(self, tiny_blocks):
+        a = np.arange(200)
+        a[180] = -1  # descent at 179, many sub-blocks after B's
+        b = np.arange(200)
+        b[3] = -1  # descent at 2, in the first sub-block
+        out = np.empty(400, dtype=np.int64)
+        assert merge_into(out, a, b, check=True)[0] == 179
+        assert merge_into(out, np.arange(200), b, check=True) == (None, 2)
+
+    def test_descent_on_a_sub_block_cut(self, tiny_blocks):
+        """A descent between the last element of one sub-block's slice
+        and the first of the next is found: each scan reads one element
+        past its slice."""
+        a, b = np.arange(0, 200, 2), np.arange(1, 200, 2)
+        for k in range(1, 99):
+            bad = a.copy()
+            bad[k + 1] = bad[k] - 1
+            out = np.empty(200, dtype=np.int64)
+            assert merge_into(out, bad, b, check=True)[0] == k

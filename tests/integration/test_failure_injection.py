@@ -106,6 +106,9 @@ class TestCorruptPartitions:
 
 class TestBadInputsSurfaceEarly:
     def test_unsorted_detected_before_any_work(self):
+        """The name predates in-task validation: the order check now
+        runs inside the segment tasks, while each slice is cache-hot,
+        and the call raises the same error an up-front scan raised."""
         a = np.arange(100)
         a[50] = 0  # corrupt one element
         with pytest.raises(NotSortedError) as exc:

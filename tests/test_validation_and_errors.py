@@ -10,6 +10,7 @@ from repro.validation import (
     check_positive,
     check_range,
     check_sorted,
+    descends_at,
     first_disorder,
 )
 
@@ -42,6 +43,39 @@ class TestFirstDisorder:
     def test_short_arrays(self):
         assert first_disorder(np.array([])) is None
         assert first_disorder(np.array([7])) is None
+
+
+class TestDescendsAt:
+    """``descends_at`` is the one-pair form of ``first_disorder``: the
+    two agree on every pair, with NaN last only for float dtypes."""
+
+    NAT = np.datetime64("NaT", "D")
+    DAY = np.datetime64("2024-01-01", "D")
+
+    @pytest.mark.parametrize("arr", [
+        np.array([1, 2, 0]),
+        np.array([1.0, np.nan, -np.inf, 0.0, -0.0]),
+        np.array([1 + 1j, np.nan + 0j, 0j]),
+        np.array([DAY, NAT, DAY - 1]),
+        np.array([1, "NaT", 0], dtype="m8[s]"),
+        np.array([1.0, np.nan, 0.5], dtype=object),
+        np.array([True, False]),
+    ], ids=lambda arr: arr.dtype.str)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_agrees_with_first_disorder(self, arr):
+        for x in arr:
+            for y in arr:
+                pair = np.array([x, y], dtype=arr.dtype)
+                assert descends_at(pair, 0) == (
+                    first_disorder(pair) is not None
+                ), pair
+
+    def test_nat_before_a_date_is_not_a_descent(self):
+        """Only floats take the NaN-last rule; a NaT followed by a date
+        passes ``check_sorted`` and so must pass ``descends_at``."""
+        pair = np.array([self.NAT, self.DAY])
+        assert first_disorder(pair) is None
+        assert not descends_at(pair, 0)
 
 
 class TestCheckSorted:
