@@ -22,8 +22,6 @@ trace EXP_ID
     ``chrome://tracing`` or https://ui.perfetto.dev).  Also prints a
     flame summary, the per-worker load-balance report, and the metrics
     snapshot.  ``--out trace.json`` chooses the path.
-bench
-    Run the regression bench suite and write ``BENCH_<date>.json``.
 doctor
     One-shot operability verdict: probe the host, replay the canary
     workload through the tuned path, print PASS/WARN/FAIL per SLO
@@ -64,7 +62,7 @@ _LEGACY_FLAGS = ("--quick", "--full", "--chart", "--chaos")
 
 _SUBCOMMANDS = (
     "run", "report", "selftest", "scorecard", "conformance", "api",
-    "trace", "bench", "doctor", "serve", "extsort",
+    "trace", "doctor", "serve", "extsort",
 )
 
 
@@ -83,7 +81,7 @@ def _fig5_chart(result: ExperimentResult) -> str:
 def _print_listing() -> None:
     print("usage: python -m repro SUBCOMMAND ... "
           "(run | report | selftest | scorecard | conformance | api | "
-          "trace | bench | doctor | serve | extsort)\n")
+          "trace | doctor | serve | extsort)\n")
     print("available experiments (python -m repro run EXP_ID ...):")
     for exp_id, (_fn, desc) in EXPERIMENTS.items():
         print(f"  {exp_id:<8} {desc}")
@@ -96,7 +94,6 @@ def _print_listing() -> None:
     print("  api          print the public-API index")
     print("  trace        capture a Chrome-trace of a workload "
           "(--out trace.json)")
-    print("  bench        emit a BENCH_<date>.json regression snapshot")
     print("  doctor       one-shot SLO verdict for this host "
           "(--quick, --json out.json)")
     print("  serve        NDJSON-over-TCP front door "
@@ -169,20 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--full", action="store_true",
                          help=argparse.SUPPRESS)
     p_trace.add_argument("--seed", type=int, default=7)
-
-    p_bench = sub.add_parser(
-        "bench", help="run the regression bench suite, write BENCH JSON")
-    p_bench.add_argument("--quick", action="store_true")
-    p_bench.add_argument("--full", action="store_true",
-                         help=argparse.SUPPRESS)
-    p_bench.add_argument("--out", default=None,
-                         help="output path (default: BENCH_<date>.json)")
-    p_bench.add_argument("--seed", type=int, default=7)
-    p_bench.add_argument("--compare", default=None, metavar="BASELINE.json",
-                         help="after running, diff ns/elem against this "
-                         "baseline; nonzero exit past --max-regress")
-    p_bench.add_argument("--warn-regress", type=float, default=0.25)
-    p_bench.add_argument("--max-regress", type=float, default=None)
 
     p_doc = sub.add_parser(
         "doctor", help="one-shot SLO verdict: probe host, replay canary")
@@ -325,35 +308,6 @@ def _cmd_trace(ns: argparse.Namespace) -> int:
     print()
     print("metrics snapshot:")
     print(json.dumps(capture.metrics.snapshot(), indent=2))
-    return 0
-
-
-def _cmd_bench(ns: argparse.Namespace) -> int:
-    from .obs.bench import compare_bench, format_comparison, write_bench_file
-
-    path = write_bench_file(ns.out, quick=ns.quick, seed=ns.seed)
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    print(f"wrote {len(doc['results'])} bench rows to {path}")
-    if ns.compare is None:
-        return 0
-    with open(ns.compare, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    fail_frac = (
-        ns.max_regress if ns.max_regress is not None else ns.warn_regress
-    )
-    cmp = compare_bench(
-        baseline, doc, warn_frac=ns.warn_regress, fail_frac=fail_frac
-    )
-    print(f"comparing {path} against {ns.compare}")
-    print(format_comparison(cmp))
-    if cmp["failed"]:
-        print(
-            f"FAIL: at least one op regressed more than "
-            f"{fail_frac * 100:.0f}% vs {ns.compare}",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 
@@ -585,8 +539,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if ns.command == "trace":
         return _cmd_trace(ns)
-    if ns.command == "bench":
-        return _cmd_bench(ns)
     if ns.command == "doctor":
         return _cmd_doctor(ns)
     if ns.command == "serve":

@@ -59,6 +59,12 @@ def merge_partition(
     (``balance.work_spread`` from the partition,
     ``balance.task_time_imbalance`` from measured per-task times),
     counts the plan's ``merge.*`` work and the call's dispatches.
+
+    The kernel sorts two bool arrays by their bytes, so for bools pass
+    :func:`~repro.core.sequential.merge_keys` of the inputs and a
+    partition cut on those keys, not on the raw bools (which cuts by
+    truth value), and view the result back with
+    :func:`~repro.core.sequential.sorted_as`.
     """
     out = np.empty(partition.total_length, dtype=result_dtype(a, b))
     with Execution(backend, trace=trace, metrics=metrics) as ex:

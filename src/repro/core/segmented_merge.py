@@ -31,7 +31,7 @@ from ..obs.tracer import NULL_SPAN
 from ..types import Partition, Segment
 from ..validation import as_array, check_mergeable, check_positive
 from .merge_path import diagonal_intersection, partition_merge_path
-from .sequential import result_dtype
+from .sequential import merge_keys, result_dtype, sorted_as
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
@@ -145,6 +145,11 @@ def segmented_parallel_merge(
     (``spm.blocks``), observes each block's A-consumption share
     (histogram ``spm.block_a_share``) and accumulates each block's
     ``merge.*`` counts, read from its sub-partition.
+
+    Blocks and segments are cut on the inputs'
+    :func:`~repro.core.sequential.merge_keys` (two bool arrays as their
+    bytes), the order the kernel sorts, and the output is viewed back in
+    ``a``'s dtype.
     """
     if (cache_elements is None) == (L is None):
         raise InputError("pass exactly one of cache_elements= or L=")
@@ -155,12 +160,14 @@ def segmented_parallel_merge(
     check_positive(p, "p")
     a = as_array(a, "A")
     b = as_array(b, "B")
+    check_mergeable(a, b, check_order=False)
+    ka, kb = merge_keys(a, b)
     if check:
-        check_mergeable(a, b)
+        check_mergeable(ka, kb)
 
-    out = np.empty(len(a) + len(b), dtype=result_dtype(a, b))
+    out = np.empty(len(a) + len(b), dtype=result_dtype(ka, kb))
     with Execution(backend, p, op="spm", trace=trace, metrics=metrics) as ex:
-        for plan in plan_segments(a, b, p, L, check=False):
+        for plan in plan_segments(ka, kb, p, L, check=False):
             block = plan.block
             block_span = (
                 trace.span(
@@ -175,8 +182,8 @@ def segmented_parallel_merge(
             with block_span:  # per-block barrier (step 3 of Algorithm 2)
                 run_segments(ex, [(
                     out[block.out_start:block.out_end],
-                    a[block.a_start:block.a_end],
-                    b[block.b_start:block.b_end],
+                    ka[block.a_start:block.a_end],
+                    kb[block.b_start:block.b_end],
                     plan.partition,
                 )], label="spm.block", meta={"block": block.index})
             if metrics is not None:
@@ -184,4 +191,4 @@ def segmented_parallel_merge(
                 metrics.histogram("spm.block_a_share").observe(
                     block.a_len / block.length
                 )
-    return out
+    return out if ka is a else sorted_as(out, a)

@@ -17,9 +17,7 @@ package makes them visible with zero external dependencies:
   work-spread gauge;
 * :mod:`repro.obs.capture` — traced reference workloads behind the
   ``python -m repro trace`` CLI verb (imported lazily: it depends on
-  :mod:`repro.core`);
-* :mod:`repro.obs.bench` — the bench-regression emitter behind
-  ``benchmarks/emit.py`` and ``python -m repro bench`` (also lazy).
+  :mod:`repro.core`).
 
 Enable at any entry point with the ``trace=`` / ``metrics=`` keywords::
 

@@ -8,9 +8,9 @@ The CLI verb is the front door::
 
     python -m repro trace fig5 --quick --out trace.json
 
-Sizes are deliberately modest (tracing is for *shape*, the bench
-emitter in :mod:`repro.obs.bench` is for *speed*): quick captures run
-in well under a second, full captures in a few.
+Sizes are deliberately modest (tracing is for *shape*; speed is
+measured by the layered benchmark under ``bench/``): quick captures
+run in well under a second, full captures in a few.
 
 Kept out of ``repro.obs.__init__`` on purpose — this module imports
 :mod:`repro.core`, which itself imports the tracer primitives.

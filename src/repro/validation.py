@@ -88,8 +88,10 @@ def check_mergeable(a: np.ndarray, b: np.ndarray, check_order: bool = True) -> N
     """Validate that ``a`` and ``b`` can be merged.
 
     Checks dimensionality (both 1-D), dtype comparability (their
-    promoted dtype must not be ``object`` unless both already are) and,
-    when ``check_order`` is true, sortedness of both inputs.
+    promoted dtype must not be ``object`` unless both already are, and
+    two integer dtypes must promote to an integer dtype: ``uint64`` with
+    a signed integer does not) and, when ``check_order`` is true,
+    sortedness of both inputs.
     """
     if a.ndim != 1 or b.ndim != 1:
         raise InputError(
@@ -125,6 +127,13 @@ def _check_dtypes(a: np.dtype, b: np.dtype) -> None:
             f"cannot merge text dtype with numeric dtype "
             f"({a} vs {b}; promotion to {promoted} would "
             "compare numbers as text)"
+        )
+    # uint64 with a signed integer promotes to float64, which rounds
+    # integers past 2**53 — reject it rather than lose values.
+    if a.kind in "iu" and b.kind in "iu" and promoted.kind not in "iu":
+        raise DTypeMismatchError(
+            f"cannot merge integer dtypes {a} and {b}: they promote to "
+            f"{promoted}, which cannot hold every value of both"
         )
 
 

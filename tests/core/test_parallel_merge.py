@@ -17,6 +17,7 @@ from repro.backends import (
 from repro.core import sequential
 from repro.core.merge_path import partition_merge_path
 from repro.core.parallel_merge import merge, merge_partition, parallel_merge
+from repro.core.segmented_merge import segmented_parallel_merge
 from repro.core.sequential import KERNELS
 from repro.errors import InputError, NotSortedError
 from repro.execution.engine import merge_segment
@@ -205,13 +206,17 @@ def _bool_bytes(n: int, g: np.random.Generator) -> np.ndarray:
 def test_bool_bytes_merge_like_np_sort(backend, p):
     """Bools are cut, checked and merged as their bytes, the order
     ``np.sort`` gives them, so a true byte 2 or 3 lands where the stable
-    sort of the concatenation puts it."""
+    sort of the concatenation puts it; SPM cuts its blocks the same way."""
     x = _bool_bytes(300, np.random.default_rng(p))
     a, b = np.sort(x[:100], kind="stable"), np.sort(x[100:], kind="stable")
     out = parallel_merge(a, b, p, backend=backend)
     assert out.dtype == np.bool_
     assert out.tobytes() == _stable_sort_bytes(a, b)
     assert merge(a, b).tobytes() == _stable_sort_bytes(a, b)
+    spm = segmented_parallel_merge(a, b, p, cache_elements=60,
+                                   backend=backend)
+    assert spm.dtype == np.bool_
+    assert spm.tobytes() == _stable_sort_bytes(a, b)
 
 
 def test_nat_before_a_date_at_a_cut_is_accepted():

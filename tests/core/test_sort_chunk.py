@@ -23,7 +23,7 @@ from repro.core.merge_path import (
     diagonal_intersections_vectorized,
 )
 from repro.core.sequential import sort_chunk
-from repro.external import external_sort
+from repro.external import external_sort, external_sort_file
 
 
 def _ints(dtype: str) -> np.ndarray:
@@ -122,8 +122,18 @@ def test_external_sort_gives_the_stable_bytes(tmp_path):
 
 @pytest.mark.parametrize("name", [">i4", "bool", "bool-two-one"])
 def test_external_sort_gives_the_stable_bytes_of_every_kind(tmp_path, name):
+    """Both entry points, in one pass and in several: intermediate runs
+    hold the keys, and the sorted file has ``np.sort``'s dtype."""
     x = INPUTS[name]()
-    _same(external_sort(x, 64, directory=str(tmp_path)), x)
+    in_path = str(tmp_path / "in.npy")
+    np.save(in_path, x)
+    for fan_in in (None, 2):
+        _same(external_sort(x, 64, directory=str(tmp_path), fan_in=fan_in),
+              x)
+        final, _ = external_sort_file(in_path, memory_elements=64,
+                                      directory=str(tmp_path), fan_in=fan_in,
+                                      backend="threads")
+        _same(np.load(final.path), x)
 
 
 class TestNaNLast:

@@ -1,4 +1,4 @@
-"""CLI: the trace/bench verbs, strict flags, legacy invocation forms."""
+"""CLI: the trace verb, strict flags, legacy invocation forms."""
 
 from __future__ import annotations
 
@@ -39,22 +39,6 @@ class TestTraceVerb:
         assert out.exists()
 
 
-class TestBenchVerb:
-    def test_bench_writes_schema_doc(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_test.json"
-        rc = main(["bench", "--quick", "--out", str(out)])
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro-bench/2"
-        assert doc["quick"] is True
-        assert doc["results"]
-        row = doc["results"][0]
-        for key in ("op", "n", "p", "ns_per_elem", "time_imbalance",
-                    "work_imbalance", "workers", "os_threads",
-                    "work_spread", "dispatches"):
-            assert key in row
-
-
 class TestStrictFlags:
     def test_unknown_flag_exits_loudly(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -79,10 +63,15 @@ class TestLegacyForms:
     def test_listing_returns_zero(self, capsys):
         assert main([]) == 0
         out = capsys.readouterr().out
-        assert "trace" in out and "bench" in out
+        assert "trace" in out
 
     def test_unknown_experiment_returns_2(self, capsys):
         assert main(["BOGUS"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+
+    def test_bench_is_no_longer_a_verb(self, capsys):
+        # The layered benchmark under bench/ is the one benchmark.
+        assert main(["bench"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_bare_experiment_id_still_runs(self, capsys):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import errors
+from repro import errors, merge, parallel_merge
+from repro.core.segmented_merge import segmented_parallel_merge
 from repro.validation import (
     as_array,
     check_mergeable,
@@ -112,6 +113,26 @@ class TestCheckMergeable:
     def test_rejects_text_numeric_mix(self):
         with pytest.raises(errors.DTypeMismatchError):
             check_mergeable(np.array([1]), np.array(["a"]), check_order=False)
+
+    def test_rejects_lossy_integer_promotion(self):
+        # uint64 with int64 promotes to float64, which rounds 2**62 + 1.
+        a = np.array([2**63 + 1], np.uint64)
+        b = np.array([2**62 + 1], np.int64)
+        with pytest.raises(errors.DTypeMismatchError, match="uint64"):
+            parallel_merge(a, b, 1, backend="serial")
+        with pytest.raises(errors.DTypeMismatchError):
+            merge(b, a)
+        with pytest.raises(errors.DTypeMismatchError):
+            segmented_parallel_merge(a, b, 2, L=4, backend="serial")
+
+    @pytest.mark.parametrize("pair", [
+        ("uint32", "int64"), ("int8", "uint16"), ("uint64", "uint8"),
+        ("uint64", "float64"), ("int64", "float32"), ("bool", "uint64"),
+    ])
+    def test_exact_and_float_promotions_pass(self, pair):
+        # Integers with floats keep NumPy's promotion.
+        a, b = (np.array([1, 2], dtype=d) for d in pair)
+        check_mergeable(a, b)
 
     def test_text_with_text_ok(self):
         check_mergeable(np.array(["a", "b"]), np.array(["c"]))
