@@ -192,8 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="0 picks an ephemeral port (printed once bound)")
     p_srv.add_argument("--p", type=int, default=None,
                        help="workers for the above-cutover parallel path")
-    p_srv.add_argument("--backend", default="threads",
-                       help="shared-pool level of the degradation chain")
     p_srv.add_argument("--capacity", type=int, default=512,
                        help="admission budget; past it requests are shed")
     p_srv.add_argument("--max-batch", type=int, default=64,
@@ -435,7 +433,6 @@ def _cmd_serve(ns: argparse.Namespace) -> int:
         host=ns.host,
         port=ns.port,
         p=ns.p,
-        backend=ns.backend,
         capacity=ns.capacity,
         max_batch=ns.max_batch,
         window_s=ns.window_ms / 1000.0,

@@ -13,9 +13,10 @@ provides four interchangeable realizations:
     copies; numpy kernels release the GIL during their C loops so large
     vectorized segments overlap.
 ``ProcessBackend``
-    ``multiprocessing`` workers over ``multiprocessing.shared_memory``
-    blocks, sidestepping the GIL entirely.  This is the closest CPython
-    analogue of the paper's OpenMP threads.
+    A ``ProcessPoolExecutor`` of forked workers, for the external sort
+    alone: its tasks carry file paths and offsets, and each worker reads
+    and writes memory-mapped files.  In-memory merges and sorts refuse
+    it and run on threads, which share the inputs without copies.
 ``SimulatedBackend``
     Executes segments serially while *accounting* them as parallel: it
     records per-task operation counts and reports PRAM time (max over

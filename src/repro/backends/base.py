@@ -89,7 +89,7 @@ class Backend(abc.ABC):
     dispatches: int = 0
 
     #: Whether tasks run in other processes and must therefore be
-    #: picklable (module-level callables over staged data, not closures).
+    #: picklable (module-level callables over file offsets, not closures).
     out_of_process: bool = False
 
     @abc.abstractmethod
@@ -195,8 +195,9 @@ def tasks_must_pickle(backend: Backend) -> bool:
     """Whether tasks dispatched on ``backend`` may cross a process boundary.
 
     True for a process pool, for any wrapper over one, and for a
-    degradation chain with a process level; the execution engine then
-    stages data in shared memory and ships picklable offset jobs.
+    degradation chain with a process level.  In-memory work refuses such
+    a backend (:class:`repro.execution.Execution`); only the external
+    sort, whose tasks carry file paths and offsets, runs on it.
     """
     return innermost_backend(backend).out_of_process
 

@@ -1,13 +1,13 @@
-"""Process-pool backend.
+"""Process-pool backend, for the external sort.
 
-CPython's GIL prevents thread-level speedup for interpreter-bound code,
-so this backend reproduces the paper's shared-memory threads with
-*processes*.  Tasks must be picklable (module-level functions /
-``functools.partial``), so the execution engine
-(:mod:`repro.execution.engine`) stages a batch's arrays once in POSIX
-shared memory (:class:`repro.execution.arena.RoundArena`) and ships
-only segment coordinates over the pipe, mirroring the paper's
-observation that processors exchange nothing but partition indices.
+Tasks must be picklable (module-level functions /
+``functools.partial``).  The one caller is
+:func:`repro.external.external_sort_file`, whose tasks carry file paths
+and offsets, so only a few integers cross the pipe and each worker
+reads and writes memory-mapped files.  In-memory merges and sorts
+refuse this backend (:class:`repro.execution.Execution`): their workers
+read shared inputs and write disjoint slices of one output, which
+threads do with views and processes could only do by copying.
 
 The pool is a ``concurrent.futures.ProcessPoolExecutor`` rather than a
 ``multiprocessing.Pool`` deliberately: when a worker process dies

@@ -22,9 +22,10 @@ idempotent disjoint-slice writers (Theorem 14).
 Two run-level checks complete the tier:
 
 * ``chaos-worker-death`` — a scripted SIGKILL of a process-pool worker
-  mid-merge must surface as a prompt ``worker-death``
+  mid-batch must surface as a prompt ``worker-death``
   :class:`~repro.errors.BatchError` on the bare backend (no deadlock)
-  and be transparently recovered by the resilient wrapper;
+  and be transparently recovered by the resilient wrapper around the
+  external sort, the pool's one caller;
 * ``chaos-degradation`` — a chain headed by a permanently failing
   backend must fall through to ``serial`` with a
   :class:`~repro.resilience.DegradationWarning` and still produce the
@@ -256,42 +257,45 @@ def chaos_check(
 # Run-level checks
 # ----------------------------------------------------------------------
 def _worker_death_check(seed: int):
-    """A killed pool worker must fail fast on the bare backend and be
-    recovered transparently by the resilient wrapper."""
+    """A killed pool worker must fail fast on the bare backend (running
+    :func:`~repro.core.sequential.sort_chunk` tasks) and be recovered
+    transparently by the resilient wrapper (running the external sort)."""
+    import functools
+    import os
+    import tempfile
+
     from ..backends.processes import ProcessBackend
-    from ..core.merge_path import partition_merge_path
-    from ..core.parallel_merge import merge_partition
-    from ..execution.arena import RoundArena
+    from ..core.sequential import sort_chunk
+    from ..external import external_sort_file
     from .runner import CheckResult
 
     rng = np.random.default_rng(seed)
-    a = np.sort(rng.integers(0, 10_000, 600))
-    b = np.sort(rng.integers(0, 10_000, 600))
-    partition = partition_merge_path(a, b, 4, check=False)
-    expected = np.sort(np.concatenate([a, b]), kind="stable")
+    x = rng.integers(0, 10_000, 1200)
+    expected = np.sort(x, kind="stable")
 
     # 1. Bare backend: scripted death -> prompt BatchError, no deadlock.
     injector = FaultInjector(seed, scripted={(0, 0): "death"})
     bare = FaultyBackend(ProcessBackend(max_workers=2), injector)
     t0 = time.monotonic()
     try:
-        with RoundArena([(a, b, partition)]) as arena:
-            try:
-                bare.run_tasks(arena.tasks())
-            except BatchError as exc:
-                detect_s = time.monotonic() - t0
-                kinds = {f.kind for f in exc.failures}
-                if "worker-death" not in kinds:
-                    return CheckResult(
-                        "chaos-worker-death", "fail",
-                        f"killed worker surfaced as {sorted(kinds)}, "
-                        "not 'worker-death'",
-                    )
-            else:
-                return CheckResult(
-                    "chaos-worker-death", "fail",
-                    "killed worker raised no BatchError",
-                )
+        bare.run_tasks([
+            functools.partial(sort_chunk, chunk)
+            for chunk in np.array_split(x, 4)
+        ])
+    except BatchError as exc:
+        detect_s = time.monotonic() - t0
+        kinds = {f.kind for f in exc.failures}
+        if "worker-death" not in kinds:
+            return CheckResult(
+                "chaos-worker-death", "fail",
+                f"killed worker surfaced as {sorted(kinds)}, "
+                "not 'worker-death'",
+            )
+    else:
+        return CheckResult(
+            "chaos-worker-death", "fail",
+            "killed worker raised no BatchError",
+        )
     finally:
         bare.close()
     if detect_s > 30.0:
@@ -300,38 +304,47 @@ def _worker_death_check(seed: int):
             f"death detection took {detect_s:.1f}s — effectively a deadlock",
         )
 
-    # 2. Resilient wrapper: same scripted death, merged output must
-    # still match the oracle and the telemetry must show the recovery.
+    # 2. Resilient wrapper: same scripted death, the sorted file must
+    # still match the oracle and the counts must show the recovery.
     injector2 = FaultInjector(seed, scripted={(0, 0): "death"})
     resilient = ResilientBackend(
         FaultyBackend(ProcessBackend(max_workers=2), injector2),
         RetryPolicy(max_retries=2, timeout_s=10.0, backoff_base_s=0.01,
                     seed=seed, speculate=False),
     )
+    registry = MetricsRegistry()
     try:
-        merged = merge_partition(a, b, partition, backend=resilient)
+        with tempfile.TemporaryDirectory() as tmp:
+            in_path = os.path.join(tmp, "in.npy")
+            np.save(in_path, x)
+            final, _ = external_sort_file(
+                in_path, memory_elements=300, directory=tmp,
+                backend=resilient, workers=2, metrics=registry,
+            )
+            sorted_x = np.load(final.path)
     except BackendError as exc:
         return CheckResult(
             "chaos-worker-death", "fail",
             f"resilient wrapper failed to recover: {exc}",
         )
     finally:
-        telemetry = resilient.last_batch
         resilient.close()
-    if not np.array_equal(merged, expected):
+    if not np.array_equal(sorted_x, expected):
         return CheckResult(
             "chaos-worker-death", "fail",
-            "recovered merge output differs from the oracle",
+            "recovered sort output differs from the oracle",
         )
-    if telemetry is None or telemetry.worker_deaths == 0 or telemetry.retries == 0:
+    deaths = int(registry.value("resilience.worker_deaths"))
+    retries = int(registry.value("resilience.retries"))
+    if deaths == 0 or retries == 0:
         return CheckResult(
             "chaos-worker-death", "fail",
-            "recovery left no worker-death/retry telemetry",
+            "recovery left no worker-death/retry counts",
         )
     return CheckResult(
         "chaos-worker-death", "pass",
         f"bare detection in {detect_s:.2f}s; recovered with "
-        f"{telemetry.describe()}", cases=2,
+        f"worker_deaths={deaths} retries={retries}", cases=2,
     )
 
 

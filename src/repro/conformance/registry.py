@@ -22,7 +22,9 @@ oracle has teeth.
 
 Backends that pool workers (threads, processes) are cached per run via
 :class:`BackendCache` so the quick tier does not pay pool construction
-per case; the runner closes the cache when it finishes.
+per case; the runner closes the cache when it finishes.  In-memory
+entry points run on serial or threads; only the external sort runs on
+the process pool.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ def build_registry(
 
         return blocked_sort(np.asarray(x), spec=small_gpu, collect_stats=False)[0]
 
-    def _extsort(x, p):
+    def _extsort(x, p, backend_name):
         from ..external import external_sort
 
         x = np.asarray(x)
@@ -198,7 +200,7 @@ def build_registry(
         # several runs and exercise the planner + block-merge fan-in.
         memory = max(4, min(64, max(1, len(x)) // 4))
         return external_sort(
-            x, memory, backend=cache.get("serial"), workers=max(1, p)
+            x, memory, backend=cache.get(backend_name), workers=max(1, p)
         )
 
     impls = [
@@ -226,24 +228,12 @@ def build_registry(
             lambda a, b, p: parallel_merge(a, b, p, backend=cache.get("threads")),
             race_backend="threads", injectable=True, rejects_unsorted=True,
         ),
-        Implementation(
-            "backend.parallel_merge.processes", "backend", "merge",
-            lambda a, b, p: parallel_merge(a, b, p, backend=cache.get("processes")),
-            tiers=("full",), injectable=True, rejects_unsorted=True,
-            notes="shared-memory process pool; full tier only for speed",
-        ),
         # ---- batched execution engine (one dispatch per round) ------
         Implementation(
             "exec.round_merge.threads", "backend", "merge",
             lambda a, b, p: _round_merge(a, b, p, "threads"),
             race_backend="threads", injectable=True,
             notes="run_merge_round: all pairs of a sort round as one batch",
-        ),
-        Implementation(
-            "exec.round_merge.processes", "backend", "merge",
-            lambda a, b, p: _round_merge(a, b, p, "processes"),
-            tiers=("full",), injectable=True,
-            notes="RoundArena shared-memory staging; full tier only for speed",
         ),
         # ---- Algorithm 2 (SPM) --------------------------------------
         Implementation(
@@ -368,10 +358,18 @@ def build_registry(
         ),
         Implementation(
             "external.spm_sort", "extension", "sort",
-            _extsort, stable=False, injectable=True,
+            lambda x, p: _extsort(x, p, "serial"), stable=False,
+            injectable=True,
             notes="out-of-core SPM-planned external sort, tiny RAM budget "
                   "so every case spills and fans in through block merges "
                   "(stable in fact; the probe harness is merge-only)",
+        ),
+        Implementation(
+            "external.spm_sort.processes", "extension", "sort",
+            lambda x, p: _extsort(x, p, "processes"), stable=False,
+            tiers=("full",), injectable=True,
+            notes="the process pool's one caller: run and block tasks "
+                  "carry file paths and offsets; full tier only for speed",
         ),
         Implementation(
             "baseline.bitonic_sort", "baseline", "sort",

@@ -70,12 +70,12 @@ def cache_efficient_sort(
     check_positive(cache_elements, "cache_elements")
     arr = as_array(x, "x")
     n = len(arr)
-    if n <= 1:
-        return arr.copy()
-
-    keys = sort_keys(arr)
     L = block_length(cache_elements, block_fraction)
     with Execution(backend, p, trace=trace, metrics=metrics) as ex:
+        if n <= 1:
+            return arr.copy()
+        keys = sort_keys(arr)
+
         # Stage 1+2: cache-sized blocks, each sorted by all p processors.
         runs = [
             parallel_merge_sort(keys[lo:lo + L], p, backend=ex.backend,

@@ -151,34 +151,36 @@ def merge_inplace_parallel(
         check_sorted(arr[:mid], "arr[:mid]")
         check_sorted(arr[mid:], "arr[mid:]")
 
-    part = partition_merge_path(arr[:mid], arr[mid:], p, check=False)
-    # Serial rearrangement pass: after processing segment k, the prefix
-    # arr[:seg.out_end] holds segment 0..k's pieces in output order
-    # (each segment's A-piece then B-piece, both still sorted runs).
-    for seg in part.segments:
-        # current location of this segment's A piece: it was not moved
-        # by earlier rotations beyond out offsets; maintain invariant:
-        # remaining unprocessed data is arr[pos:] = A[seg.a_start:] ++ B[seg.b_start:]
-        # where pos == seg.out_start.
-        pos = seg.out_start
-        a_len_rest = mid - seg.a_start
-        # bring this segment's B piece right after its A piece:
-        # current layout from pos: A_rest (a_len_rest) ++ B_rest
-        # want: A_piece (seg.a_len) ++ B_piece (seg.b_len) ++ A_rest' ++ B_rest'
-        rotate(
-            arr,
-            pos + seg.a_len,
-            pos + a_len_rest,
-            pos + a_len_rest + seg.b_len,
-        )
-    # Now every segment's pieces are adjacent at [out_start, out_end);
-    # merge them independently.
     def make_task(seg):
         def task() -> None:
             _symmerge(arr, seg.out_start, seg.out_start + seg.a_len, seg.out_end)
 
         return task
 
+    # Opened before the rotation pass, so a refused backend leaves
+    # ``arr`` as it was.
     with Execution(backend, p) as ex:
+        part = partition_merge_path(arr[:mid], arr[mid:], p, check=False)
+        # Serial rearrangement pass: after processing segment k, the prefix
+        # arr[:seg.out_end] holds segment 0..k's pieces in output order
+        # (each segment's A-piece then B-piece, both still sorted runs).
+        for seg in part.segments:
+            # current location of this segment's A piece: it was not moved
+            # by earlier rotations beyond out offsets; maintain invariant:
+            # remaining unprocessed data is arr[pos:] = A[seg.a_start:] ++ B[seg.b_start:]
+            # where pos == seg.out_start.
+            pos = seg.out_start
+            a_len_rest = mid - seg.a_start
+            # bring this segment's B piece right after its A piece:
+            # current layout from pos: A_rest (a_len_rest) ++ B_rest
+            # want: A_piece (seg.a_len) ++ B_piece (seg.b_len) ++ A_rest' ++ B_rest'
+            rotate(
+                arr,
+                pos + seg.a_len,
+                pos + a_len_rest,
+                pos + a_len_rest + seg.b_len,
+            )
+        # Now every segment's pieces are adjacent at [out_start, out_end);
+        # merge them independently.
         ex.run(TaskBatch([make_task(s) for s in part.segments if s.length > 0],
                          label="inplace.merge"))

@@ -26,7 +26,7 @@ from ..backends import Backend, TaskBatch
 from ..execution.context import Execution
 from ..validation import as_array, check_positive, check_sorted
 from .selection import kth_of_union_many
-from .sequential import merge_runs_into
+from .sequential import merge_runs_into, sort_keys, sorted_as
 
 __all__ = ["kway_partition", "kway_merge"]
 
@@ -84,36 +84,44 @@ def kway_merge(
     Ties are emitted in array order (array 0 first), consistent with the
     two-array A-before-B rule.  Each processor merges its slab set with
     :func:`~repro.core.sequential.merge_runs_into`.
+
+    Arrays that are all bool are cut, checked and merged as their bytes
+    (:func:`~repro.core.sequential.sort_keys`), the order ``np.sort``
+    gives them; arrays of one dtype come back in that dtype
+    (:func:`~repro.core.sequential.sorted_as`), byte order included.
     """
     check_positive(p, "p")
     arrays = [as_array(arr, f"arrays[{t}]") for t, arr in enumerate(arrays)]
+    keys = arrays
+    if arrays and all(arr.dtype == np.bool_ for arr in arrays):
+        keys = [sort_keys(arr) for arr in arrays]
     if check:
-        for t, arr in enumerate(arrays):
-            check_sorted(arr, f"arrays[{t}]")
-    if not arrays:
-        return np.empty(0)
-    if len(arrays) == 1:
-        return arrays[0].copy()
+        for t, key in enumerate(keys):
+            check_sorted(key, f"arrays[{t}]")
 
-    total = sum(len(arr) for arr in arrays)
-    dtype = arrays[0].dtype
-    for arr in arrays[1:]:
-        dtype = np.promote_types(dtype, arr.dtype)
-    out = np.empty(total, dtype=dtype)
-
-    cuts = kway_partition(arrays, p, check=False)
-    offsets = [sum(cuts[k]) for k in range(p + 1)]
-
-    def make_task(k: int):
-        def task() -> None:
-            merge_runs_into(out[offsets[k]:offsets[k + 1]], [
-                arr[cuts[k][t]:cuts[k + 1][t]] for t, arr in enumerate(arrays)
-            ])
-
-        return task
-
-    tasks = [make_task(k) for k in range(p) if offsets[k + 1] > offsets[k]]
     with Execution(backend, p) as ex:
+        if not arrays:
+            return np.empty(0)
+        if len(arrays) == 1:
+            return arrays[0].copy()
+
+        out = np.empty(sum(len(key) for key in keys),
+                       dtype=np.result_type(*(key.dtype for key in keys)))
+        cuts = kway_partition(keys, p, check=False)
+        offsets = [sum(cuts[k]) for k in range(p + 1)]
+
+        def make_task(k: int):
+            def task() -> None:
+                merge_runs_into(out[offsets[k]:offsets[k + 1]], [
+                    key[cuts[k][t]:cuts[k + 1][t]]
+                    for t, key in enumerate(keys)
+                ])
+
+            return task
+
+        tasks = [make_task(k) for k in range(p) if offsets[k + 1] > offsets[k]]
         ex.run(TaskBatch(tasks, label="kway.merge",
                          meta={"slabs": len(tasks)}))
+    if len({arr.dtype for arr in arrays}) == 1:
+        return sorted_as(out, arrays[0])
     return out

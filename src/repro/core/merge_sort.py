@@ -133,14 +133,14 @@ def parallel_merge_sort(
     check_positive(p, "p")
     arr = as_array(x, "x")  # only read: every chunk sorts into a fresh array
     n = len(arr)
-    if n <= 1:
-        return arr.copy()
-    keys = sort_keys(arr)
-
     with Execution(
         backend, p, op="sort", n=n, resilience=resilience,
         trace=trace, metrics=metrics,
     ) as ex:
+        if n <= 1:
+            return arr.copy()
+        keys = sort_keys(arr)
+
         # --- Round 0: independent chunk sorts, one batched dispatch.
         chunks = min(p, n)
 

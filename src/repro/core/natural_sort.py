@@ -97,19 +97,17 @@ def natural_merge_sort(
     """
     check_positive(p, "p")
     arr = as_array(x, "x").copy()
-    n = len(arr)
-    if n <= 1:
-        return arr
-
-    keys = sort_keys(arr)
-    bounds = find_natural_runs(keys)
-    runs: list[np.ndarray] = [
-        keys[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo
-    ]
-    if len(runs) == 1:
-        return arr
-
     with Execution(backend, p, metrics=metrics) as ex:
+        if len(arr) <= 1:
+            return arr
+        keys = sort_keys(arr)
+        bounds = find_natural_runs(keys)
+        runs: list[np.ndarray] = [
+            keys[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo
+        ]
+        if len(runs) == 1:
+            return arr
+
         round_index = 1
         while len(runs) > 1:  # one batched dispatch per round
             runs = run_merge_round(

@@ -51,9 +51,9 @@ def merge_partition(
 
     Each non-empty segment becomes one task of a single batch on
     ``backend`` (:func:`repro.execution.engine.run_segments`); tasks
-    write disjoint slices of the output array.  In-process tasks capture
-    only views — no element data is copied; on a process pool the
-    arrays are staged once in shared memory.
+    write disjoint slices of the output array and capture only views —
+    no element data is copied.  The work runs in-process: a process
+    pool is refused with :class:`~repro.errors.InputError`.
 
     ``metrics`` publishes the Theorem 14 load-balance gauges
     (``balance.work_spread`` from the partition,
@@ -95,12 +95,16 @@ def parallel_merge(
         Number of parallel workers.
     backend:
         A :class:`~repro.backends.Backend` instance or registry name
-        (``"serial"``, ``"threads"``, ``"processes"``, ``"simulated"``).
-        Pooled names resolve to process-wide shared instances whose
-        worker pools persist across calls (:mod:`repro.execution.pool`),
-        and — on untraced calls — may be rerouted by the per-host
-        autotuner (``"threads"``/``"processes"`` → ``"serial"`` below the
-        measured fork/join crossover; disable with ``REPRO_AUTOTUNE=0``).
+        (``"serial"``, ``"threads"``, ``"simulated"``).  The merge runs
+        in-process: ``"processes"``, a process pool, any wrapper over
+        one or a degradation chain with a process level raises
+        :class:`~repro.errors.InputError` before any task runs (the
+        process pool serves only the external sort).  Pooled names
+        resolve to process-wide shared instances whose worker pools
+        persist across calls (:mod:`repro.execution.pool`), and — on
+        untraced calls — may be rerouted by the per-host autotuner
+        (``"threads"`` → ``"serial"`` below the measured fork/join
+        crossover; disable with ``REPRO_AUTOTUNE=0``).
         A rerouted call without ``resilience`` merges as one segment
         (:func:`repro.execution.engine.merge_whole`): no diagonal
         search, one kernel call in a one-task batch on the serial

@@ -257,10 +257,14 @@ def merge_vectorized(
     Allocates the output and runs :func:`merge_into` on it: ``A`` and
     ``B`` are copied in, in that order, and a stable sort merges the two
     runs.  Ties keep ``A`` before equal ``B`` because the sort is stable
-    and ``A`` comes first.
+    and ``A`` comes first.  Order is checked on the
+    :func:`merge_keys` (two bool arrays as their bytes), the order the
+    sort gives them.
     """
-    a, b = _prepare(a, b, check)
+    a, b = _prepare(a, b, False)
     ka, kb = merge_keys(a, b)
+    if check:
+        check_mergeable(ka, kb)
     out = np.empty(len(a) + len(b), dtype=result_dtype(ka, kb))
     merge_into(out, ka, kb)
     return out if ka is a else sorted_as(out, a)

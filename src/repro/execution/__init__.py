@@ -11,9 +11,6 @@
 * :mod:`~repro.execution.pool` — process-wide persistent backends for
   string-named requests; worker pools are built once per host process,
   never per call.
-* :mod:`~repro.execution.arena` — shared-memory staging of whole
-  batches for the process backend (two blocks per batch, picklable
-  offset jobs).
 * :mod:`~repro.execution.autotune` — the measured per-host serial
   cutover (below it a pooled request runs serially), persisted and
   consulted for string-named backends on untraced calls.
@@ -36,7 +33,6 @@ from .tuning import (
     derive_thresholds,
     tuning_env,
 )
-from .arena import ChunkSortArena, RoundArena
 from .context import Execution
 from .engine import run_chunk_sorts, run_merge_round, run_segments
 from .pool import close_shared_backends, is_shared, shared_backend
@@ -53,8 +49,6 @@ __all__ = [
     "TuningState",
     "derive_thresholds",
     "tuning_env",
-    "ChunkSortArena",
-    "RoundArena",
     "Execution",
     "run_chunk_sorts",
     "run_merge_round",

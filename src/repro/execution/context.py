@@ -5,6 +5,11 @@ k-way, keyed, in-place), the sorts and the external sort — does the
 same bookkeeping around its batches.  :class:`Execution` is that
 bookkeeping, written once:
 
+* **keep in-memory work in-process** — a backend whose tasks run in
+  other processes (:func:`~repro.backends.tasks_must_pickle`) raises
+  :class:`~repro.errors.InputError` before anything runs; only the
+  external sort, whose tasks carry file paths and offsets, passes
+  ``out_of_core=True`` to run on the process pool;
 * **resolve the backend** — a registry name becomes the process-wide
   shared pool (:mod:`repro.execution.pool`), possibly rerouted by the
   autotuner for an ``n``-element call; a traced call gets a cold pool of
@@ -42,7 +47,10 @@ from __future__ import annotations
 from contextvars import ContextVar
 from typing import TYPE_CHECKING
 
-from ..backends import Backend, TaskBatch, TaskResult, get_backend
+from ..backends import (
+    Backend, TaskBatch, TaskResult, get_backend, tasks_must_pickle,
+)
+from ..errors import InputError
 from ..resilience.resilient import CALL_METRICS
 from .autotune import get_autotuner
 from .pool import POOLED_BACKENDS, shared_backend
@@ -77,6 +85,9 @@ class Execution:
         without ``resilience`` is :attr:`inline`.
     resilience, trace, metrics:
         The standard execution surface of the entry points.
+    out_of_core:
+        The call's tasks carry file paths and offsets, not arrays, so
+        they may run on a process pool (the external sort only).
     """
 
     def __init__(
@@ -89,6 +100,7 @@ class Execution:
         resilience: "RetryPolicy | bool | None" = None,
         trace: "Tracer | None" = None,
         metrics: "MetricsRegistry | None" = None,
+        out_of_core: bool = False,
     ) -> None:
         self.backend = backend
         self.trace = trace
@@ -104,6 +116,7 @@ class Execution:
         self._op = op
         self._n = n
         self._resilience = resilience
+        self._out_of_core = out_of_core
 
     def __enter__(self) -> "Execution":
         parent = _CURRENT.get()
@@ -123,6 +136,16 @@ class Execution:
 
     def _resolve(self) -> None:
         be = self.backend
+        # Before the autotuner's reroute, so the verdict does not depend
+        # on the call's size.
+        if not self._out_of_core and (
+            be == "processes" if isinstance(be, str) else tasks_must_pickle(be)
+        ):
+            raise InputError(
+                "in-memory merges and sorts run in-process; the process "
+                "pool serves only the external sort (use 'threads' or "
+                "'serial' here, or external_sort on the process pool)"
+            )
         if isinstance(be, str):
             name = be
             if self.trace is not None:

@@ -6,11 +6,9 @@ single barrier at the end (Theorem 14).  :func:`run_segments` is the
 only code that turns partitioned merges — ``(out, a, b, partition)``
 jobs — into a :class:`~repro.backends.TaskBatch`.  It
 
-* builds one task per non-empty segment of every job — a closure with
-  a ``segment.merge`` span, or, when tasks must be picklable
-  (:func:`~repro.backends.tasks_must_pickle`), a picklable offset job
-  over a :class:`~repro.execution.arena.RoundArena` that stages all
-  jobs in two shared-memory blocks;
+* builds one task per non-empty segment of every job: a closure over
+  views of the job's arrays, with a ``segment.merge`` span (every batch
+  runs in-process, :class:`~repro.execution.context.Execution`);
 * publishes the batch's counts, all read from the plan before any task
   runs: ``merge.segments``, ``balance.work_spread`` and ``merge.*`` (a
   segment's length is its element moves, a segment with both sides
@@ -42,20 +40,18 @@ before ``B``'s, so no serial scan of the whole input runs first.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from functools import partial
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from ..backends import Backend, TaskBatch, TaskResult, tasks_must_pickle
+from ..backends import Backend, TaskBatch, TaskResult
 from ..errors import NotSortedError
 from ..obs.tracer import NULL_SPAN
 from ..types import Partition, Segment
 from ..core.merge_path import partition_merge_path
 from ..core.sequential import merge_into, result_dtype, sort_chunk
 from ..validation import descends_at
-from .arena import ChunkSortArena, RoundArena
 from .context import Execution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,30 +78,19 @@ def run_segments(
     """Merge every segment of every job in **one** batched dispatch.
 
     ``meta`` is recorded on the batch (and on each ``segment.merge``
-    span).  Every task runs :func:`merge_segment`; staged jobs run it in
-    worker processes, which do not feed the call's tracer.  With
-    ``check`` the tasks also validate the input of a single job (its
-    inputs named ``A`` and ``B``) and an unsorted one raises
+    span).  Every task runs :func:`merge_segment`.  With ``check`` the
+    tasks also validate the input of a single job (its inputs named
+    ``A`` and ``B``) and an unsorted one raises
     :class:`~repro.errors.NotSortedError` after the barrier.
     """
     meta = dict(meta or ())
-    staged = tasks_must_pickle(ex.backend)
-    with (
-        RoundArena([(a, b, part) for _, a, b, part in jobs]) if staged
-        else nullcontext()
-    ) as arena:
-        tasks = (
-            arena.tasks(check) if staged
-            else _closures(ex.trace, jobs, meta, check)
-        )
-        meta["segments"] = len(tasks)
-        if ex.metrics is not None:
-            _publish(ex.metrics, jobs, len(tasks))
-        results = ex.run(TaskBatch(tasks, label=label, meta=meta))  # the barrier
-        if check:
-            _raise_first_descent(results)
-        if staged:
-            arena.results([out for out, *_ in jobs])
+    tasks = _closures(ex.trace, jobs, meta, check)
+    meta["segments"] = len(tasks)
+    if ex.metrics is not None:
+        _publish(ex.metrics, jobs, len(tasks))
+    results = ex.run(TaskBatch(tasks, label=label, meta=meta))  # the barrier
+    if check:
+        _raise_first_descent(results)
 
 
 def merge_whole(
@@ -288,20 +273,13 @@ def run_chunk_sorts(
 
     Each chunk is sorted by :func:`~repro.core.sequential.sort_chunk`
     into a fresh array (``arr`` is only read, so a speculative duplicate
-    of a task never races on it).  When tasks must be picklable, the
-    chunks are staged through a :class:`ChunkSortArena`.
+    of a task never races on it).
     """
     n = len(arr)
     chunks = min(chunks, n)
     bounds = [(k * n) // chunks for k in range(chunks + 1)]
 
     with Execution(backend, trace=trace, metrics=metrics) as ex:
-        if tasks_must_pickle(ex.backend):
-            with ChunkSortArena(arr, bounds) as arena:
-                ex.run(TaskBatch(arena.tasks(), label="sort.chunks",
-                                 meta={"round": 0, "chunks": chunks}))
-                return arena.results()
-
         views = [arr[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
         def make_task(idx: int, chunk: np.ndarray):

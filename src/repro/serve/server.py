@@ -90,7 +90,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0  #: 0 = ephemeral; read the bound port off the server.
     p: int | None = None  #: workers for the parallel path (None = auto).
-    backend: str = "threads"  #: shared-pool level of the degradation chain.
     capacity: int = 512  #: admission budget (queued + executing requests).
     max_batch: int = 64  #: coalescer window size cap.
     window_s: float = 0.002  #: coalescer window duration.
@@ -170,10 +169,11 @@ class MergeServer:
     """The asyncio TCP front door over the merge-path library.
 
     ``backend`` defaults to a :class:`DegradingBackend` whose first
-    level is the *shared* pooled backend named by the config (so
-    coalesced batches land on the PR-5 persistent pools) and whose
-    tail is ``serial`` (which cannot die); tests inject fault-wrapped
-    chains here.  ``registry`` defaults to a fresh
+    level is the *shared* thread pool (so coalesced batches land on the
+    persistent pool) and whose tail is ``serial`` (which cannot die);
+    tests inject fault-wrapped chains here.  A server runs in-memory
+    work only, so there is no process level: coalesced windows are
+    closures over the requests' arrays.  ``registry`` defaults to a fresh
     :class:`MetricsRegistry` owned by the server; a passed-in backend
     with no registry of its own counts into it until :meth:`stop`.
     """
@@ -191,8 +191,7 @@ class MergeServer:
         if backend is None:
             backend = DegradingBackend(
                 [
-                    shared_backend(self.config.backend,
-                                   self.config.resolved_p()),
+                    shared_backend("threads", self.config.resolved_p()),
                     "serial",
                 ],
                 policy=RetryPolicy(

@@ -118,19 +118,29 @@ class TestSimulatedBackend:
 
 
 class TestProcessBackend:
-    def test_shared_memory_merge(self):
+    """The process pool runs the external sort's file-offset tasks;
+    in-memory merges refuse it before any task runs."""
+
+    def test_shared_memory_merge(self, monkeypatch):
+        """A merge on the pool is refused instead of being staged in
+        shared memory: no segment is created."""
+        from multiprocessing import shared_memory
+
+        def segment(*args, **kwargs):
+            raise AssertionError("a merge created a shared-memory segment")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", segment)
         g = np.random.default_rng(1)
         a = np.sort(g.integers(0, 1000, 500)).astype(np.int64)
         b = np.sort(g.integers(0, 1000, 400)).astype(np.int64)
         part = partition_merge_path(a, b, 4)
         be = ProcessBackend(max_workers=2)
         try:
-            out = merge_partition(a, b, part, backend=be)
+            with pytest.raises(InputError, match="run in-process"):
+                merge_partition(a, b, part, backend=be)
         finally:
             be.close()
-        np.testing.assert_array_equal(
-            out, np.sort(np.concatenate([a, b]), kind="mergesort")
-        )
+        assert be.dispatches == 0
 
     def test_backend_merge_partition(self):
         a = np.arange(0, 100, 2)
@@ -138,10 +148,11 @@ class TestProcessBackend:
         part = partition_merge_path(a, b, 3)
         be = ProcessBackend(max_workers=2)
         try:
-            out = merge_partition(a, b, part, backend=be)
+            with pytest.raises(InputError, match="run in-process"):
+                merge_partition(a, b, part, backend=be)
         finally:
             be.close()
-        np.testing.assert_array_equal(out, np.arange(100))
+        assert be.dispatches == 0
 
     def test_generic_tasks(self):
         be = ProcessBackend(max_workers=2)
@@ -161,24 +172,21 @@ class TestProcessBackend:
         g = np.random.default_rng(2)
         a = np.sort(g.integers(0, 50, 64))
         b = np.sort(g.integers(0, 50, 36))
-        out = parallel_merge(a, b, 2, backend="processes")
-        np.testing.assert_array_equal(
-            out, np.sort(np.concatenate([a, b]), kind="mergesort")
-        )
+        with pytest.raises(InputError, match="run in-process"):
+            parallel_merge(a, b, 2, backend="processes")
 
-    def test_traced_merge_is_staged_not_pickled(self):
-        """A traced call cannot ship closures to a process pool either:
-        it stages through shared memory like an untraced one."""
+    def test_traced_merge_is_refused(self):
+        """A traced call (which builds a cold pool of its own) is refused
+        like an untraced one, before any batch opens a span."""
         from repro.core.parallel_merge import parallel_merge
         from repro.obs import Tracer
 
         a = np.arange(0, 100, 2)
         b = np.arange(1, 101, 2)
         tracer = Tracer()
-        out = parallel_merge(a, b, 2, backend="processes", trace=tracer)
-        np.testing.assert_array_equal(out, np.arange(100))
-        batches = [s for s in tracer.spans() if s.name == "exec.batch"]
-        assert [s.args["label"] for s in batches] == ["merge.partition"]
+        with pytest.raises(InputError, match="run in-process"):
+            parallel_merge(a, b, 2, backend="processes", trace=tracer)
+        assert [s for s in tracer.spans() if s.name == "exec.batch"] == []
 
 
 def _return_7():

@@ -4,8 +4,9 @@ Before the executor rework, a SIGKILLed worker left ``Pool.map``
 blocked forever on the lost result.  These tests pin the new contract:
 a dead worker surfaces promptly as a ``worker-death``
 :class:`~repro.errors.BatchError`, the broken pool is replaced so the
-next batch works, and the resilience layer recovers the merge
-transparently.
+next batch works, and the resilience layer recovers the external sort
+(the pool's one caller) transparently.  In-memory merges never reach
+the pool: they are refused before any task runs.
 """
 
 import os
@@ -18,8 +19,9 @@ import pytest
 from repro.backends.processes import ProcessBackend
 from repro.core.merge_path import partition_merge_path
 from repro.core.parallel_merge import merge_partition
-from repro.execution.arena import RoundArena
-from repro.errors import BatchError
+from repro.errors import BatchError, InputError
+from repro.external import external_sort_file
+from repro.obs import MetricsRegistry
 from repro.resilience import (
     FaultInjector,
     FaultyBackend,
@@ -85,49 +87,44 @@ class TestBareBackend:
 
 
 class TestResilientRecovery:
-    def test_scripted_death_recovered_by_retry(self, arrays):
-        a, b = arrays
-        partition = partition_merge_path(a, b, 4, check=False)
+    def test_scripted_death_recovered_by_retry(self, tmp_path):
+        """The external sort, the pool's one caller, survives a killed
+        worker: the task is retried and the sorted file is exact."""
+        x = np.random.default_rng(0xDEAD).integers(0, 10_000, 1000)
+        in_path = str(tmp_path / "in.npy")
+        np.save(in_path, x)
         injector = FaultInjector(seed=1, scripted={(0, 0): "death"})
         rb = ResilientBackend(
             FaultyBackend(ProcessBackend(max_workers=2), injector),
             RetryPolicy(max_retries=2, timeout_s=15.0, backoff_base_s=0.01,
                         speculate=False),
         )
+        reg = MetricsRegistry()
         try:
-            merged = merge_partition(a, b, partition, backend=rb)
-            assert np.array_equal(
-                merged, np.sort(np.concatenate([a, b]), kind="stable")
+            final, _ = external_sort_file(
+                in_path, memory_elements=250, directory=str(tmp_path),
+                backend=rb, workers=2, metrics=reg,
             )
-            assert rb.last_batch.worker_deaths >= 1
-            assert rb.last_batch.retries >= 1
         finally:
             rb.close()
+        assert np.array_equal(np.load(final.path), np.sort(x, kind="stable"))
+        assert reg.value("resilience.worker_deaths") >= 1
+        assert reg.value("resilience.retries") >= 1
 
-    def test_merge_partition_shared_still_works_plain(self, arrays):
+    def test_supervised_merge_is_refused_before_any_task(self, arrays):
+        """A supervising wrapper over the pool is refused up front: no
+        task is injected, attempted or retried."""
         a, b = arrays
         partition = partition_merge_path(a, b, 3, check=False)
-        backend = ProcessBackend(max_workers=2)
-        try:
-            merged = merge_partition(a, b, partition, backend=backend)
-        finally:
-            backend.close()
-        assert np.array_equal(
-            merged, np.sort(np.concatenate([a, b]), kind="stable")
+        injector = FaultInjector(seed=1, scripted={(0, 0): "death"})
+        rb = ResilientBackend(
+            FaultyBackend(ProcessBackend(max_workers=2), injector),
+            RetryPolicy(max_retries=2, backoff_base_s=0.01, speculate=False),
         )
-
-    def test_arena_tasks_are_idempotent(self, arrays):
-        a, b = arrays
-        partition = partition_merge_path(a, b, 3, check=False)
-        backend = ProcessBackend(max_workers=2)
         try:
-            with RoundArena([(a, b, partition)]) as arena:
-                tasks = arena.tasks()
-                backend.run_tasks(tasks)
-                backend.run_tasks(tasks)  # run every segment twice
-                (merged,) = arena.results()
-            assert np.array_equal(
-                merged, np.sort(np.concatenate([a, b]), kind="stable")
-            )
+            with pytest.raises(InputError, match="run in-process"):
+                merge_partition(a, b, partition, backend=rb)
         finally:
-            backend.close()
+            rb.close()
+        assert rb.dispatches == 0
+        assert injector.injected == 0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro import validation
 from repro.backends import (
-    ProcessBackend,
     SerialBackend,
     SimulatedBackend,
     ThreadBackend,
@@ -206,9 +205,17 @@ def _bool_bytes(n: int, g: np.random.Generator) -> np.ndarray:
 def test_bool_bytes_merge_like_np_sort(backend, p):
     """Bools are cut, checked and merged as their bytes, the order
     ``np.sort`` gives them, so a true byte 2 or 3 lands where the stable
-    sort of the concatenation puts it; SPM cuts its blocks the same way."""
+    sort of the concatenation puts it; SPM cuts its blocks the same way.
+    Both refuse the process pool: in-memory merges run in-process."""
     x = _bool_bytes(300, np.random.default_rng(p))
     a, b = np.sort(x[:100], kind="stable"), np.sort(x[100:], kind="stable")
+    if backend == "processes":
+        with pytest.raises(InputError, match="run in-process"):
+            parallel_merge(a, b, p, backend=backend)
+        with pytest.raises(InputError, match="run in-process"):
+            segmented_parallel_merge(a, b, p, cache_elements=60,
+                                     backend=backend)
+        return
     out = parallel_merge(a, b, p, backend=backend)
     assert out.dtype == np.bool_
     assert out.tobytes() == _stable_sort_bytes(a, b)
@@ -243,16 +250,14 @@ def test_nat_before_a_date_at_a_cut_is_accepted():
 
 @pytest.fixture(scope="class")
 def tiny_blocks():
-    """Serial, thread and process backends under sub-blocks of 8 bytes
-    (one int64, eight int8 elements), so a few dozen elements cross many
-    sub-block cuts.  The process pool forks inside the patch, so its
-    workers cut the same sub-blocks."""
+    """Serial and thread backends under sub-blocks of 8 bytes (one
+    int64, eight int8 elements), so a few dozen elements cross many
+    sub-block cuts."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequential, "SUB_BLOCK_BYTES", 8)
         backends = {
             "serial": SerialBackend(),
             "threads": ThreadBackend(max_workers=3),
-            "processes": ProcessBackend(max_workers=2),
         }
         try:
             yield backends
@@ -352,12 +357,16 @@ class TestSubBlockedSegments:
     def test_dtype_matrix_bit_identical(self, tiny_blocks, backend, dtype):
         g = np.random.default_rng(7)
         a, b = _dtype_sample(dtype, 300, g), _dtype_sample(dtype, 200, g)
+        if backend == "processes":  # in-memory merges run in-process
+            with pytest.raises(InputError, match="run in-process"):
+                parallel_merge(a, b, 2, backend=backend)
+            return
         for p in (2, 3):
             out = parallel_merge(a, b, p, backend=tiny_blocks[backend])
             assert out.dtype == np.promote_types(a.dtype, b.dtype)
             assert out.tobytes() == _stable_sort_bytes(a, b)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     def test_adversarial_shapes_bit_identical(self, tiny_blocks, backend,
                                               shape):
@@ -372,7 +381,7 @@ class TestSubBlockedSegments:
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         inputs=_merge_inputs(),
-        backend=st.sampled_from(["serial", "threads", "processes"]),
+        backend=st.sampled_from(["serial", "threads"]),
         resilience=st.booleans(),
         inline=st.booleans(),
     )

@@ -195,6 +195,19 @@ class TestDTypes:
         with pytest.raises(DTypeMismatchError):
             merge_vectorized(np.array([1, 2]), np.array(["a", "b"]))
 
+    @pytest.mark.parametrize("fn", [merge_vectorized, KERNELS["vectorized"]],
+                             ids=["merge_vectorized", "KERNELS"])
+    def test_bool_order_is_checked_on_the_bytes(self, fn):
+        """Two bools merge as their bytes, so a true 2 before a true 1
+        is out of order: the kernel raises what ``parallel_merge``
+        raises."""
+        a = np.array([2, 1], np.uint8).view(np.bool_)
+        b = np.array([], np.bool_)
+        for merge_fn in (fn, lambda a, b: parallel_merge(a, b, 1)):
+            with pytest.raises(NotSortedError) as exc:
+                merge_fn(a, b)
+            assert (exc.value.name, exc.value.index) == ("A", 0)
+
 
 def _assert_bits_equal(out: np.ndarray, ref: np.ndarray) -> None:
     assert out.dtype == ref.dtype

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import (
     cache_efficient_sort,
+    kway_merge,
     natural_merge_sort,
     parallel_merge,
     parallel_merge_sort,
@@ -23,6 +24,7 @@ from repro.core.merge_path import (
     diagonal_intersections_vectorized,
 )
 from repro.core.sequential import sort_chunk
+from repro.errors import InputError
 from repro.external import external_sort, external_sort_file
 
 
@@ -75,6 +77,17 @@ def _same(out: np.ndarray, x: np.ndarray) -> None:
     assert out.tobytes() == ref.tobytes()
 
 
+def _sorts_like_np_sort(x: np.ndarray, p: int, config: str) -> None:
+    """``parallel_merge_sort`` under ``config`` gives ``np.sort``'s
+    bytes; the process pool refuses it (in-memory sorts run
+    in-process)."""
+    if config == "processes":
+        with pytest.raises(InputError, match="run in-process"):
+            parallel_merge_sort(x, p, **CONFIGS[config])
+    else:
+        _same(parallel_merge_sort(x, p, **CONFIGS[config]), x)
+
+
 @pytest.mark.parametrize("name", INPUTS)
 def test_sort_chunk_gives_the_stable_bytes(name):
     x = INPUTS[name]()
@@ -90,7 +103,7 @@ def test_sort_chunk_gives_the_stable_bytes(name):
 def test_parallel_merge_sort_gives_the_stable_bytes(name, config):
     x = INPUTS[name]()
     before = x.tobytes()
-    _same(parallel_merge_sort(x, 3, **CONFIGS[config]), x)
+    _sorts_like_np_sort(x, 3, config)
     assert x.tobytes() == before
 
 
@@ -101,11 +114,21 @@ def test_the_other_sorts_give_the_stable_bytes(name):
     _same(natural_merge_sort(x, 3, backend="serial"), x)
 
 
+@pytest.mark.parametrize("name", INPUTS)
+def test_kway_merge_gives_the_stable_bytes(name):
+    """Three sorted runs of one input: the k-way merge cuts and merges
+    their sort keys (bools as their bytes) and returns the runs' dtype,
+    byte order included."""
+    x = INPUTS[name]()
+    runs = [np.sort(part, kind="stable") for part in np.array_split(x, 3)]
+    _same(kway_merge(runs, 3, backend="threads"), x)
+
+
 @pytest.mark.parametrize("config", CONFIGS)
 def test_sort_reads_its_input_in_place(config):
     x = _ints("int32")
     x.flags.writeable = False  # a write to the input would raise
-    _same(parallel_merge_sort(x, 4, **CONFIGS[config]), x)
+    _sorts_like_np_sort(x, 4, config)
 
 
 @pytest.mark.parametrize("x", [np.array([], np.int32), np.array([7])])

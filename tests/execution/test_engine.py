@@ -8,6 +8,7 @@ import pytest
 from repro.backends import ProcessBackend, SerialBackend, ThreadBackend
 from repro.core.merge_sort import merge_sort_rounds, parallel_merge_sort
 from repro.core.parallel_merge import parallel_merge
+from repro.errors import InputError
 from repro.execution.engine import run_chunk_sorts, run_merge_round
 from repro.obs import MetricsRegistry, Tracer
 
@@ -102,16 +103,15 @@ def test_round_publishes_metrics():
 
 
 def test_round_arena_path_on_process_backend():
-    runs = _runs(4, 400)
+    """The shared-memory round arena is gone: rounds run in-process, and
+    a process pool is refused before the round's one batch is built."""
     be = ProcessBackend(max_workers=2)
     try:
-        before = be.dispatches
-        merged = run_merge_round(runs, 2, backend=be)
-        assert be.dispatches - before == 1
+        with pytest.raises(InputError, match="run in-process"):
+            run_merge_round(_runs(4, 400), 2, backend=be)
     finally:
         be.close()
-    for i, out in enumerate(merged):
-        assert np.array_equal(out, reference_merge(runs[2 * i], runs[2 * i + 1]))
+    assert be.dispatches == 0
 
 
 def test_chunk_sorts_are_one_dispatch_and_sorted():
@@ -132,16 +132,17 @@ def test_chunk_sorts_are_one_dispatch_and_sorted():
 
 
 def test_chunk_sorts_shared_memory_path_on_processes():
+    """Round 0 no longer stages chunks in shared memory for a process
+    pool: the call is refused before any chunk is sorted."""
     g = np.random.default_rng(10)
     arr = g.integers(0, 10**6, 1200)
     be = ProcessBackend(max_workers=2)
     try:
-        runs = run_chunk_sorts(arr, 3, backend=be)
+        with pytest.raises(InputError, match="run in-process"):
+            run_chunk_sorts(arr, 3, backend=be)
     finally:
         be.close()
-    assert np.array_equal(np.sort(np.concatenate(runs)), np.sort(arr))
-    for run in runs:
-        assert np.all(run[:-1] <= run[1:])
+    assert be.dispatches == 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 8])
@@ -171,14 +172,14 @@ _MERGE_COUNTS = ("merge.moves", "merge.comparisons", "merge.search_probes",
 
 @pytest.mark.parametrize("op", ["parallel_merge", "parallel_merge_sort"])
 def test_merge_counts_are_the_same_on_every_backend(op):
-    """The counts come from the plan, so tasks staged to worker
-    processes count exactly what in-process tasks count."""
+    """The counts come from the plan, so every backend counts the
+    same."""
     g = np.random.default_rng(11)
     a = np.sort(g.integers(0, 10**6, 100_000))
     b = np.sort(g.integers(0, 10**6, 100_000))
     x = g.integers(0, 10**6, 50_000)
     counts = {}
-    for be in ("serial", "threads", "processes"):
+    for be in ("serial", "threads"):
         reg = MetricsRegistry()
         if op == "parallel_merge":
             parallel_merge(a, b, 2, backend=be, metrics=reg)
@@ -186,7 +187,7 @@ def test_merge_counts_are_the_same_on_every_backend(op):
             parallel_merge_sort(x, 2, backend=be, metrics=reg)
         counts[be] = {name: reg.value(name) for name in _MERGE_COUNTS}
     assert counts["serial"]["merge.moves"] > 0
-    assert counts["processes"] == counts["threads"] == counts["serial"]
+    assert counts["threads"] == counts["serial"]
     if op == "parallel_merge":
         assert counts["serial"]["merge.moves"] == 200_000
         assert counts["serial"]["merge.comparisons"] == 199_998

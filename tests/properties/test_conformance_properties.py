@@ -9,9 +9,9 @@ Two universally-quantified claims backing the conformance battery:
 * **Cross-backend stability** — serial, threads, and processes
   execution of the same merge preserve the A-before-equal-B tie rule.
   The keyed layer is checked at index resolution (gather permutation
-  against the stable argsort); the process backend, whose generic
-  closures cannot write back across address spaces, is probed through
-  ``parallel_merge``'s shared-memory path with signed zeros.
+  against the stable argsort); the process backend, which runs only the
+  external sort, is probed through that sort's block merges with
+  signed zeros (in-memory merges refuse it).
 """
 
 import numpy as np
@@ -24,6 +24,8 @@ from repro.core.keyed import merge_by_key
 from repro.core.merge_path import partition_merge_path
 from repro.core.parallel_merge import parallel_merge
 from repro.core.sequential import merge_vectorized
+from repro.errors import InputError
+from repro.external import external_sort
 
 pytestmark = pytest.mark.conformance
 
@@ -115,7 +117,13 @@ class TestCrossBackendStability:
         # makes, but signbit tells us which side each tie came from.
         a = np.concatenate([np.arange(-flank, 0, dtype=np.float64), [-0.0] * ties])
         b = np.concatenate([[0.0] * ties, np.arange(1, flank + 1, dtype=np.float64)])
-        out = parallel_merge(a, b, p, backend=processes_backend)
-        ref = np.sort(np.concatenate([a, b]), kind="stable")
+        x = np.concatenate([a, b])
+        # Runs of at most len(a) elements: A's zeros sit in earlier runs
+        # than B's, and the block merges must keep them first.
+        out = external_sort(x, max(1, len(a)), backend=processes_backend,
+                            workers=p)
+        ref = np.sort(x, kind="stable")
         np.testing.assert_array_equal(out, ref)
         np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+        with pytest.raises(InputError, match="run in-process"):
+            parallel_merge(a, b, p, backend=processes_backend)

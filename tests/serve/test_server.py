@@ -449,6 +449,7 @@ class TestServeCLI:
 
     @pytest.mark.parametrize("args", [
         ["--control-interval", "1"], ["--slo", "slo.json"],
+        ["--backend", "threads"],
     ])
     def test_removed_options_are_rejected(self, args, capsys):
         from repro.__main__ import _build_parser
@@ -456,3 +457,9 @@ class TestServeCLI:
         with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args(["serve", "--port", "0", *args])
         assert exc.value.code == 2
+
+    def test_the_pool_level_is_not_configurable(self):
+        """The server runs in-memory work, which runs in-process, so its
+        chain's pool level is always the shared thread pool."""
+        with pytest.raises(TypeError):
+            ServeConfig(backend="processes")

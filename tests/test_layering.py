@@ -38,9 +38,13 @@ the merge runs as one segment, so no module under ``repro/core``,
 ``repro/external`` or ``repro/serve`` calls ``choose_backend`` or reads
 ``serial_cutover`` to route around it.  A production merge reaches the
 kernel only through the engine: outside ``core/sequential.py``, only
-``execution/engine.py`` (segment tasks and :func:`merge_whole`) and
-``execution/arena.py`` (the engine's picklable segment task, which runs
-in worker processes) call ``merge_into`` or hand it on as a task.
+``execution/engine.py`` (segment tasks and :func:`merge_whole`) calls
+``merge_into`` or hands it on as a task.
+
+In-memory work runs in-process, and the process pool serves only the
+external sort, whose tasks carry file paths and offsets.  So nothing
+under ``repro`` imports ``multiprocessing.shared_memory``: no call
+stages arrays in shared-memory segments for worker processes.
 
 Runs are formed by one leaf, :func:`repro.core.sequential.sort_chunk`,
 which picks the NumPy sort kind by dtype.  So outside
@@ -85,7 +89,7 @@ ROUTING_FREE_MODULES = sorted(
     path for pkg in ("core", "external", "serve")
     for path in (SRC / pkg).glob("*.py")
 )
-KERNEL_CALLERS = ("execution/engine.py", "execution/arena.py")
+KERNEL_CALLERS = ("execution/engine.py",)
 SORT_KIND_FREE_MODULES = sorted(
     path
     for pkg in ("core", "execution", "external", "serve")
@@ -165,6 +169,22 @@ def _kernel_uses(tree: ast.AST) -> list[str]:
         if (isinstance(node, ast.Name) and node.id == "merge_into")
         or (isinstance(node, ast.Attribute) and node.attr == "merge_into")
     ]
+
+
+def _shared_memory_imports(tree: ast.AST) -> list[str]:
+    """Every import of ``multiprocessing.shared_memory``, in any form."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            modules.append(node.module or "")
+        else:
+            continue
+        if any(m.startswith("multiprocessing.shared_memory") for m in modules):
+            found.append(f"line {node.lineno}: imports shared_memory")
+    return found
 
 
 def _sort_kinds(tree: ast.AST) -> list[str]:
@@ -273,6 +293,17 @@ def test_only_the_engine_calls_the_kernel():
     assert found == []
 
 
+def test_nothing_stages_arrays_in_shared_memory():
+    found = [
+        f"{path.relative_to(SRC)} {violation}"
+        for path in ALL_MODULES
+        for violation in _shared_memory_imports(
+            ast.parse(path.read_text(), str(path))
+        )
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "path", SORT_KIND_FREE_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
 )
@@ -362,6 +393,15 @@ def test_guard_catches_each_violation():
         "merge_vectorized(a, b)\n"
     )
     assert len(_kernel_uses(kernel_uses)) == 3
+    staging = ast.parse(
+        "from multiprocessing import shared_memory\n"
+        "from multiprocessing.shared_memory import SharedMemory\n"
+        "import multiprocessing.shared_memory\n"
+        "import multiprocessing.shared_memory as shm\n"
+        "import multiprocessing\n"
+        "from multiprocessing import get_context\n"
+    )
+    assert len(_shared_memory_imports(staging)) == 4
     sort_kinds = ast.parse(
         "run = np.sort(chunk, kind='mergesort')\n"
         "chunk.sort(kind='stable')\n"
