@@ -3,24 +3,37 @@
 A backend executes a batch of independent tasks — one per merge-path
 segment — and reports per-task timing.  Tasks never need to communicate
 (the paper's Remark after Algorithm 1: cores write disjoint addresses),
-so the interface is a bare fork/join: :meth:`Backend.run_tasks` blocks
-until every task finished, which is the barrier at the end of
-Algorithm 1.
+so the interface is a bare fork/join: :meth:`Backend.start_tasks`
+starts every task of a batch and returns one future per task, and
+:meth:`Backend.run_tasks` waits for all of them, which is the barrier at
+the end of Algorithm 1.  A supervisor
+(:class:`repro.resilience.ResilientBackend`) uses the futures directly,
+so it waits on the backend's own workers instead of on threads of its
+own.
 """
 
 from __future__ import annotations
 
-import abc
 import time
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..errors import BackendError, BackendUnavailableError, InputError, TaskFailure
+from ..errors import (
+    BackendError,
+    BackendUnavailableError,
+    BatchError,
+    InputError,
+    TaskFailure,
+)
 
 __all__ = [
     "Backend",
     "TaskBatch",
     "TaskResult",
+    "collect",
+    "failed_future",
+    "task_failure",
     "innermost_backend",
     "tasks_must_pickle",
     "get_backend",
@@ -69,16 +82,74 @@ class TaskResult:
     elapsed_s: float
 
 
-class Backend(abc.ABC):
-    """Abstract fork/join executor over independent tasks."""
+def task_failure(index: int, exc: BaseException, attempts: int = 1) -> TaskFailure:
+    """Classify the exception of one failed task attempt.
+
+    A broken executor (a pool whose worker process died) is a
+    ``worker-death``; anything else the task raised is an
+    ``exception``.  Every task in flight on a broken process pool
+    carries the same exception object, so the object identifies the
+    death.
+    """
+    if isinstance(exc, BrokenExecutor):
+        return TaskFailure(
+            index=index, kind="worker-death",
+            message=f"worker process died before returning a result ({exc!r})",
+            error=exc, attempts=attempts,
+        )
+    return TaskFailure(
+        index=index, kind="exception", message=repr(exc), error=exc,
+        attempts=attempts,
+    )
+
+
+def failed_future(exc: BaseException) -> Future:
+    """A future that is already done with ``exc``."""
+    fut: Future = Future()
+    fut.set_exception(exc)
+    return fut
+
+
+def collect(
+    items: Sequence[Any], outcome: Callable[[int, Any], TaskResult]
+) -> list[TaskResult]:
+    """Gather ``outcome(i, items[i])`` for every task: the barrier.
+
+    Every outcome is taken, so a failed task never hides the outcomes
+    of the tasks after it; failures are raised together as one
+    :class:`~repro.errors.BatchError`.
+    """
+    results = []
+    failures = []
+    for i, item in enumerate(items):
+        try:
+            results.append(outcome(i, item))
+        except Exception as exc:  # noqa: BLE001 - collected into BatchError
+            failures.append(task_failure(i, exc))
+    if failures:
+        raise BatchError(failures, total=len(items), results=results)
+    return results
+
+
+def _result(_index: int, fut: Future) -> TaskResult:
+    return fut.result()
+
+
+class Backend:
+    """Fork/join executor over independent tasks.
+
+    A subclass overrides :meth:`start_tasks` (a pool, which runs tasks
+    on its own workers) or :meth:`run_tasks` (an executor that runs a
+    batch on the calling thread), or both; each defaults to the other.
+    """
 
     #: Registry name; subclasses override.
     name: str = "abstract"
 
     #: Optional :class:`repro.obs.Tracer`; when set, every task executed
-    #: through :meth:`_attempt`/:meth:`_timed` is wrapped in a
-    #: ``backend.task`` span recorded on the worker thread that ran it.
-    #: ``None`` (the class default) costs nothing on the hot path.
+    #: through :meth:`_timed` is wrapped in a ``backend.task`` span
+    #: recorded on the worker thread that ran it.  ``None`` (the class
+    #: default) costs nothing on the hot path.
     tracer = None
 
     #: Number of :meth:`run_batch` dispatches this instance has served,
@@ -92,7 +163,46 @@ class Backend(abc.ABC):
     #: picklable (module-level callables over file offsets, not closures).
     out_of_process: bool = False
 
-    @abc.abstractmethod
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if (cls.run_tasks is Backend.run_tasks
+                and cls.start_tasks is Backend.start_tasks):
+            raise TypeError(
+                f"{cls.__name__} must override run_tasks or start_tasks"
+            )
+
+    def start_tasks(self, tasks: Sequence[Callable[[], Any]]) -> list[Future]:
+        """Start every task; return one future per task, in task order.
+
+        Each future resolves to the task's :class:`TaskResult`, or
+        raises what the task raised (a ``BrokenProcessPool`` when its
+        worker died).  The call does not wait for the tasks, except on
+        a backend that runs them on the calling thread.
+
+        The default runs the batch with :meth:`run_tasks` on the calling
+        thread and returns futures that are already done.
+        """
+        tasks = list(tasks)
+        errors: dict[int, BaseException] = {}
+        try:
+            results = self.run_tasks(tasks)
+        except BatchError as exc:
+            results = exc.results
+            for f in exc.failures:
+                errors[f.index] = f.error if f.error is not None else exc
+        except Exception as exc:  # noqa: BLE001 - the whole batch failed
+            results = []
+            errors = dict.fromkeys(range(len(tasks)), exc)
+        futures = [Future() for _ in tasks]
+        for result in results:
+            futures[result.index].set_result(result)
+        for i, fut in enumerate(futures):
+            if not fut.done():
+                fut.set_exception(errors.get(i) or BackendError(
+                    f"task {i} returned no result"
+                ))
+        return futures
+
     def run_tasks(
         self, tasks: Sequence[Callable[[], Any]]
     ) -> list[TaskResult]:
@@ -109,7 +219,11 @@ class Backend(abc.ABC):
         write disjoint output slices (Theorem 14), lets a supervisor
         such as :class:`repro.resilience.ResilientBackend` re-execute
         exactly the failed indices.
+
+        The default starts the batch with :meth:`start_tasks` and waits
+        on each future in turn.
         """
+        return collect(self.start_tasks(tasks), _result)
 
     def run_batch(self, batch: TaskBatch) -> list[TaskResult]:
         """Dispatch one :class:`TaskBatch` (the batched-engine entry).
@@ -140,35 +254,19 @@ class Backend(abc.ABC):
         )
         return [r.value for r in results]
 
-    def _run_body(self, index: int, task: Callable[[], Any]) -> Any:
-        """Execute the task body, under a ``backend.task`` span if traced."""
-        tracer = self.tracer
-        if tracer is None:
-            return task()
-        with tracer.span("backend.task", index=index, backend=self.name):
-            return task()
-
     def _timed(self, index: int, task: Callable[[], Any]) -> TaskResult:
-        t0 = time.perf_counter()
-        try:
-            value = self._run_body(index, task)
-        except Exception as exc:  # noqa: BLE001 - uniformly wrapped
-            raise BackendError(f"task {index} failed: {exc!r}") from exc
-        return TaskResult(index=index, value=value, elapsed_s=time.perf_counter() - t0)
+        """Run one task body, under a ``backend.task`` span if traced.
 
-    def _attempt(
-        self, index: int, task: Callable[[], Any]
-    ) -> tuple[TaskResult | None, TaskFailure | None]:
-        """Run one task, classifying rather than raising its failure."""
+        The task's own exception propagates unchanged.
+        """
+        tracer = self.tracer
         t0 = time.perf_counter()
-        try:
-            value = self._run_body(index, task)
-        except Exception as exc:  # noqa: BLE001 - collected into BatchError
-            return None, TaskFailure(
-                index=index, kind="exception", message=repr(exc), error=exc
-            )
-        return TaskResult(index=index, value=value,
-                          elapsed_s=time.perf_counter() - t0), None
+        if tracer is None:
+            value = task()
+        else:
+            with tracer.span("backend.task", index=index, backend=self.name):
+                value = task()
+        return TaskResult(index, value, time.perf_counter() - t0)
 
     def close(self) -> None:
         """Release pooled resources; default is a no-op."""

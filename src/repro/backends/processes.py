@@ -13,36 +13,35 @@ The pool is a ``concurrent.futures.ProcessPoolExecutor`` rather than a
 ``multiprocessing.Pool`` deliberately: when a worker process dies
 (SIGKILL, OOM, segfault in an extension), ``Pool.map`` blocks forever on
 the lost result, whereas the executor's management thread detects the
-death and fails every in-flight future with ``BrokenProcessPool``.
-:meth:`ProcessBackend.run_tasks` converts that into a
-:class:`~repro.errors.BatchError` whose ``worker-death`` failures name
-the affected task indices, then discards the broken pool so the next
-batch (e.g. a retry by :class:`repro.resilience.ResilientBackend`) gets
-a fresh one.
+death and fails every in-flight future with one shared
+``BrokenProcessPool``.  :meth:`ProcessBackend.run_tasks` reports that
+as a :class:`~repro.errors.BatchError` whose ``worker-death`` failures
+name the affected task indices.  A done callback discards the broken
+pool as soon as its futures fail, so the next batch (e.g. a retry by
+:class:`repro.resilience.ResilientBackend`) gets a fresh one.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import threading
-from concurrent.futures import ProcessPoolExecutor
+import time
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
 
-from ..errors import BatchError, TaskFailure
 from ..validation import check_positive
-from .base import Backend, TaskResult
+from .base import Backend, TaskResult, failed_future
 
 __all__ = ["ProcessBackend"]
 
 
-def _timed_call(index: int, task: Callable[[], Any]) -> tuple[int, Any, float]:
-    """Worker wrapper for the generic path (runs in the child)."""
-    import time
-
+def _timed_call(index: int, task: Callable[[], Any]) -> TaskResult:
+    """Worker wrapper (runs in the child)."""
     t0 = time.perf_counter()
     value = task()
-    return index, value, time.perf_counter() - t0
+    return TaskResult(index, value, time.perf_counter() - t0)
 
 
 class ProcessBackend(Backend):
@@ -56,9 +55,10 @@ class ProcessBackend(Backend):
             check_positive(max_workers, "max_workers")
         self._max_workers = max_workers or mp.cpu_count()
         self._pool: ProcessPoolExecutor | None = None
-        # Pool creation/teardown is locked: resilience supervisors may
-        # dispatch single-task batches from several threads at once, and
-        # two of them must not race a broken-pool replacement.
+        # Pool creation/teardown is locked: a broken pool is discarded
+        # from the pool's own management thread (a done callback) while
+        # callers may be submitting, and concurrent callers must not
+        # race a broken-pool replacement.
         self._lock = threading.Lock()
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -73,50 +73,37 @@ class ProcessBackend(Backend):
     def _discard_pool(self, pool: ProcessPoolExecutor) -> None:
         """Drop a broken pool so the next batch rebuilds a healthy one."""
         with self._lock:
-            if self._pool is pool:
-                self._pool = None
+            if self._pool is not pool:
+                return  # already replaced
+            self._pool = None
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def run_tasks(self, tasks: Sequence[Callable[[], Any]]) -> list[TaskResult]:
+    def _discard_if_broken(self, pool: ProcessPoolExecutor, fut: Future) -> None:
+        if not fut.cancelled() and isinstance(fut.exception(), BrokenProcessPool):
+            self._discard_pool(pool)
+
+    def start_tasks(self, tasks: Sequence[Callable[[], Any]]) -> list[Future]:
         tasks = list(tasks)
         pool = self._ensure_pool()
-        futures: dict[int, Any] = {}
-        failures: list[TaskFailure] = []
-        broken = False
+        futures: list[Future] = []
         for i, task in enumerate(tasks):
             try:
-                futures[i] = pool.submit(_timed_call, i, task)
+                fut = pool.submit(_timed_call, i, task)
             except (BrokenProcessPool, RuntimeError) as exc:
-                # The pool died while we were still submitting (a worker
-                # of an earlier future was killed); everything not yet
-                # submitted is a worker-death casualty too.
-                broken = True
-                failures.append(TaskFailure(
-                    index=i, kind="worker-death",
-                    message=f"pool broken before dispatch: {exc!r}", error=exc,
-                ))
-        results: list[TaskResult] = []
-        for i, fut in futures.items():
-            try:
-                idx, value, elapsed = fut.result()
-            except BrokenProcessPool as exc:
-                broken = True
-                failures.append(TaskFailure(
-                    index=i, kind="worker-death",
-                    message="worker process died before returning a result "
-                    f"({exc!r})", error=exc,
-                ))
-            except Exception as exc:  # noqa: BLE001 - collected
-                failures.append(TaskFailure(
-                    index=i, kind="exception", message=repr(exc), error=exc,
-                ))
-            else:
-                results.append(TaskResult(index=idx, value=value, elapsed_s=elapsed))
-        if broken:
-            self._discard_pool(pool)
-        if failures:
-            raise BatchError(failures, total=len(tasks))
-        return results
+                # The pool broke before this task reached it (a worker
+                # died, even an idle one): it and the rest of the batch
+                # fail with one shared error, which counts as one death.
+                self._discard_pool(pool)
+                lost = BrokenProcessPool(f"pool broken before dispatch: {exc!r}")
+                lost.__cause__ = exc
+                return futures + [failed_future(lost) for _ in tasks[i:]]
+            # Registered before the caller sees the future, so the pool
+            # is discarded before anyone can react to its failure.
+            fut.add_done_callback(
+                functools.partial(self._discard_if_broken, pool)
+            )
+            futures.append(fut)
+        return futures
 
     def close(self) -> None:
         with self._lock:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from ..errors import BatchError
-from .base import Backend, TaskResult
+from .base import Backend, TaskResult, collect
 
 __all__ = ["SerialBackend"]
 
@@ -27,14 +26,4 @@ class SerialBackend(Backend):
         pass
 
     def run_tasks(self, tasks: Sequence[Callable[[], Any]]) -> list[TaskResult]:
-        results = []
-        failures = []
-        for i, task in enumerate(tasks):
-            result, failure = self._attempt(i, task)
-            if failure is not None:
-                failures.append(failure)
-            else:
-                results.append(result)
-        if failures:
-            raise BatchError(failures, total=len(tasks))
-        return results
+        return collect(tasks, self._timed)

@@ -11,12 +11,11 @@ genuinely overlap on multi-core hosts.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
-from ..errors import BatchError
 from ..validation import check_positive
-from .base import Backend, TaskResult
+from .base import Backend
 
 __all__ = ["ThreadBackend"]
 
@@ -45,25 +44,9 @@ class ThreadBackend(Backend):
             self._pool = ThreadPoolExecutor(max_workers=self._max_workers)
         return self._pool
 
-    def run_tasks(self, tasks: Sequence[Callable[[], Any]]) -> list[TaskResult]:
+    def start_tasks(self, tasks: Sequence[Callable[[], Any]]) -> list[Future]:
         pool = self._ensure_pool()
-        futures = [
-            pool.submit(self._attempt, i, task)
-            for i, task in enumerate(tasks)
-        ]
-        # Every future is drained — a failed task never hides the
-        # outcomes of the tasks submitted after it.
-        results = []
-        failures = []
-        for f in futures:
-            result, failure = f.result()
-            if failure is not None:
-                failures.append(failure)
-            else:
-                results.append(result)
-        if failures:
-            raise BatchError(failures, total=len(tasks))
-        return results
+        return [pool.submit(self._timed, i, task) for i, task in enumerate(tasks)]
 
     def close(self) -> None:
         if self._pool is not None:

@@ -10,7 +10,7 @@ from simulator-detected model violations
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 
 class ReproError(Exception):
@@ -90,7 +90,7 @@ class BackendUnavailableError(BackendError):
     Raised instead of a bare ``ImportError`` when a backend's supporting
     dependency is missing or its runtime prerequisites are absent.  The
     message names the missing piece and points at the degradation chain
-    (``processes → threads → serial``) so callers can fall back
+    (``threads → serial`` by default) so callers can fall back
     deliberately via :class:`repro.resilience.DegradingBackend`.
     """
 
@@ -100,7 +100,7 @@ class BackendUnavailableError(BackendError):
         self.missing = missing
         fallback = hint or (
             "fall back along the degradation chain "
-            "(processes → threads → serial), e.g. via "
+            "(threads → serial by default), e.g. via "
             "repro.resilience.DegradingBackend"
         )
         super().__init__(
@@ -144,11 +144,19 @@ class BatchError(BackendError):
     task of a batch and collect all failures here, so callers see the
     complete damage report: which task indices failed, how, and after
     how many attempts.  ``failures`` is ordered by task index; the first
-    captured exception is chained as ``__cause__``.
+    captured exception is chained as ``__cause__``.  ``results`` holds
+    the :class:`~repro.backends.TaskResult` of every task that did
+    complete.
     """
 
-    def __init__(self, failures: Sequence[TaskFailure], total: int | None = None) -> None:
+    def __init__(
+        self,
+        failures: Sequence[TaskFailure],
+        total: int | None = None,
+        results: Sequence[Any] = (),
+    ) -> None:
         self.failures = tuple(sorted(failures, key=lambda f: f.index))
+        self.results = tuple(results)
         #: Batch size, when the caller supplied it.
         self.total = total
         self.task_indices = tuple(f.index for f in self.failures)

@@ -21,7 +21,8 @@ Components
     worker deaths for testing the layer (and the conformance chaos
     tier).
 :class:`DegradingBackend`
-    Graceful degradation along ``processes → threads → serial``
+    Graceful degradation along ``threads → serial`` (the external
+    sort's chain puts ``processes`` first)
     with :class:`DegradationWarning` diagnostics; counts
     ``resilience.degradations`` / ``.recoveries`` into its registry.
 :func:`probe_backend`

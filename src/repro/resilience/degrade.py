@@ -1,4 +1,4 @@
-"""Graceful backend degradation: processes → threads → serial.
+"""Graceful backend degradation: threads → serial.
 
 :class:`DegradingBackend` is the one degradation path: a live fallback
 chain.  Levels are built lazily, each wrapped in a
@@ -52,8 +52,10 @@ __all__ = [
     "DegradingBackend",
 ]
 
-#: Default fallback order, fastest-but-most-fragile first.
-DEGRADATION_CHAIN: tuple[str, ...] = ("processes", "threads", "serial")
+#: Default fallback order, fastest-but-most-fragile first.  In-memory
+#: work runs in-process, so the default has no process level; the
+#: external sort passes ``("processes", "threads", "serial")``.
+DEGRADATION_CHAIN: tuple[str, ...] = ("threads", "serial")
 
 
 class DegradationWarning(UserWarning):

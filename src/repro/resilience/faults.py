@@ -34,10 +34,11 @@ import random
 import signal
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..backends.base import Backend, TaskResult, tasks_must_pickle
+from ..backends.base import Backend, tasks_must_pickle
 
 __all__ = [
     "InjectedFault",
@@ -234,7 +235,7 @@ class FaultyBackend(Backend):
             self._attempts[tid] = attempt + 1
         return self.injector.decide(key, attempt)
 
-    def run_tasks(self, tasks: Sequence[Callable[[], Any]]) -> list[TaskResult]:
+    def start_tasks(self, tasks: Sequence[Callable[[], Any]]) -> list[Future]:
         # Death faults only truly kill workers on process pools; elsewhere
         # they degrade to an in-process SimulatedWorkerDeath exception.
         in_process = tasks_must_pickle(self.inner)
@@ -248,7 +249,7 @@ class FaultyBackend(Backend):
                 wrapped.append(
                     functools.partial(_apply_fault, decision, in_process, task)
                 )
-        return self.inner.run_tasks(wrapped)
+        return self.inner.start_tasks(wrapped)
 
     def close(self) -> None:
         self.inner.close()

@@ -10,14 +10,21 @@ merged output cannot be corrupted because every attempt writes the same
 bytes to the same private slice.  This module exploits the guarantee
 for lock-free *recovery*:
 
+* attempts run on the inner backend's own workers: every attempt
+  ready at one instant (all primaries, every retry whose backoff has
+  elapsed, every straggler's duplicate) starts with one
+  :meth:`~repro.backends.Backend.start_tasks` call, whose futures
+  report completion to the supervisor's inbox (a done callback); the
+  supervisor sleeps on the inbox until an attempt finishes or the next
+  deadline, backoff or straggler threshold comes due.  A serial inner
+  backend runs each wave on the calling thread, in task order;
 * every task of a batch is supervised individually — a failure never
-  aborts its siblings (the inner backends collect failures into
-  :class:`~repro.errors.BatchError` per their contract);
+  aborts its siblings;
 * failed attempts are retried with exponential backoff and seeded
   jitter, up to ``policy.max_retries`` times;
 * attempts that exceed ``policy.timeout_s`` are *abandoned*, not
   cancelled — CPython cannot interrupt an arbitrary callable — and a
-  fresh attempt is dispatched; a late result from an abandoned attempt
+  fresh attempt is started; a late result from an abandoned attempt
   is accepted if it arrives before a replacement wins, otherwise
   discarded;
 * once enough tasks have finished to estimate a typical duration,
@@ -28,24 +35,33 @@ for lock-free *recovery*:
   exhausted their budget, each with its failure history.
 
 Every batch leaves a full :class:`~repro.resilience.BatchTelemetry`
-(dispatches, retries, timeouts, speculations, backoff delays) in
-``last_batch``, and its totals go to the ``resilience.*`` counters of
-the registry on ``metrics`` or, when none is set, of the calling
-context's :data:`CALL_METRICS`.
+(dispatches, retries, timeouts, speculations, worker deaths, backoff
+delays) in ``last_batch``, and its totals go to the ``resilience.*``
+counters of the registry on ``metrics`` or, when none is set, of the
+calling context's :data:`CALL_METRICS`.  A worker death is counted
+once per broken pool, however many in-flight tasks it took down; each
+of those tasks still records its own ``worker-death`` failure and
+retry.
 """
 
 from __future__ import annotations
 
-import itertools
-import queue
 import random
 import statistics
-import threading
 import time
+from concurrent.futures import Future
 from contextvars import ContextVar
+from queue import Empty, SimpleQueue
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from ..backends.base import Backend, TaskResult, get_backend, innermost_backend
+from ..backends.base import (
+    Backend,
+    TaskResult,
+    failed_future,
+    get_backend,
+    innermost_backend,
+    task_failure,
+)
 from ..errors import BatchError, TaskFailure
 from .policy import RetryPolicy
 from .telemetry import BatchTelemetry, TaskTelemetry
@@ -65,37 +81,6 @@ CALL_METRICS: "ContextVar[MetricsRegistry | None]" = ContextVar(
 )
 
 
-def _classify(exc: BaseException) -> tuple[str, str, BaseException]:
-    """Map an attempt's exception to (kind, message, cause)."""
-    if isinstance(exc, BatchError) and exc.failures:
-        f = exc.failures[0]
-        return f.kind, f.message, f.error or exc
-    return "exception", repr(exc), exc
-
-
-def _run_attempt(
-    inner: Backend,
-    task: Callable[[], Any],
-    index: int,
-    attempt_id: int,
-    outbox: "queue.Queue",
-) -> None:
-    """One attempt = one single-task batch on the inner backend.
-
-    Runs in its own daemon thread so the supervisor can abandon it; the
-    outcome travels through ``outbox`` and late messages for concluded
-    tasks are simply ignored.
-    """
-    try:
-        res = inner.run_tasks([task])
-    except BaseException as exc:  # noqa: BLE001 - reported to supervisor
-        outbox.put((index, attempt_id, False, exc, 0.0))
-    else:
-        value = res[0].value if res else None
-        elapsed = res[0].elapsed_s if res else 0.0
-        outbox.put((index, attempt_id, True, value, elapsed))
-
-
 class _TaskState:
     """Supervisor-side bookkeeping for one task of the batch."""
 
@@ -108,11 +93,11 @@ class _TaskState:
     def __init__(self, index: int, task: Callable[[], Any]) -> None:
         self.index = index
         self.task = task
-        #: attempt_id -> (kind, started_at) for in-flight attempts.
-        self.active: dict[int, tuple[str, float]] = {}
-        #: attempt_id -> kind for abandoned (timed-out) attempts whose
-        #: late success we would still accept.
-        self.abandoned: dict[int, str] = {}
+        #: future -> (kind, started_at) for in-flight attempts.
+        self.active: dict[Future, tuple[str, float]] = {}
+        #: future -> kind for abandoned (timed-out) attempts whose late
+        #: success we would still accept.
+        self.abandoned: dict[Future, str] = {}
         self.dispatches = 0
         self.retries = 0
         self.timeouts = 0
@@ -177,37 +162,40 @@ class ResilientBackend(Backend):
             self._record(BatchTelemetry())
             return []
         pol = self.policy
-        outbox: queue.Queue = queue.Queue()
         states = [_TaskState(i, t) for i, t in enumerate(tasks)]
-        attempt_ids = itertools.count()
+        #: Every attempt still worth waiting for, in start order.
+        owner: dict[Future, _TaskState] = {}
         durations: list[float] = []
+        #: The pool-breaking errors already counted as a worker death.
+        deaths: set[BaseException] = set()
+        #: Finished (or cancelled) attempts, in completion order.
+        inbox: "SimpleQueue[Future]" = SimpleQueue()
         pending = n
 
-        def launch(st: _TaskState, kind: str) -> None:
-            aid = next(attempt_ids)
-            st.dispatches += 1
-            if kind == "retry":
-                st.retries += 1
-            elif kind == "speculative":
-                st.speculations += 1
-            st.active[aid] = (kind, time.monotonic())
-            threading.Thread(
-                target=_run_attempt,
-                args=(self.inner, st.task, st.index, aid, outbox),
-                name=f"resilient-attempt-{st.index}-{aid}",
-                daemon=True,
-            ).start()
+        def launch(wave: list[tuple[_TaskState, str]]) -> None:
+            """Start one wave of attempts with one ``start_tasks`` call."""
+            started = time.monotonic()
+            try:
+                futures = self.inner.start_tasks([st.task for st, _ in wave])
+            except Exception as exc:  # noqa: BLE001 - e.g. a closed pool
+                futures = [failed_future(exc) for _ in wave]
+            for (st, kind), fut in zip(wave, futures):
+                st.dispatches += 1
+                if kind == "retry":
+                    st.retries += 1
+                elif kind == "speculative":
+                    st.speculations += 1
+                st.active[fut] = (kind, started)
+                owner[fut] = st
+                fut.add_done_callback(inbox.put)
 
         def conclude(st: _TaskState) -> None:
             nonlocal pending
             st.done = True
             pending -= 1
-
-        def accept(st: _TaskState, kind: str, value: Any, elapsed: float) -> None:
-            st.result = TaskResult(index=st.index, value=value, elapsed_s=elapsed)
-            st.winner = kind
-            durations.append(elapsed)
-            conclude(st)
+            for fut in (*st.active, *st.abandoned):
+                fut.cancel()  # a duplicate still queued never runs
+                owner.pop(fut, None)
 
         def after_attempt_failure(st: _TaskState, now: float) -> None:
             """Schedule a retry, or conclude the task as failed."""
@@ -219,48 +207,56 @@ class ResilientBackend(Backend):
             elif not st.active and st.retry_at is None:
                 conclude(st)
 
-        for st in states:
-            launch(st, "primary")
-
-        while pending:
+        def finished(fut: Future, now: float) -> None:
+            st = owner.pop(fut)
+            info = st.active.pop(fut, None)
+            kind = info[0] if info is not None else st.abandoned.pop(fut)
             try:
-                msg = outbox.get(timeout=self._wait_s(states, durations))
-            except queue.Empty:
-                msg = None
+                result = fut.result()
+            except Exception as exc:  # noqa: BLE001 - recorded per task
+                if info is None:
+                    # An abandoned attempt's failure was already booked
+                    # as its timeout.
+                    return
+                failure = task_failure(st.index, exc, attempts=st.dispatches)
+                if failure.kind == "worker-death" and exc not in deaths:
+                    deaths.add(exc)
+                    st.worker_deaths += 1
+                st.failures.append(failure)
+                after_attempt_failure(st, now)
+            else:
+                st.result = TaskResult(st.index, result.value, result.elapsed_s)
+                st.winner = kind
+                durations.append(result.elapsed_s)
+                conclude(st)
+
+        launch([(st, "primary") for st in states])
+        while pending:
+            threshold = self._straggler_threshold(durations)
+            try:
+                ready = [inbox.get(timeout=self._next_event_s(states, threshold))]
+            except Empty:
+                ready = []
+            while not inbox.empty():
+                ready.append(inbox.get())
             now = time.monotonic()
+            for fut in ready:
+                if fut in owner:  # not dropped by its task concluding
+                    finished(fut, now)
 
-            if msg is not None:
-                idx, aid, ok, payload, elapsed = msg
-                st = states[idx]
-                info = st.active.pop(aid, None)
-                kind = info[0] if info is not None else st.abandoned.pop(aid, None)
-                if st.done or kind is None:
-                    pass  # late echo of a concluded task — discard
-                elif ok:
-                    accept(st, kind, payload, elapsed)
-                elif info is not None:
-                    # Failures of abandoned attempts were already booked
-                    # as timeouts; only live attempts report here.
-                    fkind, fmsg, ferr = _classify(payload)
-                    if fkind == "worker-death":
-                        st.worker_deaths += 1
-                    st.failures.append(TaskFailure(
-                        index=idx, kind=fkind, message=fmsg, error=ferr,
-                        attempts=st.dispatches,
-                    ))
-                    after_attempt_failure(st, now)
-
-            # Abandon attempts that blew the per-attempt deadline.
-            if pol.timeout_s is not None:
-                for st in states:
-                    if st.done:
-                        continue
+            threshold = self._straggler_threshold(durations)
+            wave: list[tuple[_TaskState, str]] = []
+            for st in states:
+                if st.done:
+                    continue
+                if pol.timeout_s is not None:
+                    # Abandon attempts that blew the per-attempt deadline.
                     expired = [
-                        aid for aid, (_k, t0) in st.active.items()
-                        if now - t0 > pol.timeout_s
+                        fut for fut, (_k, t0) in st.active.items()
+                        if now - t0 >= pol.timeout_s
                     ]
-                    for aid in expired:
-                        st.abandoned[aid] = st.active.pop(aid)[0]
+                    for fut in expired:
+                        st.abandoned[fut] = st.active.pop(fut)[0]
                         st.timeouts += 1
                         st.failures.append(TaskFailure(
                             index=st.index, kind="timeout",
@@ -272,30 +268,18 @@ class ResilientBackend(Backend):
                         ))
                     if expired:
                         after_attempt_failure(st, now)
-
-            # Dispatch retries whose backoff has elapsed.
-            for st in states:
-                if not st.done and st.retry_at is not None and now >= st.retry_at:
-                    st.retry_at = None
-                    launch(st, "retry")
-
-            # Speculatively duplicate stragglers.
-            if pol.speculate and len(durations) >= pol.min_completed_for_speculation:
-                threshold = max(
-                    pol.straggler_factor * statistics.median(durations),
-                    pol.speculation_floor_s,
-                )
-                for st in states:
-                    if (
-                        st.done
-                        or not st.active
-                        or st.retry_at is not None
-                        or st.speculations >= pol.max_speculative
-                    ):
-                        continue
-                    oldest = min(t0 for _k, t0 in st.active.values())
-                    if now - oldest > threshold:
-                        launch(st, "speculative")
+                        if st.done:
+                            continue
+                if st.retry_at is not None:
+                    if now >= st.retry_at:
+                        st.retry_at = None
+                        wave.append((st, "retry"))
+                elif self._may_speculate(st, threshold) and now - min(
+                    t0 for _k, t0 in st.active.values()
+                ) >= threshold:
+                    wave.append((st, "speculative"))
+            if wave:
+                launch(wave)
 
         self._record(BatchTelemetry(tasks=tuple(
             TaskTelemetry(
@@ -316,7 +300,8 @@ class ResilientBackend(Backend):
         failed = [st for st in states if st.result is None]
         if failed:
             raise BatchError(
-                [self._final_failure(st) for st in failed], total=n
+                [self._final_failure(st) for st in failed], total=n,
+                results=[st.result for st in states if st.result is not None],
             )
         return [st.result for st in states]
 
@@ -342,31 +327,44 @@ class ResilientBackend(Backend):
             message="task never completed", attempts=st.dispatches,
         )
 
-    def _wait_s(self, states: list[_TaskState], durations: list[float]) -> float:
-        """Sleep until the next scheduled event, capped for liveness."""
+    def _straggler_threshold(self, durations: list[float]) -> float | None:
+        """Age past which a running attempt is a straggler, once enough
+        tasks finished to tell; ``None`` while speculation is off."""
         pol = self.policy
-        now = time.monotonic()
-        horizon = now + 0.25
-        speculation_live = (
-            pol.speculate
-            and len(durations) >= pol.min_completed_for_speculation
+        if not pol.speculate or len(durations) < pol.min_completed_for_speculation:
+            return None
+        return max(pol.straggler_factor * statistics.median(durations),
+                   pol.speculation_floor_s)
+
+    def _may_speculate(self, st: _TaskState, threshold: float | None) -> bool:
+        return (
+            threshold is not None
+            and bool(st.active)
+            and st.retry_at is None
+            and st.speculations < self.policy.max_speculative
         )
-        threshold = (
-            max(pol.straggler_factor * statistics.median(durations),
-                pol.speculation_floor_s)
-            if speculation_live else None
-        )
+
+    def _next_event_s(
+        self, states: list[_TaskState], threshold: float | None
+    ) -> float | None:
+        """Seconds until the next deadline, backoff or straggler
+        threshold; ``None`` when only a finishing attempt can change
+        anything."""
+        timeout_s = self.policy.timeout_s
+        events: list[float] = []
         for st in states:
             if st.done:
                 continue
             if st.retry_at is not None:
-                horizon = min(horizon, st.retry_at)
-            for _kind, t0 in st.active.values():
-                if pol.timeout_s is not None:
-                    horizon = min(horizon, t0 + pol.timeout_s)
-                if threshold is not None and st.speculations < pol.max_speculative:
-                    horizon = min(horizon, t0 + threshold)
-        return max(0.002, horizon - now)
+                events.append(st.retry_at)
+            starts = [t0 for _kind, t0 in st.active.values()]
+            if timeout_s is not None:
+                events.extend(t0 + timeout_s for t0 in starts)
+            if self._may_speculate(st, threshold):
+                events.append(min(starts) + threshold)
+        if not events:
+            return None
+        return max(0.0, min(events) - time.monotonic())
 
     def close(self) -> None:
         if self._owns_inner:

@@ -13,9 +13,10 @@ scheduler.  The moving parts, each separately testable:
   one :class:`~repro.backends.TaskBatch` dispatch on the shared pool,
   so ``exec.dispatches`` grows sub-linearly in request count;
 * a :class:`~repro.resilience.DegradingBackend` execution chain —
-  every request runs under per-task retry/timeout supervision and
-  falls back ``threads → serial`` if the pool level keeps failing,
-  counting ``resilience.degradations`` into the server's registry;
+  every request runs under per-task retry supervision (the server's
+  policy sets no deadline and no speculation) and falls back
+  ``threads → serial`` if the pool level keeps failing, counting
+  ``resilience.degradations`` into the server's registry;
 * one :class:`~repro.obs.MetricsRegistry` per server — ``serve.*``
   counters, ``slo.ns_per_elem`` histograms and the load-balance
   gauges, so ``python -m repro doctor --slo ... --metrics-from`` can

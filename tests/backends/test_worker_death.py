@@ -9,6 +9,7 @@ next batch works, and the resilience layer recovers the external sort
 the pool: they are refused before any task runs.
 """
 
+import functools
 import os
 import signal
 import time
@@ -37,6 +38,11 @@ def _suicide() -> int:
 
 def _ok() -> int:
     return 7
+
+
+def _nap(seconds: float) -> float:
+    time.sleep(seconds)
+    return seconds
 
 
 @pytest.fixture()
@@ -110,6 +116,33 @@ class TestResilientRecovery:
         assert np.array_equal(np.load(final.path), np.sort(x, kind="stable"))
         assert reg.value("resilience.worker_deaths") >= 1
         assert reg.value("resilience.retries") >= 1
+
+    def test_one_kill_counts_one_death(self):
+        """Every task in flight on the pool is lost with the one worker
+        that died: each records a ``worker-death`` failure and is
+        retried, but the batch counts one death."""
+        injector = FaultInjector(seed=1, scripted={(0, 0): "death"})
+        rb = ResilientBackend(
+            FaultyBackend(ProcessBackend(max_workers=2), injector),
+            RetryPolicy(max_retries=2, timeout_s=15.0, backoff_base_s=0.01,
+                        speculate=False),
+        )
+        rb.metrics = reg = MetricsRegistry()
+        try:
+            res = rb.run_tasks(
+                [functools.partial(_nap, 0.2) for _ in range(4)]
+            )
+        finally:
+            rb.close()
+        assert [r.value for r in res] == [0.2] * 4
+        lost = [
+            t for t in rb.last_batch.tasks
+            if any(f.kind == "worker-death" for f in t.failures)
+        ]
+        assert len(lost) >= 2  # the casualties outnumber the deaths
+        assert all(t.retries >= 1 for t in lost)
+        assert rb.last_batch.worker_deaths == 1
+        assert reg.value("resilience.worker_deaths") == 1
 
     def test_supervised_merge_is_refused_before_any_task(self, arrays):
         """A supervising wrapper over the pool is refused up front: no

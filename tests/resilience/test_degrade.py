@@ -108,7 +108,22 @@ class TestResolveBackend:
         dg.close()
 
     def test_default_chain_order(self):
-        assert DEGRADATION_CHAIN == ("processes", "threads", "serial")
+        assert DEGRADATION_CHAIN == ("threads", "serial")
+
+    def test_default_chain_serves_an_in_memory_merge(self):
+        """The default chain has no process level, so the in-memory
+        entry points accept it."""
+        rng = np.random.default_rng(7)
+        a = np.sort(rng.integers(0, 1000, 300))
+        b = np.sort(rng.integers(0, 1000, 200))
+        chain = DegradingBackend()
+        try:
+            out = parallel_merge(a, b, 2, backend=chain)
+        finally:
+            chain.close()
+        np.testing.assert_array_equal(
+            out, np.sort(np.concatenate([a, b]), kind="stable")
+        )
 
 
 class TestDegradingBackend:

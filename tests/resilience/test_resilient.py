@@ -244,3 +244,64 @@ class TestTelemetry:
         assert rb.metrics.value("resilience.retries") == 4
         assert inj.counts()["error"] == 4
         rb.close()
+
+
+class TestAttemptsRunOnTheInnerWorkers:
+    def test_serial_attempts_run_in_order_on_the_caller(self):
+        """On a serial inner backend every attempt, retries included,
+        runs on the calling thread, one at a time, in task order."""
+        lock = threading.Lock()
+        live = {"now": 0, "peak": 0}
+        ran = []
+
+        def task(i):
+            def body():
+                with lock:
+                    live["now"] += 1
+                    live["peak"] = max(live["peak"], live["now"])
+                ran.append((i, threading.get_ident()))
+                time.sleep(0.005)  # room for a concurrent attempt to show
+                with lock:
+                    live["now"] -= 1
+                return i
+            return body
+
+        inj = FaultInjector(seed=0, scripted={(1, 0): "error"})
+        rb = ResilientBackend(
+            FaultyBackend(SerialBackend(), inj), _policy(max_retries=2)
+        )
+        res = rb.run_tasks([task(i) for i in range(4)])
+        rb.close()
+        assert [r.value for r in res] == [0, 1, 2, 3]
+        assert rb.last_batch.retries == 1  # task 1's injected error
+        assert live["peak"] == 1
+        caller = threading.get_ident()
+        assert [ident for _i, ident in ran] == [caller] * 4
+        # The primaries in order, then the retry of task 1.
+        assert [i for i, _ident in ran] == [0, 2, 3, 1]
+
+    def test_warm_thread_pool_supervision_starts_no_thread(self, monkeypatch):
+        """A supervised batch, retry included, runs on the pool's own
+        workers: no thread is started per attempt."""
+        pool = ThreadBackend(max_workers=2)
+        barrier = threading.Barrier(2)
+        pool.run_tasks([barrier.wait, barrier.wait])  # both workers up
+        inj = FaultInjector(seed=0, scripted={(0, 0): "error"})
+        rb = ResilientBackend(
+            FaultyBackend(pool, inj), _policy(max_retries=2)
+        )
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(self):
+            started.append(self.name)
+            real_start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        res = rb.run_tasks([lambda i=i: i for i in range(4)])
+        monkeypatch.undo()
+        rb.close()
+        assert [r.value for r in res] == [0, 1, 2, 3]
+        assert rb.last_batch.retries == 1
+        assert inj.counts()["error"] == 1
+        assert started == []

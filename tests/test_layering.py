@@ -58,6 +58,12 @@ written only under ``repro/resilience``, and only
 ``resilience/degrade.py`` (the :class:`~repro.resilience.DegradingBackend`
 chain) writes a counter named ``*.degradations`` or ``*.recoveries``,
 so no other layer keeps a mirror copy of a fall or a recovery.
+
+Supervision runs attempts on the inner backend's own workers.  So no
+module under ``repro/resilience`` creates, imports or subclasses
+``threading.Thread``: a thread per attempt cannot come back.  The
+network chaos proxy (``netchaos.py``) is exempt: it runs its event loop
+on a thread of its own and serves sockets, not task batches.
 """
 
 from __future__ import annotations
@@ -95,6 +101,10 @@ SORT_KIND_FREE_MODULES = sorted(
     for pkg in ("core", "execution", "external", "serve")
     for path in (SRC / pkg).glob("*.py")
     if path != SRC / "core" / "sequential.py"
+)
+THREAD_FREE_MODULES = sorted(
+    path for path in (SRC / "resilience").glob("*.py")
+    if path.name != "netchaos.py"
 )
 STEP_COUNTERS = ("sequential.py", "merge_path.py", "selection.py")
 COUNTING_FREE_MODULES = sorted(
@@ -197,6 +207,21 @@ def _sort_kinds(tree: ast.AST) -> list[str]:
              or getattr(node.func, "id", None)) in ("sort", "argsort")
         and any(kw.arg == "kind" for kw in node.keywords)
     ]
+
+
+def _thread_uses(tree: ast.AST) -> list[str]:
+    """Every ``threading.Thread`` reference and ``Thread`` import/name."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "Thread") or (
+            isinstance(node, ast.Name) and node.id == "Thread"
+        ):
+            found.append(f"line {node.lineno}: uses Thread")
+        elif isinstance(node, ast.ImportFrom) and any(
+            alias.name == "Thread" for alias in node.names
+        ):
+            found.append(f"line {node.lineno}: imports Thread")
+    return found
 
 
 def _counter_names(tree: ast.AST) -> list[tuple[int, str]]:
@@ -341,6 +366,13 @@ def test_only_the_chain_counts_falls_and_recoveries():
     assert found == []
 
 
+@pytest.mark.parametrize(
+    "path", THREAD_FREE_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_supervision_starts_no_thread(path):
+    assert _thread_uses(ast.parse(path.read_text(), str(path))) == []
+
+
 def test_no_entry_point_chooses_a_kernel():
     import inspect
 
@@ -443,3 +475,14 @@ def test_guard_catches_each_violation():
     assert len(_resilience_counters(mirrors, "serve/server.py")) == 5
     assert len(_resilience_counters(mirrors, "resilience/telemetry.py")) == 3
     assert _resilience_counters(mirrors, "resilience/degrade.py") == []
+    threads = ast.parse(
+        "import threading\n"
+        "threading.Thread(target=run, daemon=True).start()\n"
+        "from threading import Thread\n"
+        "Thread(target=run).start()\n"
+        "class Attempt(threading.Thread):\n"
+        "    pass\n"
+        "lock = threading.Lock()\n"
+        "done = threading.Event()\n"
+    )
+    assert len(_thread_uses(threads)) == 4
