@@ -1,51 +1,16 @@
 """Command-line entry point: ``python -m repro SUBCOMMAND ...``.
 
-Subcommands
------------
-run EXP_ID [EXP_ID ...]
-    Run experiments and print their tables (``all`` for every one).
-    ``--quick`` reduces sizes where an experiment distinguishes scales;
-    ``--chart`` renders FIG5 as a text bar chart.
-report
-    Run everything and emit a Markdown report (``--quick`` supported).
-selftest
-    Verify every implementation on an input grid.
-scorecard
-    Evaluate all 14 paper claims as PASS/FAIL.
-conformance
-    Differential-fuzz every implementation against the oracle
-    (``--quick`` | ``--full`` tiers; ``--chaos`` adds fault injection).
-api
-    Print the public-API index.
-trace EXP_ID
-    Run a traced workload and write a Chrome-trace JSON (load it at
-    ``chrome://tracing`` or https://ui.perfetto.dev).  Also prints a
-    flame summary, the per-worker load-balance report, and the metrics
-    snapshot.  ``--out trace.json`` chooses the path.
-doctor
-    One-shot operability verdict: probe the host, replay the canary
-    workload through the tuned path, print PASS/WARN/FAIL per SLO
-    clause with the offending metric.  ``--json verdict.json`` writes
-    the structured verdict; exit status 1 on any FAIL clause.
-serve
-    The asyncio front door: newline-delimited JSON over TCP, coalesced
-    batches on the shared pools, admission control with load shedding
-    and per-request deadlines.  Prints ``serving on HOST:PORT`` once
-    bound (``--port 0`` picks an ephemeral port) and runs until
-    interrupted.  See ``docs/serving.md``.
-extsort
-    Out-of-core demo: generate a dataset ``--n`` elements long, sort it
-    with the SPM-planned parallel external sort under a ``--memory``
-    budget (default 1/16 of ``--n``), verify bit-identity against
-    ``np.sort``, and print the I/O report with measured transfers vs
-    the Aggarwal–Vitter bound.  ``--report out.json`` persists the
-    report; nonzero exit on mismatch or a transfer ratio past
-    ``--max-transfer-ratio``.  See ``docs/external.md``.
+``python -m repro`` with no arguments lists the subcommands and the
+experiment ids; ``python -m repro SUBCOMMAND -h`` describes one.  The
+subcommands are defined once, in :func:`_build_parser`: the listing and
+the legacy-form rewriting below read them from the parser.
 
 Unknown flags are an error (exit status 2 via argparse).  For
 backwards compatibility, bare experiment ids still work — ``python -m
 repro FIG5 --quick`` is rewritten to ``run FIG5 --quick`` — and the
 legacy flag-before-subcommand order (``--quick report``) is accepted.
+A first word that is neither a subcommand nor an experiment id exits
+with status 2.
 """
 
 from __future__ import annotations
@@ -53,17 +18,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from .experiments.registry import EXPERIMENTS, run_experiment
 from .types import ExperimentResult
 
+if TYPE_CHECKING:
+    from .serve import ServeConfig
+
 #: Flags the pre-argparse era accepted anywhere on the line.
 _LEGACY_FLAGS = ("--quick", "--full", "--chart", "--chaos")
-
-_SUBCOMMANDS = (
-    "run", "report", "selftest", "scorecard", "conformance", "api",
-    "trace", "doctor", "serve", "extsort",
-)
 
 
 def _fig5_chart(result: ExperimentResult) -> str:
@@ -79,27 +43,13 @@ def _fig5_chart(result: ExperimentResult) -> str:
 
 
 def _print_listing() -> None:
-    print("usage: python -m repro SUBCOMMAND ... "
-          "(run | report | selftest | scorecard | conformance | api | "
-          "trace | doctor | serve | extsort)\n")
-    print("available experiments (python -m repro run EXP_ID ...):")
+    print("usage: python -m repro SUBCOMMAND ...\n")
+    print("subcommands (python -m repro SUBCOMMAND -h for options):")
+    for name, verb in _VERBS.items():
+        print(f"  {name:<12} {verb.description}")
+    print("\navailable experiments (python -m repro run EXP_ID ...):")
     for exp_id, (_fn, desc) in EXPERIMENTS.items():
         print(f"  {exp_id:<8} {desc}")
-    print("\n  report       run everything and emit a Markdown report")
-    print("  selftest     verify every implementation on an input grid")
-    print("  scorecard    evaluate all 14 paper claims as PASS/FAIL")
-    print("  conformance  differential-fuzz every implementation against")
-    print("               the oracle (--quick | --full tiers; --chaos adds")
-    print("               fault injection through the resilience layer)")
-    print("  api          print the public-API index")
-    print("  trace        capture a Chrome-trace of a workload "
-          "(--out trace.json)")
-    print("  doctor       one-shot SLO verdict for this host "
-          "(--quick, --json out.json)")
-    print("  serve        NDJSON-over-TCP front door "
-          "(--host --port; see docs/serving.md)")
-    print("  extsort      out-of-core SPM-planned parallel external sort "
-          "demo (--n --memory --report out.json; see docs/external.md)")
 
 
 def _normalize(argv: list[str]) -> list[str]:
@@ -115,12 +65,14 @@ def _normalize(argv: list[str]) -> list[str]:
     if not rest:
         return []
     head = rest[0].lower()
-    if head in _SUBCOMMANDS:
+    if head in _VERBS:
         return [head] + rest[1:] + flags
     return ["run"] + rest + flags
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
+    """The CLI parser, and its subcommand name -> parser map."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Merge Path reproduction: experiments, verification, "
@@ -128,7 +80,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    p_run = sub.add_parser("run", help="run experiments and print tables")
+    def verb(name: str, summary: str, detail: str | None = None,
+             **kwargs: object) -> argparse.ArgumentParser:
+        # The summary is the listing line; ``-h`` adds the detail.
+        return sub.add_parser(name, help=summary, description=summary,
+                              epilog=detail, **kwargs)
+
+    p_run = verb("run", "run experiments and print their tables")
     p_run.add_argument("ids", nargs="*", metavar="EXP_ID",
                        help="experiment ids, or 'all'")
     p_run.add_argument("--quick", action="store_true",
@@ -138,24 +96,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--chart", action="store_true",
                        help="render FIG5 as a text bar chart")
 
-    p_report = sub.add_parser("report", help="emit the Markdown report")
+    p_report = verb("report", "run everything and emit a Markdown report")
     p_report.add_argument("--quick", action="store_true")
     p_report.add_argument("--full", action="store_true",
                           help=argparse.SUPPRESS)
 
-    sub.add_parser("selftest", help="verify every implementation")
-    sub.add_parser("scorecard", help="evaluate the paper-claim scorecard")
-    sub.add_parser("api", help="print the public-API index")
+    verb("scorecard", "evaluate all 14 paper claims as PASS/FAIL")
 
-    p_conf = sub.add_parser("conformance",
-                            help="differential-fuzz against the oracle")
+    p_conf = verb(
+        "conformance",
+        "differential-fuzz every implementation against the oracle",
+        "--quick and --full choose the tier (--full wins); --chaos adds "
+        "fault injection through the resilience layer.  Exit status 1 "
+        "on any failure.")
     p_conf.add_argument("--quick", action="store_true")
     p_conf.add_argument("--full", action="store_true")
     p_conf.add_argument("--chaos", action="store_true",
                         help="add fault injection via the resilience layer")
 
-    p_trace = sub.add_parser(
-        "trace", help="capture a Chrome-trace JSON of a traced workload")
+    verb("api", "print the public-API index")
+
+    p_trace = verb(
+        "trace", "capture a Chrome-trace JSON of a traced workload",
+        "Load the trace at chrome://tracing or https://ui.perfetto.dev.  "
+        "Also prints a flame summary, the per-worker load-balance report "
+        "and the metrics snapshot.")
     p_trace.add_argument("exp_id", metavar="EXP_ID",
                          help="traceable workload id (fig5, spm, sort, "
                               "cachesort, lb)")
@@ -167,8 +132,11 @@ def _build_parser() -> argparse.ArgumentParser:
                          help=argparse.SUPPRESS)
     p_trace.add_argument("--seed", type=int, default=7)
 
-    p_doc = sub.add_parser(
-        "doctor", help="one-shot SLO verdict: probe host, replay canary")
+    p_doc = verb(
+        "doctor", "one-shot SLO verdict for this host",
+        "Probes the host, replays the canary workload through the tuned "
+        "path and prints PASS/WARN/FAIL per SLO clause with the "
+        "offending metric.  Exit status 1 on any FAIL clause.")
     p_doc.add_argument("--quick", action="store_true",
                        help="smaller canary, skip the process-backend probe")
     p_doc.add_argument("--full", action="store_true",
@@ -185,48 +153,61 @@ def _build_parser() -> argparse.ArgumentParser:
                             "server's snapshot) instead of replaying the "
                             "canary")
 
-    p_srv = sub.add_parser(
-        "serve", help="NDJSON-over-TCP merge service (see docs/serving.md)")
-    p_srv.add_argument("--host", default="127.0.0.1")
+    # Serve flags default to SUPPRESS: an omitted flag leaves its
+    # ServeConfig field (the dest) unset, so ServeConfig's own default
+    # applies and the serve stack is imported only by ``serve``.
+    p_srv = verb(
+        "serve", "NDJSON-over-TCP merge service (see docs/serving.md)",
+        "The asyncio front door: newline-delimited JSON over TCP, "
+        "coalesced batches on the shared pools, admission control with "
+        "load shedding and per-request deadlines.  Prints 'serving on "
+        "HOST:PORT' once bound and runs until SIGTERM/SIGINT, which "
+        "drains it.  Option defaults are ServeConfig's.",
+        argument_default=argparse.SUPPRESS)
+    p_srv.add_argument("--host")
+    # A well-known port for a standalone server; ServeConfig's 0 (an
+    # ephemeral port) suits servers started in-process.
     p_srv.add_argument("--port", type=int, default=7207,
                        help="0 picks an ephemeral port (printed once bound)")
-    p_srv.add_argument("--p", type=int, default=None,
+    p_srv.add_argument("--p", type=int,
                        help="workers for the above-cutover parallel path")
-    p_srv.add_argument("--capacity", type=int, default=512,
+    p_srv.add_argument("--capacity", type=int,
                        help="admission budget; past it requests are shed")
-    p_srv.add_argument("--max-batch", type=int, default=64,
-                       dest="max_batch",
+    p_srv.add_argument("--max-batch", type=int, dest="max_batch",
                        help="coalescer flushes at this many requests")
-    p_srv.add_argument("--window-ms", type=float, default=2.0,
-                       dest="window_ms",
+    p_srv.add_argument("--window-ms", type=float, dest="window_ms",
                        help="coalescing window duration in ms")
-    p_srv.add_argument("--small-cutover", type=int, default=1 << 15,
-                       dest="small_cutover",
+    p_srv.add_argument("--small-cutover", type=int, dest="small_cutover",
                        help="elements at or below coalesce; above run the "
                             "parallel path")
-    p_srv.add_argument("--deadline-ms", type=float, default=None,
-                       dest="deadline_ms",
+    p_srv.add_argument("--deadline-ms", type=float,
+                       dest="default_deadline_ms", metavar="DEADLINE_MS",
                        help="default per-request deadline when the client "
                             "sends none")
     # Accepted and ignored: the server runs no control loop, but
     # existing launch scripts still pass it.
     p_srv.add_argument("--no-control", action="store_true",
                        help=argparse.SUPPRESS)
-    p_srv.add_argument("--drain-timeout", type=float, default=5.0,
-                       dest="drain_timeout", metavar="SECONDS",
+    p_srv.add_argument("--drain-timeout", type=float,
+                       dest="drain_timeout_s", metavar="SECONDS",
                        help="SIGTERM/SIGINT drain budget: in-flight "
                             "requests get this long to finish")
-    p_srv.add_argument("--metrics-snapshot", default=None,
+    p_srv.add_argument("--metrics-snapshot",
                        dest="metrics_snapshot", metavar="FILE.json",
                        help="write a final metrics snapshot here on drain "
                             "(post-mortem: doctor --metrics-from FILE.json)")
-    p_srv.add_argument("--reprobe-interval", type=float, default=1.0,
-                       dest="reprobe_interval", metavar="SECONDS",
+    p_srv.add_argument("--reprobe-interval", type=float,
+                       dest="reprobe_interval_s", metavar="SECONDS",
                        help="background circuit-breaker re-probe cadence "
                             "(0 disables; dispatches still re-probe)")
 
-    p_ext = sub.add_parser(
-        "extsort", help="out-of-core SPM-planned parallel external sort")
+    p_ext = verb(
+        "extsort", "out-of-core SPM-planned parallel external sort demo",
+        "Generates a dataset --n elements long, sorts it under a --memory "
+        "budget, checks it against np.sort and prints the I/O report "
+        "with measured transfers against the Aggarwal-Vitter bound.  "
+        "Exit status 1 on a mismatch or a transfer ratio past "
+        "--max-transfer-ratio.  See docs/external.md.")
     p_ext.add_argument("--n", type=int, default=1 << 20,
                        help="dataset size in elements (default 2^20)")
     p_ext.add_argument("--memory", type=int, default=None,
@@ -254,7 +235,11 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fail (exit 1) if measured transfers exceed "
                             "this multiple of the Aggarwal-Vitter bound")
 
-    return parser
+    return parser, sub.choices
+
+
+#: ``_VERBS`` maps each subcommand name to its parser, in listing order.
+_PARSER, _VERBS = _build_parser()
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
@@ -267,6 +252,7 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         print(f"error: unknown experiment id(s): {', '.join(unknown)}",
               file=sys.stderr)
         print(f"known ids: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+        print(f"subcommands: {', '.join(_VERBS)}", file=sys.stderr)
         return 2
     for exp_id in ids:
         kwargs: dict[str, object] = {}
@@ -423,25 +409,23 @@ def _cmd_extsort(ns: argparse.Namespace) -> int:
         return status
 
 
+def _serve_config(ns: argparse.Namespace) -> ServeConfig:
+    from .serve import ServeConfig
+
+    given = {k: v for k, v in vars(ns).items()
+             if k not in ("command", "no_control")}
+    if "window_ms" in given:
+        given["window_s"] = given.pop("window_ms") / 1000.0
+    return ServeConfig(**given)
+
+
 def _cmd_serve(ns: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from .serve import MergeServer, ServeConfig
+    from .serve import MergeServer
 
-    config = ServeConfig(
-        host=ns.host,
-        port=ns.port,
-        p=ns.p,
-        capacity=ns.capacity,
-        max_batch=ns.max_batch,
-        window_s=ns.window_ms / 1000.0,
-        small_cutover=ns.small_cutover,
-        default_deadline_ms=ns.deadline_ms,
-        drain_timeout_s=ns.drain_timeout,
-        metrics_snapshot=ns.metrics_snapshot,
-        reprobe_interval_s=ns.reprobe_interval,
-    )
+    config = _serve_config(ns)
 
     async def run() -> int:
         server = MergeServer(config)
@@ -502,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
         _print_listing()
         return 0
 
-    ns = _build_parser().parse_args(argv)
+    ns = _PARSER.parse_args(argv)
 
     if ns.command == "run":
         return _cmd_run(ns)
@@ -511,11 +495,6 @@ def main(argv: list[str] | None = None) -> int:
 
         print(generate_report(quick=ns.quick))
         return 0
-    if ns.command == "selftest":
-        from .selftest import run_selftest
-
-        failures = run_selftest()
-        return 1 if failures else 0
     if ns.command == "scorecard":
         from .scorecard import evaluate_claims, render_scorecard
 

@@ -87,8 +87,11 @@ def kway_merge(
 
     Arrays that are all bool are cut, checked and merged as their bytes
     (:func:`~repro.core.sequential.sort_keys`), the order ``np.sort``
-    gives them; arrays of one dtype come back in that dtype
-    (:func:`~repro.core.sequential.sorted_as`), byte order included.
+    gives them, and the merge is viewed back as bool
+    (:func:`~repro.core.sequential.sorted_as`).  The output dtype is
+    NumPy's promotion of the input dtypes, in native byte order, as
+    ``np.sort(np.concatenate(arrays), kind="stable")`` returns it and
+    :func:`~repro.core.parallel_merge.parallel_merge` merges two arrays.
     """
     check_positive(p, "p")
     arrays = [as_array(arr, f"arrays[{t}]") for t, arr in enumerate(arrays)]
@@ -103,7 +106,7 @@ def kway_merge(
         if not arrays:
             return np.empty(0)
         if len(arrays) == 1:
-            return arrays[0].copy()
+            return np.concatenate(arrays)  # a copy, in native byte order
 
         out = np.empty(sum(len(key) for key in keys),
                        dtype=np.result_type(*(key.dtype for key in keys)))
@@ -122,6 +125,4 @@ def kway_merge(
         tasks = [make_task(k) for k in range(p) if offsets[k + 1] > offsets[k]]
         ex.run(TaskBatch(tasks, label="kway.merge",
                          meta={"slabs": len(tasks)}))
-    if len({arr.dtype for arr in arrays}) == 1:
-        return sorted_as(out, arrays[0])
-    return out
+    return out if keys is arrays else sorted_as(out, arrays[0])

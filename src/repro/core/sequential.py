@@ -482,8 +482,9 @@ def merge_keys(
 
 def sorted_as(out: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The sorted keys ``out`` of ``x`` in ``x``'s dtype, as ``np.sort``
-    returns it: bools are viewed back, and a byte order the merges
-    normalised to native is restored."""
+    returns it: bools are viewed back, and a byte order the sorts
+    normalised to native is restored.  Merges call it only to view bool
+    keys back: their output is native, as ``np.concatenate`` makes it."""
     if out.dtype == x.dtype:
         return out
     if x.dtype == np.bool_:

@@ -4,8 +4,8 @@ The fault injector (PR 3) breaks the *compute* path; this module
 breaks the *network* path, which is what a non-loopback deployment
 actually fears: connection resets mid-frame, partial/truncated writes,
 latency jitter, slowloris trickles, and corrupted bytes.  A
-:class:`ChaosProxy` sits between a client (the load generator, a
-:class:`~repro.serve.ResilientClient`) and a live server, forwarding
+:class:`ChaosProxy` sits between a client (the load generator,
+:mod:`repro.workloads.loadgen`) and a live server, forwarding
 both directions while injecting faults drawn from per-connection,
 per-direction seeded streams (``random.Random(f"{seed}:conn:{i}:up")``)
 — the same chaos schedule replays under the same seed and connection
@@ -25,9 +25,8 @@ response that arrives is bit-identical to the oracle"*:
 * **Resets, delays, truncation, and slowloris run in both directions.**
   They destroy or defer frames, never alter surviving bytes: a
   truncated JSON object is unbalanced and fails to parse, so the worst
-  case is a transport error the client retries — safe, because every
-  request is an idempotent pure function (Theorem 14 is what makes the
-  server's own replays safe too).
+  case is a lost response or a dropped connection, which the client
+  counts as a transport failure, never a wrong answer.
 
 The proxy counts every fault it fires (:attr:`ChaosProxy.stats`), so a
 test can assert the chaos actually happened rather than passing
@@ -117,6 +116,8 @@ class ChaosProxy:
         self.connections = 0
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        self._writers: set[asyncio.StreamWriter] = set()
+        self._stopping = False
 
     @property
     def host(self) -> str:
@@ -137,13 +138,23 @@ class ChaosProxy:
         return self
 
     async def stop(self) -> None:
-        """Close the listener and tear down every proxied connection."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._conn_tasks):
-            task.cancel()
+        """Close the listener and tear down every proxied connection.
+
+        Each connection's transports are aborted, so its pumps read EOF
+        and its handler returns by itself.  A handler is never
+        cancelled: the stream protocol that started it would log the
+        ``CancelledError`` as an unhandled exception.  The transports
+        are aborted before ``wait_closed``, which from Python 3.12.1 on
+        waits until every accepted connection has been dropped.
+        """
+        self._stopping = True
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        for writer in list(self._writers):
+            writer.transport.abort()
+        if server is not None:
+            await server.wait_closed()
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks),
                                  return_exceptions=True)
@@ -157,13 +168,24 @@ class ChaosProxy:
         if task is not None:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
+        if self._stopping:
+            await _close(writer, abort=True)
+            return
+        self._writers.add(writer)
         try:
             up_reader, up_writer = await asyncio.open_connection(
                 self.upstream_host, self.upstream_port
             )
         except OSError:
+            self._writers.discard(writer)
             await _close(writer)
             return
+        if self._stopping:  # stop() ran while the upstream dial was open
+            self._writers.discard(writer)
+            await _close(up_writer, abort=True)
+            await _close(writer, abort=True)
+            return
+        self._writers.add(up_writer)
         # One seeded stream per direction: two concurrent pumps sharing
         # an RNG would interleave nondeterministically.
         seed = self.spec.seed
@@ -185,6 +207,7 @@ class ChaosProxy:
             await asyncio.gather(up, down, return_exceptions=True)
             await _close(up_writer)
             await _close(writer)
+            self._writers.difference_update((writer, up_writer))
 
     async def _pump(
         self,
@@ -279,13 +302,12 @@ async def _close(writer: asyncio.StreamWriter, *, abort: bool = False) -> None:
 class ChaosProxyThread:
     """A :class:`ChaosProxy` on a dedicated thread with its own loop.
 
-    The synchronous test battery (and the smoke harness) put this
-    between a :class:`~repro.serve.ServerThread` and plain socket
-    clients::
+    The synchronous tests and the smoke harness put this between a
+    :class:`~repro.serve.ServerThread` and the load generator::
 
         with ServerThread(config) as srv, \\
              ChaosProxyThread(srv.host, srv.port, spec=spec) as proxy:
-            client = ResilientClient(proxy.host, proxy.port, ...)
+            report = run_load_sync(proxy.host, proxy.port, LoadSpec())
     """
 
     def __init__(

@@ -10,14 +10,7 @@ into a :class:`~repro.obs.MetricsRegistry` that ``python -m repro doctor
 """
 
 from .admission import AdmissionController
-from .client import (
-    AsyncResilientClient,
-    AsyncServeClient,
-    ClientRetryPolicy,
-    ResilientClient,
-    ServeClient,
-    request_sync,
-)
+from .client import AsyncServeClient, ServeClient, request_sync
 from .coalescer import Coalescer
 from .protocol import (
     ERROR_CODES,
@@ -49,7 +42,4 @@ __all__ = [
     "request_sync",
     "ServeClient",
     "AsyncServeClient",
-    "ClientRetryPolicy",
-    "ResilientClient",
-    "AsyncResilientClient",
 ]

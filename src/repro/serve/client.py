@@ -6,26 +6,13 @@ line framing and id matching.  :func:`request_sync` is the one-shot
 convenience; :class:`ServeClient` holds a connection open (pipelining
 friendly — send many, then collect by id); :class:`AsyncServeClient`
 is the asyncio flavour the load generator fans out with.
-
-:class:`ResilientClient` / :class:`AsyncResilientClient` wrap those
-with the failure handling a non-loopback network demands: reconnect on
-reset, bounded seeded-backoff retries, deadline propagation (the
-remaining client budget rides each attempt as ``deadline_ms``), and —
-async only — optional hedged sends for tail latency.  All of it is
-safe *because of the paper*: requests are idempotent pure functions
-over their payloads (Theorem 14 disjointness is what makes the server
-side replayable too), so a duplicate send can at worst waste work,
-never corrupt a result.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import random
 import socket
-import time
-from dataclasses import dataclass
 from typing import Any
 
 from .protocol import encode_line
@@ -34,9 +21,6 @@ __all__ = [
     "request_sync",
     "ServeClient",
     "AsyncServeClient",
-    "ClientRetryPolicy",
-    "ResilientClient",
-    "AsyncResilientClient",
 ]
 
 
@@ -58,10 +42,6 @@ class ServeClient:
     def __init__(self, host: str, port: int, *, timeout: float = 30.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._file = self._sock.makefile("rb")
-
-    def settimeout(self, timeout: float | None) -> None:
-        """Adjust the socket timeout for subsequent sends/reads."""
-        self._sock.settimeout(timeout)
 
     def send(self, payload: dict[str, Any]) -> None:
         """Write one request line without waiting for the response."""
@@ -92,12 +72,11 @@ class ServeClient:
 
 
 class AsyncServeClient:
-    """A persistent asyncio connection; ``connect`` then ``request``.
+    """A persistent asyncio connection; ``connect``, then ``send``/``recv``.
 
-    ``request`` serializes writes but reads concurrently-safe only when
-    calls are awaited one at a time per client; the load generator uses
-    one client per simulated connection and pipelines explicitly via
-    ``send``/``recv_by_id``.
+    The load generator uses one client per simulated connection and
+    pipelines explicitly: it sends up to its window of requests, then
+    matches each response to its request by id.
     """
 
     def __init__(self, host: str, port: int) -> None:
@@ -105,7 +84,6 @@ class AsyncServeClient:
         self.port = port
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
-        self._by_id: dict[Any, dict[str, Any]] = {}
 
     async def connect(self, *, limit: int = 1 << 26) -> "AsyncServeClient":
         self._reader, self._writer = await asyncio.open_connection(
@@ -125,20 +103,6 @@ class AsyncServeClient:
             raise ConnectionError("server closed the connection")
         return json.loads(line)
 
-    async def recv_by_id(self, req_id: Any) -> dict[str, Any]:
-        """Next response for ``req_id``, buffering out-of-order arrivals."""
-        if req_id in self._by_id:
-            return self._by_id.pop(req_id)
-        while True:
-            response = await self.recv()
-            if response.get("id") == req_id:
-                return response
-            self._by_id[response.get("id")] = response
-
-    async def request(self, payload: dict[str, Any]) -> dict[str, Any]:
-        await self.send(payload)
-        return await self.recv_by_id(payload.get("id"))
-
     async def close(self) -> None:
         if self._writer is not None:
             self._writer.close()
@@ -154,278 +118,3 @@ class AsyncServeClient:
 
     async def __aexit__(self, *exc_info: object) -> None:
         await self.close()
-
-
-@dataclass(frozen=True)
-class ClientRetryPolicy:
-    """Knobs for the resilient clients' retry/backoff/hedge behavior.
-
-    ``retry_kinds`` are the typed server errors worth retrying:
-    ``shed`` (momentary overload) and ``draining`` (this replica is
-    going away; another would answer).  Transport failures — reset,
-    timeout, garbage where a JSON line should be — always retry on a
-    fresh connection.  Backoff is exponential with *seeded* jitter
-    (``random.Random(f"{seed}:{key}:{attempt}")``), so a test replays
-    the exact delay schedule.
-
-    ``hedge_after_s`` (async client only): when the primary attempt has
-    not answered after this long, a duplicate rides a second connection
-    and the first response wins — idempotence makes the race safe.
-    """
-
-    max_attempts: int = 4
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 1.0
-    jitter: float = 0.5
-    seed: int = 0
-    retry_kinds: tuple[str, ...] = ("shed", "draining")
-    hedge_after_s: float | None = None
-
-    def backoff_for(self, key: str, attempt: int) -> float:
-        """Seeded-jitter delay before retry ``attempt`` (0-based)."""
-        base = min(self.backoff_cap_s, self.backoff_base_s * 2 ** attempt)
-        rng = random.Random(f"{self.seed}:{key}:{attempt}")
-        return base * (1.0 + rng.random() * self.jitter)
-
-    def should_retry_response(self, response: dict[str, Any]) -> bool:
-        """Whether a decoded server response merits another attempt."""
-        if response.get("ok"):
-            return False
-        kind = (response.get("error") or {}).get("kind")
-        return kind in self.retry_kinds
-
-
-class ResilientClient:
-    """A :class:`ServeClient` that survives resets, drains, and sheds.
-
-    One logical ``request`` may cost several physical attempts: a
-    transport failure (reset, timeout, non-JSON bytes) drops the
-    connection and retries on a fresh one after seeded backoff; a typed
-    ``shed``/``draining`` response backs off and retries in place.  A
-    ``deadline_s`` bounds the *whole* ladder — each attempt carries the
-    remaining budget as ``deadline_ms`` so the server stops computing
-    answers nobody will read.  When every attempt yields a retryable
-    typed error, the last one is returned (typed, never a hang); when
-    every attempt died in transport, :class:`ConnectionError` is
-    raised.  ``retries``/``reconnects`` are observable for tests.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        policy: ClientRetryPolicy | None = None,
-        timeout: float = 30.0,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.policy = policy or ClientRetryPolicy()
-        self.timeout = timeout
-        self._client: ServeClient | None = None
-        self.retries = 0
-        self.reconnects = 0
-
-    def _ensure(self, timeout: float) -> ServeClient:
-        if self._client is None:
-            self._client = ServeClient(self.host, self.port, timeout=timeout)
-        else:
-            self._client.settimeout(timeout)
-        return self._client
-
-    def _drop(self) -> None:
-        if self._client is not None:
-            try:
-                self._client.close()
-            except OSError:
-                pass
-            self._client = None
-
-    def request(
-        self, payload: dict[str, Any], *, deadline_s: float | None = None
-    ) -> dict[str, Any]:
-        """Send one request with retries; see the class docstring."""
-        deadline = (
-            None if deadline_s is None else time.monotonic() + deadline_s
-        )
-        key = repr(payload.get("id"))
-        last_response: dict[str, Any] | None = None
-        last_exc: Exception | None = None
-        for attempt in range(self.policy.max_attempts):
-            remaining = (
-                None if deadline is None else deadline - time.monotonic()
-            )
-            if remaining is not None and remaining <= 0:
-                break
-            body = dict(payload)
-            if remaining is not None:
-                body["deadline_ms"] = max(1.0, remaining * 1e3)
-            att_timeout = (
-                self.timeout if remaining is None
-                else min(self.timeout, remaining)
-            )
-            try:
-                client = self._ensure(att_timeout)
-                client.send(body)
-                while True:
-                    response = client.recv()
-                    # A mismatched id is a stray (e.g. the server 400'd
-                    # a corrupted frame under its own null id): keep
-                    # reading until ours arrives or the timeout fires.
-                    if response.get("id") == body.get("id"):
-                        break
-            except (OSError, ValueError) as exc:
-                # Reset, timeout, or non-JSON bytes: this connection is
-                # no longer trustworthy (a stale response could arrive
-                # later); replay on a fresh one.
-                last_exc = exc
-                self._drop()
-                self.reconnects += 1
-            else:
-                if not self.policy.should_retry_response(response):
-                    return response
-                last_response = response
-            self.retries += 1
-            delay = self.policy.backoff_for(key, attempt)
-            if deadline is not None:
-                delay = min(delay, max(0.0, deadline - time.monotonic()))
-            if delay > 0 and attempt + 1 < self.policy.max_attempts:
-                time.sleep(delay)
-        if last_response is not None:
-            return last_response
-        raise ConnectionError(
-            f"request {payload.get('id')!r} failed after "
-            f"{self.policy.max_attempts} attempt(s): {last_exc!r}"
-        )
-
-    def close(self) -> None:
-        """Drop the underlying connection (reconnects happen lazily)."""
-        self._drop()
-
-    def __enter__(self) -> "ResilientClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class AsyncResilientClient:
-    """The asyncio twin of :class:`ResilientClient`, plus hedging.
-
-    Each attempt rides its own connection (hedge-safe by construction:
-    two in-flight attempts never share a stream).  With
-    ``policy.hedge_after_s`` set, a primary attempt that hasn't
-    answered in time races a duplicate on a second connection and the
-    first decoded response wins — both compute the same bytes, so the
-    race is free of result ambiguity.  ``retries``/``reconnects``/
-    ``hedges`` are observable for tests.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        policy: ClientRetryPolicy | None = None,
-        timeout: float = 30.0,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.policy = policy or ClientRetryPolicy()
-        self.timeout = timeout
-        self.retries = 0
-        self.reconnects = 0
-        self.hedges = 0
-
-    async def _attempt(
-        self, body: dict[str, Any], timeout: float
-    ) -> dict[str, Any]:
-        client = AsyncServeClient(self.host, self.port)
-        try:
-            await asyncio.wait_for(client.connect(), timeout)
-            await asyncio.wait_for(client.send(body), timeout)
-            return await asyncio.wait_for(
-                client.recv_by_id(body.get("id")), timeout
-            )
-        finally:
-            await client.close()
-
-    async def _hedged(
-        self, body: dict[str, Any], timeout: float
-    ) -> dict[str, Any]:
-        primary = asyncio.create_task(self._attempt(body, timeout))
-        done, _ = await asyncio.wait(
-            {primary}, timeout=self.policy.hedge_after_s
-        )
-        if primary in done:
-            return primary.result()
-        self.hedges += 1
-        pending = {primary, asyncio.create_task(
-            self._attempt(dict(body), timeout)
-        )}
-        error: BaseException | None = None
-        try:
-            while pending:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED
-                )
-                for task in done:
-                    try:
-                        return task.result()
-                    except (OSError, ValueError, asyncio.TimeoutError) as exc:
-                        error = exc
-            assert error is not None
-            raise error
-        finally:
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-
-    async def request(
-        self, payload: dict[str, Any], *, deadline_s: float | None = None
-    ) -> dict[str, Any]:
-        """Send one request with retries (and optional hedging)."""
-        deadline = (
-            None if deadline_s is None else time.monotonic() + deadline_s
-        )
-        key = repr(payload.get("id"))
-        last_response: dict[str, Any] | None = None
-        last_exc: Exception | None = None
-        for attempt in range(self.policy.max_attempts):
-            remaining = (
-                None if deadline is None else deadline - time.monotonic()
-            )
-            if remaining is not None and remaining <= 0:
-                break
-            body = dict(payload)
-            if remaining is not None:
-                body["deadline_ms"] = max(1.0, remaining * 1e3)
-            att_timeout = (
-                self.timeout if remaining is None
-                else min(self.timeout, remaining)
-            )
-            try:
-                if self.policy.hedge_after_s is not None:
-                    response = await self._hedged(body, att_timeout)
-                else:
-                    response = await self._attempt(body, att_timeout)
-            except (OSError, ValueError, asyncio.TimeoutError) as exc:
-                last_exc = exc
-                self.reconnects += 1
-            else:
-                if not self.policy.should_retry_response(response):
-                    return response
-                last_response = response
-            self.retries += 1
-            delay = self.policy.backoff_for(key, attempt)
-            if deadline is not None:
-                delay = min(delay, max(0.0, deadline - time.monotonic()))
-            if delay > 0 and attempt + 1 < self.policy.max_attempts:
-                await asyncio.sleep(delay)
-        if last_response is not None:
-            return last_response
-        raise ConnectionError(
-            f"request {payload.get('id')!r} failed after "
-            f"{self.policy.max_attempts} attempt(s): {last_exc!r}"
-        )

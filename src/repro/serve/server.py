@@ -100,7 +100,7 @@ class ServeConfig:
     max_line_bytes: int = 1 << 26  #: request-line cap (64 MiB); typed 413 beyond.
     drain_timeout_s: float = 5.0  #: graceful-drain budget on SIGTERM.
     metrics_snapshot: str | None = None  #: path for the post-mortem snapshot.
-    reprobe_interval_s: float = 0.0  #: > 0 re-probes open breakers in background.
+    reprobe_interval_s: float = 1.0  #: background breaker re-probe cadence; 0 = off.
 
     def resolved_p(self) -> int:
         import os

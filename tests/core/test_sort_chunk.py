@@ -4,7 +4,10 @@ Integer chunks sort with NumPy's unstable quicksort and every other
 dtype stably, so every sort of the package must still produce exactly
 the bytes (and the dtype) of ``np.sort(x, kind="stable")``.  Equal
 integers have identical bits; equal bools, floats (``-0.0``/``0.0``)
-and NaNs need not, which is what these inputs probe.
+and NaNs need not, which is what these inputs probe.  The merges of
+sorted runs of the same inputs give the bytes and dtype of
+``np.sort(np.concatenate(runs), kind="stable")``: sorts keep their
+input's byte order, merges return native byte order.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ from repro.core import (
     natural_merge_sort,
     parallel_merge,
     parallel_merge_sort,
+    segmented_parallel_merge,
 )
 from repro.core.merge_path import (
     diagonal_intersection,
     diagonal_intersections_vectorized,
 )
-from repro.core.sequential import sort_chunk
+from repro.core.sequential import merge_vectorized, sort_chunk
 from repro.errors import InputError
 from repro.external import external_sort, external_sort_file
 
@@ -114,14 +118,38 @@ def test_the_other_sorts_give_the_stable_bytes(name):
     _same(natural_merge_sort(x, 3, backend="serial"), x)
 
 
+def _same_merge(out: np.ndarray, runs: list[np.ndarray]) -> None:
+    """``out`` has the dtype and bytes of the merge oracle: the stable
+    sort of the runs' concatenation, in native byte order."""
+    ref = np.sort(np.concatenate(runs), kind="stable")
+    assert out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+
+
+def _sorted_runs(name: str, k: int) -> list[np.ndarray]:
+    x = INPUTS[name]()
+    return [np.sort(part, kind="stable") for part in np.array_split(x, k)]
+
+
 @pytest.mark.parametrize("name", INPUTS)
 def test_kway_merge_gives_the_stable_bytes(name):
     """Three sorted runs of one input: the k-way merge cuts and merges
-    their sort keys (bools as their bytes) and returns the runs' dtype,
-    byte order included."""
-    x = INPUTS[name]()
-    runs = [np.sort(part, kind="stable") for part in np.array_split(x, 3)]
-    _same(kway_merge(runs, 3, backend="threads"), x)
+    their sort keys (bools as their bytes) and returns the merge
+    oracle's dtype (``>i4`` runs merge to native ``int32``)."""
+    runs = _sorted_runs(name, 3)
+    _same_merge(kway_merge(runs, 3, backend="threads"), runs)
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_two_way_merges_give_the_stable_bytes(name):
+    """Every two-way merge entry point follows one byte-order rule with
+    the k-way merge: the merge oracle's dtype, native byte order."""
+    a, b = _sorted_runs(name, 2)
+    _same_merge(parallel_merge(a, b, 3, backend="threads"), [a, b])
+    _same_merge(segmented_parallel_merge(a, b, 3, L=16, backend="threads"),
+                [a, b])
+    _same_merge(merge_vectorized(a, b), [a, b])
+    _same_merge(kway_merge([a, b], 2, backend="threads"), [a, b])
 
 
 @pytest.mark.parametrize("config", CONFIGS)

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.__main__ import _normalize, main
+from repro.__main__ import _VERBS, _normalize, main
+from repro.experiments.registry import EXPERIMENTS
 from repro.obs.export import validate_chrome_trace
 
 
@@ -66,8 +67,22 @@ class TestLegacyForms:
         assert "trace" in out
 
     def test_unknown_experiment_returns_2(self, capsys):
-        assert main(["BOGUS"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        """A first word that is neither a subcommand nor an experiment
+        id (a deleted verb, say): exit 2, and the message lists both."""
+        assert main(["BOGUS", "--quick"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown experiment id(s): BOGUS" in err
+        assert "known ids: " + ", ".join(EXPERIMENTS) in err
+        assert "subcommands: " + ", ".join(_VERBS) in err
+
+    def test_listing_names_every_subcommand(self, capsys):
+        """The listing and the legacy rewrite read the subcommands off
+        the parser, so a verb added or deleted there shows in both."""
+        assert main([]) == 0
+        out = capsys.readouterr().out
+        for name, verb in _VERBS.items():
+            assert f"  {name:<12} {verb.description}\n" in out
+            assert _normalize([name.upper(), "--quick"]) == [name, "--quick"]
 
     def test_bench_is_no_longer_a_verb(self, capsys):
         # The layered benchmark under bench/ is the one benchmark.

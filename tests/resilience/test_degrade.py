@@ -272,7 +272,9 @@ class TestOneCountPerFall:
             policy=_FAST, failure_threshold=1,
             recovery=RecoveryPolicy(cooldown_s=5.0, jitter=0.0), clock=clock,
         )
-        config = ServeConfig(capacity=8)
+        # The test re-probes by hand; the server's background loop
+        # would race it for the recovery.
+        config = ServeConfig(capacity=8, reprobe_interval_s=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradationWarning)
             with ServerThread(config, backend=chain) as handle:

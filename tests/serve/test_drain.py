@@ -22,6 +22,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -173,7 +174,7 @@ class TestSigtermSubprocess:
              "--drain-timeout", "15",
              "--metrics-snapshot", str(snap)],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            env=env, cwd="/root/repo",
+            env=env, cwd=Path(__file__).resolve().parents[2],
         )
         try:
             banner = _read_banner(proc)

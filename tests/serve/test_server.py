@@ -7,6 +7,9 @@ read-mostly tests; tests that assert registry deltas or shedding use
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -443,7 +446,7 @@ class TestServeCLI:
         control loop, so the flag is accepted and changes nothing."""
         from repro.__main__ import _build_parser
 
-        ns = _build_parser().parse_args(
+        ns = _build_parser()[0].parse_args(
             ["serve", "--port", "0", "--no-control"])
         assert ns.command == "serve" and ns.port == 0 and ns.no_control
 
@@ -455,8 +458,52 @@ class TestServeCLI:
         from repro.__main__ import _build_parser
 
         with pytest.raises(SystemExit) as exc:
-            _build_parser().parse_args(["serve", "--port", "0", *args])
+            _build_parser()[0].parse_args(["serve", "--port", "0", *args])
         assert exc.value.code == 2
+
+    def test_option_defaults_are_serve_config_defaults(self):
+        """The CLI sets no serve default of its own but the port, so a
+        bare ``serve`` runs the config every in-process server runs."""
+        from dataclasses import replace
+
+        from repro.__main__ import _build_parser, _serve_config
+
+        ns = _build_parser()[0].parse_args(["serve"])
+        assert _serve_config(ns) == replace(ServeConfig(), port=7207)
+        assert ServeConfig().reprobe_interval_s == 1.0
+
+    def test_every_option_sets_its_serve_config_field(self):
+        from repro.__main__ import _build_parser, _serve_config
+
+        ns = _build_parser()[0].parse_args([
+            "serve", "--host", "0.0.0.0", "--port", "0", "--p", "3",
+            "--capacity", "9", "--max-batch", "4", "--window-ms", "5",
+            "--small-cutover", "100", "--deadline-ms", "40",
+            "--drain-timeout", "2", "--metrics-snapshot", "m.json",
+            "--reprobe-interval", "0", "--no-control",
+        ])
+        assert _serve_config(ns) == ServeConfig(
+            host="0.0.0.0", port=0, p=3, capacity=9, max_batch=4,
+            window_s=0.005, small_cutover=100, default_deadline_ms=40.0,
+            drain_timeout_s=2.0, metrics_snapshot="m.json",
+            reprobe_interval_s=0.0)
+
+    def test_other_commands_do_not_import_the_serve_stack(self):
+        import repro
+
+        code = ("import sys, repro.__main__; "
+                "print('repro.serve' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "False"
+
+    def test_servers_reprobe_in_the_background_by_default(self):
+        with ServerThread(ServeConfig()) as handle:
+            assert handle.server._reprobe_task is not None
+        with ServerThread(ServeConfig(reprobe_interval_s=0)) as handle:
+            assert handle.server._reprobe_task is None
 
     def test_the_pool_level_is_not_configurable(self):
         """The server runs in-memory work, which runs in-process, so its
