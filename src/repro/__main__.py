@@ -158,11 +158,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     # applies and the serve stack is imported only by ``serve``.
     p_srv = verb(
         "serve", "NDJSON-over-TCP merge service (see docs/serving.md)",
-        "The asyncio front door: newline-delimited JSON over TCP, "
-        "coalesced batches on the shared pools, admission control with "
-        "load shedding and per-request deadlines.  Prints 'serving on "
-        "HOST:PORT' once bound and runs until SIGTERM/SIGINT, which "
-        "drains it.  Option defaults are ServeConfig's.",
+        "The asyncio front door: newline-delimited JSON over TCP; "
+        "requests of at most --small-cutover elements computed on the "
+        "event loop, larger ones in parallel on the shared pool; "
+        "admission control with load shedding and per-request "
+        "deadlines.  Prints 'serving on HOST:PORT' once bound and runs "
+        "until SIGTERM/SIGINT, which drains it.  Option defaults are "
+        "ServeConfig's.",
         argument_default=argparse.SUPPRESS)
     p_srv.add_argument("--host")
     # A well-known port for a standalone server; ServeConfig's 0 (an
@@ -173,13 +175,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
                        help="workers for the above-cutover parallel path")
     p_srv.add_argument("--capacity", type=int,
                        help="admission budget; past it requests are shed")
-    p_srv.add_argument("--max-batch", type=int, dest="max_batch",
-                       help="coalescer flushes at this many requests")
-    p_srv.add_argument("--window-ms", type=float, dest="window_ms",
-                       help="coalescing window duration in ms")
     p_srv.add_argument("--small-cutover", type=int, dest="small_cutover",
-                       help="elements at or below coalesce; above run the "
-                            "parallel path")
+                       help="elements at or below run on the event loop; "
+                            "above run the parallel path")
     p_srv.add_argument("--deadline-ms", type=float,
                        dest="default_deadline_ms", metavar="DEADLINE_MS",
                        help="default per-request deadline when the client "
@@ -412,11 +410,8 @@ def _cmd_extsort(ns: argparse.Namespace) -> int:
 def _serve_config(ns: argparse.Namespace) -> ServeConfig:
     from .serve import ServeConfig
 
-    given = {k: v for k, v in vars(ns).items()
-             if k not in ("command", "no_control")}
-    if "window_ms" in given:
-        given["window_s"] = given.pop("window_ms") / 1000.0
-    return ServeConfig(**given)
+    return ServeConfig(**{k: v for k, v in vars(ns).items()
+                          if k not in ("command", "no_control")})
 
 
 def _cmd_serve(ns: argparse.Namespace) -> int:

@@ -58,18 +58,18 @@ Metric name conventions (full table in ``docs/observability.md``):
     passes, planned block merges, and the last call's measured block
     transfers over the Aggarwal–Vitter sorting bound.
 ``serve.requests`` / ``.responses`` / ``.shed`` / ``.bad_requests`` /
-``.errors`` / ``.deadline_misses`` / ``.connections`` / ``.batches`` /
-``.coalesced_requests`` / ``.drains`` / ``.drain_rejects`` /
-``.oversize_lines``, gauge ``serve.inflight``, histograms
-``serve.batch_size`` / ``serve.latency_ms``
+``.errors`` / ``.deadline_misses`` / ``.connections`` / ``.drains`` /
+``.drain_rejects`` / ``.oversize_lines``, gauge ``serve.inflight``,
+histograms ``serve.batch_size`` / ``serve.latency_ms``
     The asyncio front door (:mod:`repro.serve`): admission and shed
-    accounting, coalescer window sizes, end-to-end request latency.
-    Lifecycle hardening lands here too: ``.drains`` (graceful drains
-    begun), ``.drain_rejects`` (typed 503s to late arrivals) and
-    ``.oversize_lines`` (typed 413s to over-long request frames).
-    The server also observes batch-compute time into
-    ``slo.ns_per_elem`` so ``doctor --slo --metrics-from`` judges live
-    traffic with the same clauses as the canary.
+    accounting, end-to-end request latency, and one ``batch_size``
+    observation of 1 per request computed (every compute serves one
+    request).  Lifecycle hardening lands here too: ``.drains``
+    (graceful drains begun), ``.drain_rejects`` (typed 503s to late
+    arrivals) and ``.oversize_lines`` (typed 413s to over-long request
+    frames).  The server also observes each request's compute time
+    into ``slo.ns_per_elem`` so ``doctor --slo --metrics-from`` judges
+    live traffic with the same clauses as the canary.
 """
 
 from __future__ import annotations

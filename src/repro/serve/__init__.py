@@ -1,17 +1,17 @@
 """Merge path as a service: the asyncio front door (``repro serve``).
 
 The package turns the library into a long-running process: plain-TCP
-newline-delimited JSON in (:mod:`.protocol`), coalesced ``TaskBatch``
-dispatches on the shared pools out (:mod:`.coalescer`), bounded by
-admission control with load shedding and per-request deadlines
-(:mod:`.admission`), supervised by the resilience layer, and measured
+newline-delimited JSON in (:mod:`.protocol`); small requests computed
+on the event loop, large ones by the parallel entry points on the
+shared pool under the resilience layer's supervision (:mod:`.server`);
+bounded by admission control with load shedding and per-request
+deadlines (:mod:`.admission`); and measured
 into a :class:`~repro.obs.MetricsRegistry` that ``python -m repro doctor
 --slo ... --metrics-from`` judges.  See ``docs/serving.md``.
 """
 
 from .admission import AdmissionController
 from .client import AsyncServeClient, ServeClient, request_sync
-from .coalescer import Coalescer
 from .protocol import (
     ERROR_CODES,
     OPS,
@@ -34,7 +34,6 @@ __all__ = [
     "ok_response",
     "error_response",
     "AdmissionController",
-    "Coalescer",
     "ServeConfig",
     "MergeServer",
     "ServerThread",

@@ -3,18 +3,19 @@
 A service that accepts everything degrades for everyone — the queue
 grows, every deadline blows, and the eventual answers are all late.
 The :class:`AdmissionController` caps the number of requests alive in
-the server (queued in the coalescer, waiting on a batch, or executing)
-at ``capacity``; a request arriving past the cap is *shed* immediately
-with a 429-style rejection payload (see :mod:`.protocol`), which costs
-the server one JSON line instead of one queue slot.  Combined with
-per-request deadlines (enforced by the server with
-``asyncio.wait_for`` over the whole queue-plus-compute span) this
-bounds both the memory and the latency a traffic spike can inflict.
+the server (computing on the event loop, or waiting on and running in
+the executor) at ``capacity``; a request arriving past the cap is
+*shed* immediately with a 429-style rejection payload (see
+:mod:`.protocol`), which costs the server one JSON line instead of one
+queue slot.  Combined with per-request deadlines (checked before any
+compute starts, and enforced over a large request's executor span
+with ``asyncio.wait_for``) this bounds both the memory and the latency
+a traffic spike can inflict.
 
 The controller is deliberately tiny and lock-based rather than
-asyncio-native: admissions happen on the event loop, but releases may
-arrive from executor callbacks, and a plain mutex keeps the invariant
-airtight either way.
+asyncio-native: the server admits and releases on its event loop, and
+a plain mutex keeps the invariant airtight for a caller on any other
+thread.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ Request shape::
 Response shape::
 
     {"id": 7, "ok": true, "result": [1, 2, 3, 4, 5], "n": 5,
-     "batched": 12, "elapsed_ms": 0.8}
+     "elapsed_ms": 0.8}
     {"id": 2, "ok": false,
      "error": {"code": 429, "kind": "shed", "message": "..."}}
 

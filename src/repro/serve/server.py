@@ -9,12 +9,17 @@ scheduler.  The moving parts, each separately testable:
 * :mod:`.protocol` — newline-delimited JSON over TCP, no new deps;
 * :class:`.admission.AdmissionController` — bounded in-flight budget,
   429-style shedding, per-request deadlines;
-* :class:`.coalescer.Coalescer` — concurrent small requests fuse into
-  one :class:`~repro.backends.TaskBatch` dispatch on the shared pool,
-  so ``exec.dispatches`` grows sub-linearly in request count;
+* two compute paths split at ``small_cutover`` elements.  A request at
+  or below it runs on the event loop (``_compute_small``): its work
+  (at most about 0.2 ms, a 2^15 sort) costs less than one pool round
+  trip, so it takes no thread hop and no backend.  A larger request
+  runs in the default executor through the parallel entry points
+  (``parallel_merge`` / ``parallel_merge_sort``) on the supervised
+  backend, so a stray 100M-element sort coexists with millions of tiny
+  merges;
 * a :class:`~repro.resilience.DegradingBackend` execution chain —
-  every request runs under per-task retry supervision (the server's
-  policy sets no deadline and no speculation) and falls back
+  every large request runs under per-task retry supervision (the
+  server's policy sets no deadline and no speculation) and falls back
   ``threads → serial`` if the pool level keeps failing, counting
   ``resilience.degradations`` into the server's registry;
 * one :class:`~repro.obs.MetricsRegistry` per server — ``serve.*``
@@ -23,11 +28,6 @@ scheduler.  The moving parts, each separately testable:
   judge a live traffic window (a ``metrics`` op scrape or the drain
   snapshot) with the same clauses as the canary.  The server judges
   nothing itself and retunes nothing.
-
-Requests larger than ``small_cutover`` skip the coalescer and run
-through the parallel entry points (``parallel_merge`` /
-``parallel_merge_sort``) on the same supervised backend, so a stray
-100M-element sort coexists with millions of tiny merges.
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..backends import TaskBatch
 from ..control.slo import SLO
 from ..core.selection import topk_of_union
 from ..core.sequential import merge_vectorized, sort_chunk
@@ -51,7 +50,6 @@ from ..resilience.breaker import RecoveryPolicy
 from ..resilience.degrade import DegradingBackend
 from ..resilience.policy import RetryPolicy
 from .admission import AdmissionController
-from .coalescer import Coalescer
 from .protocol import (
     Request,
     RequestError,
@@ -67,12 +65,12 @@ __all__ = ["ServeConfig", "MergeServer", "ServerThread", "SERVE_DEFAULT_SLO"]
 
 
 #: The default SLO a serving window is judged against.  Latency bounds
-#: are per-*batch-compute* ns/elem (the server observes batch compute
-#: time over batch elements into ``slo.ns_per_elem``), far looser than
-#: the library canary's because a service batch includes dispatch
-#: overhead over tiny payloads; the structural clauses stay tight —
-#: they catch bugs (a broken partitioner, an unfused dispatch path),
-#: not slow hosts.
+#: are per-*request-compute* ns/elem (the server observes each
+#: request's compute time over its elements into ``slo.ns_per_elem``),
+#: far looser than the library canary's because a request of a few
+#: elements pays fixed per-call costs over a tiny payload; the
+#: structural clauses stay tight — they catch bugs (a broken
+#: partitioner, a runaway dispatch path), not slow hosts.
 SERVE_DEFAULT_SLO = SLO(
     name="serve-default",
     p50_ns_per_elem=200_000.0,
@@ -92,9 +90,7 @@ class ServeConfig:
     port: int = 0  #: 0 = ephemeral; read the bound port off the server.
     p: int | None = None  #: workers for the parallel path (None = auto).
     capacity: int = 512  #: admission budget (queued + executing requests).
-    max_batch: int = 64  #: coalescer window size cap.
-    window_s: float = 0.002  #: coalescer window duration.
-    small_cutover: int = 1 << 15  #: elems at or below coalesce; above run parallel.
+    small_cutover: int = 1 << 15  #: elems at or below run on the loop; above, parallel.
     default_deadline_ms: float | None = None  #: applied when requests carry none.
     max_request_elems: int = 1 << 20  #: 413 beyond this.
     max_line_bytes: int = 1 << 26  #: request-line cap (64 MiB); typed 413 beyond.
@@ -169,12 +165,11 @@ class _LineReader:
 class MergeServer:
     """The asyncio TCP front door over the merge-path library.
 
-    ``backend`` defaults to a :class:`DegradingBackend` whose first
-    level is the *shared* thread pool (so coalesced batches land on the
-    persistent pool) and whose tail is ``serial`` (which cannot die);
-    tests inject fault-wrapped chains here.  A server runs in-memory
-    work only, so there is no process level: coalesced windows are
-    closures over the requests' arrays.  ``registry`` defaults to a fresh
+    ``backend`` runs the requests above ``small_cutover``; it defaults
+    to a :class:`DegradingBackend` whose first level is the *shared*
+    thread pool and whose tail is ``serial`` (which cannot die); tests
+    inject fault-wrapped chains here.  A server runs in-memory work
+    only, so there is no process level.  ``registry`` defaults to a fresh
     :class:`MetricsRegistry` owned by the server; a passed-in backend
     with no registry of its own counts into it until :meth:`stop`.
     """
@@ -215,11 +210,6 @@ class MergeServer:
             backend.metrics = self.registry
         self.admission = AdmissionController(
             self.config.capacity, metrics=self.registry
-        )
-        self.coalescer = Coalescer(
-            self._run_window,
-            max_batch=self.config.max_batch,
-            window_s=self.config.window_s,
         )
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
@@ -287,7 +277,6 @@ class MergeServer:
         while self.admission.inflight > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
         clean = self.admission.inflight == 0
-        await self.coalescer.drain()
         self.flush_snapshot()
         return clean
 
@@ -330,7 +319,6 @@ class MergeServer:
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks),
                                  return_exceptions=True)
-        await self.coalescer.drain()
         if self._bound_metrics and self.backend.metrics is self.registry:
             self.backend.metrics = None
             self._bound_metrics = False
@@ -479,39 +467,36 @@ class MergeServer:
 
         t0 = time.monotonic()
         try:
-            if request.n_elems > self.config.small_cutover:
-                future = asyncio.get_running_loop().run_in_executor(
-                    None, self._compute_large, request
-                )
-                batched = 1
+            remaining = request.remaining_s()
+            if remaining is not None and remaining <= 0:
+                raise asyncio.TimeoutError
+            if request.n_elems <= self.config.small_cutover:
+                # Less work than one pool round trip: no hop, no backend.
+                result = self._compute_small(request)
             else:
-                future = self.coalescer.submit(request)
-                batched = None  # resolved with the window size
-            timeout = request.remaining_s()
-            try:
-                outcome = await asyncio.wait_for(future, timeout)
-            except asyncio.TimeoutError:
-                reg.counter("serve.deadline_misses").inc()
-                await self._write(
-                    writer, write_lock, error_response(RequestError(
-                        "deadline",
-                        f"deadline of {request.deadline_ms:g} ms expired",
-                        request.req_id,
-                    ))
+                result = await asyncio.wait_for(
+                    asyncio.get_running_loop().run_in_executor(
+                        None, self._compute_large, request
+                    ),
+                    remaining,
                 )
-                return
-            if batched is None:
-                result, batched = outcome
-            else:
-                result = outcome
+            # Every compute serves one request; the histogram stays for
+            # the readers of ``serve.batch_size_mean``.
+            reg.histogram("serve.batch_size").observe(1)
             elapsed_ms = (time.monotonic() - t0) * 1e3
             reg.histogram("serve.latency_ms").observe(elapsed_ms)
             reg.counter("serve.responses").inc()
             await self._write(writer, write_lock, ok_response(
                 request.req_id, result,
-                n=len(result), batched=batched,
-                elapsed_ms=round(elapsed_ms, 3),
+                n=len(result), elapsed_ms=round(elapsed_ms, 3),
             ))
+        except asyncio.TimeoutError:
+            reg.counter("serve.deadline_misses").inc()
+            await self._write(writer, write_lock, error_response(RequestError(
+                "deadline",
+                f"deadline of {request.deadline_ms:g} ms expired",
+                request.req_id,
+            )))
         except RequestError as exc:
             kind = "errors" if exc.kind == "internal" else "bad_requests"
             reg.counter(f"serve.{kind}").inc()
@@ -527,14 +512,18 @@ class MergeServer:
     # -- compute -------------------------------------------------------
 
     def _compute_small(self, request: Request) -> np.ndarray:
-        """One coalesced request's body (runs on a backend worker)."""
+        """At-or-below-cutover path: one request, on the event loop."""
+        t0 = time.perf_counter()
         if request.op == "merge":
-            return merge_vectorized(request.a, request.b, check=False)
-        if request.op == "sort":
-            return sort_chunk(request.data)
-        if request.op == "topk":
-            return topk_of_union(request.a, request.b, request.k)
-        raise InputError(f"op {request.op!r} has no compute")
+            result = merge_vectorized(request.a, request.b, check=False)
+        elif request.op == "sort":
+            result = sort_chunk(request.data)
+        elif request.op == "topk":
+            result = topk_of_union(request.a, request.b, request.k)
+        else:
+            raise InputError(f"op {request.op!r} has no compute")
+        self._observe_compute(request.n_elems, time.perf_counter() - t0)
+        return result
 
     def _compute_large(self, request: Request) -> np.ndarray:
         """Above-cutover path: the parallel entry points, supervised."""
@@ -564,56 +553,6 @@ class MergeServer:
             self.registry.histogram("slo.ns_per_elem").observe(
                 elapsed_s * 1e9 / elems
             )
-
-    async def _run_window(
-        self, entries: list[tuple[Request, asyncio.Future]]
-    ) -> None:
-        """Coalescer runner: one window → one ``run_batch`` dispatch."""
-        reg = self.registry
-        loop = asyncio.get_running_loop()
-        requests = [request for request, _ in entries]
-
-        def work() -> tuple[list[Any], float]:
-            tasks = [
-                (lambda req=request: self._compute_small(req))
-                for request in requests
-            ]
-            t0 = time.perf_counter()
-            results = self.backend.run_batch(TaskBatch(
-                tasks, label="serve.batch",
-                meta={"requests": len(tasks)},
-            ))
-            elapsed = time.perf_counter() - t0
-            ordered = sorted(results, key=lambda r: r.index)
-            return [r.value for r in ordered], elapsed
-
-        try:
-            values, elapsed = await loop.run_in_executor(None, work)
-        except Exception as exc:  # noqa: BLE001 - fanned out per request
-            for request, future in entries:
-                if not future.done():
-                    future.set_exception(RequestError(
-                        "internal",
-                        f"batch failed beyond every resilience layer: {exc}",
-                        request.req_id,
-                    ))
-            return
-
-        size = len(entries)
-        reg.counter("serve.batches").inc()
-        reg.counter("serve.coalesced_requests").inc(size)
-        reg.histogram("serve.batch_size").observe(size)
-        # One window is exactly one run_batch call; counting the
-        # constant (instead of a delta of the shared backend counter)
-        # keeps concurrent windows from double-counting each other.
-        reg.counter("exec.dispatches").inc(1)
-        reg.gauge("exec.dispatches_per_call").set(1)
-        self._observe_compute(
-            sum(request.n_elems for request in requests), elapsed
-        )
-        for (request, future), value in zip(entries, values):
-            if not future.done():
-                future.set_result((value, size))
 
 
 class ServerThread:

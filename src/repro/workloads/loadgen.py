@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -45,7 +45,9 @@ class LoadSpec:
     large_n: int = 200_000
     topk_every: int = 10  #: every Nth request is a top-k (0 = never).
     pipeline: int = 8  #: requests in flight per connection.
-    duration_s: float = 0.0  #: > 0 loops the request list until time is up.
+    #: > 0 loops the request list until time is up, reopening any
+    #: connection lost to a stall or disconnect meanwhile.
+    duration_s: float = 0.0
     deadline_ms: float | None = None  #: attached to every request when set.
     recv_timeout_s: float = 30.0  #: per-read stall budget; see ``stalls``.
 
@@ -65,6 +67,7 @@ class LoadReport:
     unmatched: int = 0  #: responses whose id matched nothing in flight.
     disconnects: int = 0  #: connections the server/network dropped mid-run.
     stalls: int = 0  #: reads that hit ``recv_timeout_s`` (lost responses).
+    reconnects: int = 0  #: connections reopened after a stall or disconnect.
     elapsed_s: float = 0.0
     latencies_ms: list[float] = field(default_factory=list)
 
@@ -80,6 +83,7 @@ class LoadReport:
         self.unmatched += other.unmatched
         self.disconnects += other.disconnects
         self.stalls += other.stalls
+        self.reconnects += other.reconnects
         self.latencies_ms.extend(other.latencies_ms)
 
     def summary(self) -> dict[str, Any]:
@@ -104,6 +108,7 @@ class LoadReport:
             "unmatched": self.unmatched,
             "disconnects": self.disconnects,
             "stalls": self.stalls,
+            "reconnects": self.reconnects,
             "elapsed_s": round(self.elapsed_s, 3),
             "rps": round(self.sent / self.elapsed_s, 1)
             if self.elapsed_s > 0 else 0.0,
@@ -177,6 +182,11 @@ def oracle(request: dict[str, Any]) -> list[int]:
     raise ValueError(f"no oracle for op {op!r}")
 
 
+#: Pause before a duration soak reopens a lost connection; it doubles
+#: while reconnecting fails, up to the second value.
+_RECONNECT_PAUSE_S = (0.01, 0.2)
+
+
 async def _run_client(
     host: str, port: int, spec: LoadSpec, client_index: int
 ) -> LoadReport:
@@ -185,63 +195,94 @@ async def _run_client(
     deadline = (
         time.monotonic() + spec.duration_s if spec.duration_s > 0 else None
     )
-    client = AsyncServeClient(host, port)
-    await client.connect()
+
+    def more() -> bool:
+        # One pass over the list, or laps of it until time is up.
+        if deadline is None:
+            return report.sent < len(requests)
+        return bool(requests) and time.monotonic() < deadline
+
+    client = await AsyncServeClient(host, port).connect()
     try:
-        lap = 0
         while True:
-            # Pipelined: keep `spec.pipeline` requests in flight.
-            inflight: dict[str, tuple[dict[str, Any], float]] = {}
-
-            async def collect_one() -> None:
-                # Bounded read: a response that never comes (a chaos
-                # proxy ate the frame, or the server 400'd a corrupted
-                # request under its own null id) must cost a counted
-                # stall, never a hung soak.
-                response = await asyncio.wait_for(
-                    client.recv(), spec.recv_timeout_s
-                )
-                entry = inflight.pop(response.get("id"), None)
-                if entry is None:
-                    # A response we never asked for (or already gave up
-                    # on) — possible when the path corrupts a frame's
-                    # id.  Count it; never crash the collector.
-                    report.unmatched += 1
-                    return
-                req, t0 = entry
-                latency_ms = (time.monotonic() - t0) * 1e3
-                _score(report, req, response, latency_ms)
-
             try:
-                for base in requests:
-                    if deadline is not None and time.monotonic() >= deadline:
-                        break
-                    req = (base if lap == 0
-                           else {**base, "id": f"{base['id']}-l{lap}"})
-                    while len(inflight) >= max(1, spec.pipeline):
-                        await collect_one()
-                    inflight[req["id"]] = (req, time.monotonic())
-                    await client.send(req)
-                    report.sent += 1
-                while inflight:
-                    await collect_one()
+                await _drive(client, spec, requests, report, more)
+                return report
             except asyncio.TimeoutError:
                 # In-flight responses stopped arriving: the lost frames
                 # are casualties, not wrong answers.  The connection's
                 # ordering guarantees are gone, so give it up.
                 report.stalls += 1
-                break
             except (ConnectionError, OSError, ValueError):
                 # The server (or a chaos proxy) dropped us mid-run;
                 # everything still in flight is lost, not wrong.
                 report.disconnects += 1
-                break
-            lap += 1
-            if deadline is None or time.monotonic() >= deadline:
-                break
+            await client.close()
+            if deadline is None:
+                return report
+            client = await _reconnect(host, port, more)
+            if client is None:
+                return report
+            report.reconnects += 1
     finally:
-        await client.close()
-    return report
+        if client is not None:
+            await client.close()
+
+
+async def _reconnect(
+    host: str, port: int, more: Callable[[], bool]
+) -> AsyncServeClient | None:
+    """A new connection, retried with a bounded doubling pause while
+    ``more()`` holds; ``None`` once it does not."""
+    pause, cap = _RECONNECT_PAUSE_S
+    while True:
+        await asyncio.sleep(pause)
+        if not more():
+            return None
+        try:
+            return await AsyncServeClient(host, port).connect()
+        except OSError:
+            pause = min(2 * pause, cap)
+
+
+async def _drive(
+    client: AsyncServeClient,
+    spec: LoadSpec,
+    requests: list[dict[str, Any]],
+    report: LoadReport,
+    more: Callable[[], bool],
+) -> None:
+    """Send the requests after the ``report.sent`` already sent, keeping
+    ``spec.pipeline`` in flight, while ``more()`` holds; then collect
+    the rest.  Raises on a stall or a lost connection."""
+    inflight: dict[str, tuple[dict[str, Any], float]] = {}
+
+    async def collect_one() -> None:
+        # Bounded read: a response that never comes (a chaos proxy ate
+        # the frame, or the server 400'd a corrupted request under its
+        # own null id) must cost a counted stall, never a hung soak.
+        response = await asyncio.wait_for(client.recv(), spec.recv_timeout_s)
+        entry = inflight.pop(response.get("id"), None)
+        if entry is None:
+            # A response we never asked for (or already gave up on) —
+            # possible when the path corrupts a frame's id.  Count it;
+            # never crash the collector.
+            report.unmatched += 1
+            return
+        req, t0 = entry
+        _score(report, req, response, (time.monotonic() - t0) * 1e3)
+
+    while more():
+        lap, index = divmod(report.sent, len(requests))
+        base = requests[index]
+        req = base if lap == 0 else {**base, "id": f"{base['id']}-l{lap}"}
+        while len(inflight) >= max(1, spec.pipeline):
+            await collect_one()
+        inflight[req["id"]] = (req, time.monotonic())
+        await client.send(req)
+        report.sent += 1
+    while inflight:
+        await collect_one()
 
 
 def _score(

@@ -273,8 +273,10 @@ class TestOneCountPerFall:
             recovery=RecoveryPolicy(cooldown_s=5.0, jitter=0.0), clock=clock,
         )
         # The test re-probes by hand; the server's background loop
-        # would race it for the recovery.
-        config = ServeConfig(capacity=8, reprobe_interval_s=0)
+        # would race it for the recovery.  small_cutover=0 sends the
+        # merge through the chain (smaller requests run on the loop).
+        config = ServeConfig(capacity=8, reprobe_interval_s=0,
+                             small_cutover=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradationWarning)
             with ServerThread(config, backend=chain) as handle:

@@ -3,7 +3,9 @@
 The server's execution chain is injected here: a
 :class:`FaultyBackend` (seeded, deterministic) in front of the real
 thread pool, inside a :class:`DegradingBackend` whose tail is serial.
-Theorem 14 makes the replays safe — merge tasks are idempotent with
+Each server sets ``small_cutover=0``, so every request takes that
+supervised path (below the cutover a request is computed on the event
+loop and never meets the backend).  Theorem 14 makes the replays safe — merge tasks are idempotent with
 disjoint outputs — so whatever the injector kills, every client
 response must still match the oracle while the ``resilience.*``
 counters prove the recovery path actually ran.
@@ -35,7 +37,7 @@ class TestWorkerDeathMidRequest:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with ServerThread(
-                ServeConfig(capacity=128, max_batch=16, window_s=0.001),
+                ServeConfig(capacity=128, small_cutover=0),
                 backend=backend,
             ) as handle:
                 spec = LoadSpec(clients=6, requests_per_client=25, seed=5,
@@ -69,7 +71,7 @@ class TestWorkerDeathMidRequest:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with ServerThread(
-                ServeConfig(capacity=64, max_batch=8, window_s=0.001),
+                ServeConfig(capacity=64, small_cutover=0),
                 backend=backend,
             ) as handle:
                 spec = LoadSpec(clients=3, requests_per_client=10,
@@ -103,7 +105,7 @@ class TestWorkerDeathMidRequest:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 with ServerThread(
-                    ServeConfig(capacity=32, max_batch=4, window_s=0.0),
+                    ServeConfig(capacity=32, small_cutover=0),
                     backend=backend,
                 ) as handle:
                     spec = LoadSpec(clients=1, requests_per_client=12,

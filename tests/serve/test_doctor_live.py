@@ -65,7 +65,7 @@ class TestMetricsFrom:
             SERVE_DEFAULT_SLO, quick=True, metrics_from=str(live_window)
         )
         # A canary replay would have recorded merge.calls; this window
-        # carried only coalesced small requests, so it has none.
+        # carried only small requests, computed inline, so it has none.
         assert "merge.calls" not in doc.metrics
         assert doc.metrics["serve.responses"] > 0
 

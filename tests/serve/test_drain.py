@@ -30,8 +30,7 @@ from repro.control.doctor import load_metrics_snapshot
 from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.workloads.loadgen import oracle
 
-_CONFIG_KW = dict(capacity=128, max_batch=16, window_s=0.001, p=2,
-                  drain_timeout_s=10.0)
+_CONFIG_KW = dict(capacity=128, p=2, drain_timeout_s=10.0)
 
 
 def _merge_req(rid: str, n: int = 64) -> dict:

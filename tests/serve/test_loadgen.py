@@ -124,9 +124,13 @@ class TestAgainstLiveServer:
     def test_deadline_misses_scored_not_errored(self):
         from repro.serve import ServeConfig, ServerThread
 
+        from .conftest import slow_backend
+
+        # Every request takes the supervised path and sleeps past its
+        # 40 ms deadline in the backend.
         with ServerThread(ServeConfig(
-            capacity=64, window_s=5.0, max_batch=1024,
-        )) as handle:
+            capacity=64, small_cutover=0, p=1,
+        ), backend=slow_backend(0.2)) as handle:
             spec = LoadSpec(clients=2, requests_per_client=3, seed=4,
                             large_every=0, topk_every=0, deadline_ms=40.0)
             report = run_load_sync(handle.host, handle.port, spec)

@@ -16,6 +16,7 @@ happened is vacuous.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.resilience import ChaosProxy, ChaosProxyThread, ChaosSpec
 from repro.serve import ServeConfig, ServerThread
 from repro.workloads.loadgen import LoadReport, LoadSpec, run_load_sync
 
-_CONFIG = ServeConfig(capacity=128, max_batch=16, window_s=0.001, p=2)
+_CONFIG = ServeConfig(capacity=128, p=2)
 
 #: Four connections of twenty requests, one in flight each; a lost
 #: frame stalls a reader for at most a second.
@@ -92,6 +93,22 @@ class TestResets:
         report, stats = _soak(ChaosSpec(seed=7, reset_rate=0.06))
         assert stats["resets"] > 0
         assert report.disconnects > 0
+
+    def test_a_duration_soak_keeps_sending_after_a_reset(self):
+        """A duration soak reopens each reset connection and sends on
+        until its time is up, not just until its first fault."""
+        spec = replace(_LOAD, duration_s=1.0)
+        with ServerThread(_CONFIG) as srv, \
+                ChaosProxyThread(srv.host, srv.port,
+                                 spec=ChaosSpec(seed=7, reset_rate=0.06)) \
+                as proxy:
+            report = run_load_sync(proxy.host, proxy.port, spec)
+            resets = proxy.stats["resets"]
+        assert resets > 0 and report.disconnects > 0
+        assert report.reconnects > 0
+        assert report.incorrect == 0
+        assert report.elapsed_s >= spec.duration_s
+        assert report.sent > spec.clients * spec.requests_per_client
 
 
 class TestSlowNetwork:

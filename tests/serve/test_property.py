@@ -1,8 +1,9 @@
 """Hypothesis property: any interleaving of requests, oracle answers.
 
-The server coalesces whatever happens to be concurrent, so the window
-composition under a random interleaving is arbitrary — and irrelevant:
-every response must still be bit-identical to the serial oracle.  One
+The server answers pipelined requests in completion order, so which
+request finishes first under a random interleaving is arbitrary — and
+irrelevant: every response must still be bit-identical to the serial
+oracle.  One
 module-scoped server keeps the property rounds cheap; request ids are
 unique per example so cross-example responses cannot be confused.
 """
@@ -70,7 +71,7 @@ def oracle(req: dict) -> list[int]:
 )
 def test_interleaved_requests_match_oracle(server, batch):
     # Pipeline the whole batch on one connection: all requests are in
-    # flight together, so the server interleaves/coalesces them freely.
+    # flight together, so the server interleaves them freely.
     with ServeClient(server.host, server.port) as client:
         for req in batch:
             client.send(req)

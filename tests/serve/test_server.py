@@ -11,10 +11,12 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.backends.base import Backend
 from repro.serve import (
     ServeClient,
     ServeConfig,
@@ -24,6 +26,15 @@ from repro.serve import (
 from repro.workloads.loadgen import LoadSpec, oracle, run_load_sync
 
 from ..conftest import reference_merge
+from .conftest import slow_backend
+
+
+def _wait_for_inflight(handle: ServerThread, n: int) -> None:
+    """Block until ``n`` requests hold admission slots on ``handle``."""
+    deadline = time.monotonic() + 10.0
+    while handle.server.admission.inflight < n:
+        assert time.monotonic() < deadline, "request never admitted"
+        time.sleep(0.005)
 
 
 class TestBasicOps:
@@ -155,7 +166,6 @@ class TestLargePath:
             timeout=120.0,
         )
         assert resp["ok"]
-        assert resp["batched"] == 1  # direct path, not coalesced
         assert resp["result"] == reference_merge(a, b).tolist()
 
     def test_large_sort_bit_identical(self, server):
@@ -207,7 +217,7 @@ class TestPassedInBackend:
         from repro.obs import MetricsRegistry
         from repro.resilience import DegradingBackend
 
-        config = ServeConfig(capacity=16, max_batch=4, window_s=0.001, p=2)
+        config = ServeConfig(capacity=16, p=2)
         chain = DegradingBackend(["serial"])
         try:
             with ServerThread(config, backend=chain) as handle:
@@ -224,15 +234,20 @@ class TestPassedInBackend:
 
 
 class TestAdmissionAndDeadlines:
+    """Holding a slot or outliving a deadline needs a slow request: a
+    server with ``small_cutover=0`` and a :func:`slow_backend` keeps
+    every request on the supervised path for the backend's delay."""
+
     def test_queue_full_sheds_with_429(self):
-        # Capacity 1 + a slow large request = the second request must
-        # be shed immediately, not queued behind it.
+        # Capacity 1 + a slow request = the second request must be shed
+        # immediately, not queued behind it.
         with ServerThread(ServeConfig(
-            capacity=1, small_cutover=8, p=2, window_s=0.5, max_batch=1024,
-        )) as handle:
+            capacity=1, small_cutover=0, p=1,
+        ), backend=slow_backend(0.5)) as handle:
             with ServeClient(handle.host, handle.port) as c1:
-                # Parks in the (long) coalescing window, holding the slot.
+                # Sleeps in the backend, holding the slot.
                 c1.send({"id": "hold", "op": "merge", "a": [1], "b": [2]})
+                _wait_for_inflight(handle, 1)
                 shed = request_sync(
                     handle.host, handle.port,
                     {"id": "shed", "op": "merge", "a": [3], "b": [4]},
@@ -247,10 +262,8 @@ class TestAdmissionAndDeadlines:
 
     def test_deadline_exceeded_times_out_quickly(self):
         with ServerThread(ServeConfig(
-            capacity=8, window_s=5.0, max_batch=1024,
-        )) as handle:
-            import time
-
+            capacity=8, small_cutover=0, p=1,
+        ), backend=slow_backend(2.0)) as handle:
             t0 = time.monotonic()
             resp = request_sync(
                 handle.host, handle.port,
@@ -261,20 +274,35 @@ class TestAdmissionAndDeadlines:
             assert resp["ok"] is False
             assert resp["error"]["code"] == 504
             assert resp["error"]["kind"] == "deadline"
-            # Timely: answered at the deadline, not after the 5s window.
-            assert elapsed < 2.0
+            # Timely: answered at the deadline, not after the 2 s compute.
+            assert elapsed < 1.0
             assert handle.registry.value("serve.deadline_misses") == 1
 
     def test_default_deadline_from_config(self):
         with ServerThread(ServeConfig(
-            capacity=8, window_s=5.0, max_batch=1024,
-            default_deadline_ms=50.0,
-        )) as handle:
+            capacity=8, small_cutover=0, p=1, default_deadline_ms=50.0,
+        ), backend=slow_backend(0.5)) as handle:
             resp = request_sync(
                 handle.host, handle.port,
                 {"id": 1, "op": "merge", "a": [1], "b": [2]},
             )
             assert resp["error"]["kind"] == "deadline"
+
+    def test_inline_request_past_its_deadline_gets_504(self, fresh_server):
+        # A 1 us deadline is outlived while the request's 4,000 elements
+        # are parsed, so it has passed before the inline compute starts.
+        resp = request_sync(
+            fresh_server.host, fresh_server.port,
+            {"id": 1, "op": "sort", "data": list(range(4_000, 0, -1)),
+             "deadline_ms": 0.001},
+        )
+        assert resp["ok"] is False
+        assert resp["error"]["code"] == 504
+        assert resp["error"]["kind"] == "deadline"
+        snapshot = fresh_server.registry.snapshot()
+        assert snapshot["serve.deadline_misses"] == 1
+        assert "serve.errors" not in snapshot
+        assert "serve.responses" not in snapshot
 
     def test_deadline_not_charged_against_fast_requests(self, server):
         resp = request_sync(
@@ -286,10 +314,11 @@ class TestAdmissionAndDeadlines:
 
     def test_ping_bypasses_admission(self):
         with ServerThread(ServeConfig(
-            capacity=1, window_s=0.5, max_batch=1024,
-        )) as handle:
+            capacity=1, small_cutover=0, p=1,
+        ), backend=slow_backend(0.5)) as handle:
             with ServeClient(handle.host, handle.port) as c1:
                 c1.send({"id": "hold", "op": "merge", "a": [1], "b": [2]})
+                _wait_for_inflight(handle, 1)
                 # The data path is saturated; introspection still answers.
                 resp = request_sync(handle.host, handle.port,
                                     {"id": "p", "op": "ping"})
@@ -297,35 +326,50 @@ class TestAdmissionAndDeadlines:
                 resp = request_sync(handle.host, handle.port,
                                     {"id": "m", "op": "metrics"})
                 assert resp["ok"]
+                assert resp["result"]["serve.inflight"] == 1
                 c1.recv()
 
 
+class _RefusingBackend(Backend):
+    """Fails the test if anything dispatches on it."""
+
+    name = "refusing"
+
+    def run_tasks(self, tasks):
+        raise AssertionError(f"{len(tasks)} tasks dispatched")
+
+
 class TestCoalescingInvariant:
-    def test_dispatches_sublinear_in_requests(self, fresh_server):
-        spec = LoadSpec(
-            clients=8, requests_per_client=40, seed=11,
-            small_max=64, large_every=0, topk_every=0, pipeline=8,
-        )
-        report = run_load_sync(fresh_server.host, fresh_server.port, spec)
+    """Small requests never reach the pool: each is computed on the
+    event loop, so dispatches stay far below requests (at zero) and
+    every request is one compute of its own."""
+
+    def test_dispatches_sublinear_in_requests(self):
+        # A backend that fails every batch serves none of them.
+        with ServerThread(ServeConfig(capacity=512, p=2),
+                          backend=_RefusingBackend()) as handle:
+            spec = LoadSpec(
+                clients=8, requests_per_client=40, seed=11,
+                small_max=256, large_every=10, large_n=1_000,
+                topk_every=7, pipeline=8,
+            )
+            report = run_load_sync(handle.host, handle.port, spec)
+            snapshot = handle.registry.snapshot()
         assert report.incorrect == 0
         assert report.ok == report.sent == 320
-        snapshot = fresh_server.registry.snapshot()
-        dispatches = snapshot["exec.dispatches"]
-        # The coalescing invariant: pipelined concurrent requests fuse,
-        # so dispatches ≪ requests (4x is a loose floor; typically 10x+).
-        assert dispatches <= report.sent / 4, snapshot
-        assert snapshot["serve.batches"] == dispatches
-        assert snapshot["serve.coalesced_requests"] == report.sent
+        assert "exec.dispatches" not in snapshot
+        assert "serve.errors" not in snapshot
 
     def test_batch_size_histogram_recorded(self, fresh_server):
         spec = LoadSpec(clients=4, requests_per_client=20, seed=2,
                         large_every=0, topk_every=0)
-        run_load_sync(fresh_server.host, fresh_server.port, spec)
+        report = run_load_sync(fresh_server.host, fresh_server.port, spec)
         summary = fresh_server.registry.histogram(
             "serve.batch_size"
         ).summary()
-        assert summary["count"] >= 1
-        assert summary["max"] >= 2  # at least one window actually fused
+        # One observation of 1 per request computed: nothing fuses.
+        assert summary["count"] == summary["sum"] == report.sent == 80
+        assert summary["max"] == 1
 
     def test_slo_latency_histogram_fed(self, fresh_server):
         run_load_sync(fresh_server.host, fresh_server.port,
@@ -333,26 +377,22 @@ class TestCoalescingInvariant:
                                large_every=0, topk_every=0))
         snapshot = fresh_server.registry.snapshot()
         assert snapshot["slo.ns_per_elem"]["count"] >= 1
-        assert snapshot["serve.latency_ms"]["count"] >= 1
+        assert snapshot["serve.latency_ms"]["count"] == 20
 
 
 class TestConcurrency:
     def test_sustains_64_concurrent_clients(self):
         # The acceptance-criteria scenario: 64 connections, every
-        # response bit-identical, coalescing observable.
-        with ServerThread(ServeConfig(
-            capacity=2048, max_batch=64, window_s=0.002, p=2,
-        )) as handle:
+        # response bit-identical.
+        with ServerThread(ServeConfig(capacity=2048, p=2)) as handle:
             spec = LoadSpec(
                 clients=64, requests_per_client=10, seed=42,
                 small_max=128, large_every=0, topk_every=5, pipeline=4,
             )
             report = run_load_sync(handle.host, handle.port, spec)
-            snapshot = handle.registry.snapshot()
         assert report.sent == 640
         assert report.incorrect == 0
         assert report.ok == report.sent
-        assert snapshot["exec.dispatches"] <= report.sent / 4
 
     def test_many_threads_one_shot_connections(self, server):
         errors: list = []
@@ -419,7 +459,7 @@ class TestOversizeLines:
 
     def test_oversize_line_gets_typed_413_and_connection_survives(self):
         with ServerThread(ServeConfig(
-            capacity=8, max_line_bytes=4096, window_s=0.001,
+            capacity=8, max_line_bytes=4096,
         )) as handle:
             with ServeClient(handle.host, handle.port, timeout=10.0) as client:
                 # a single frame far past the cap, then a good request
@@ -452,7 +492,8 @@ class TestServeCLI:
 
     @pytest.mark.parametrize("args", [
         ["--control-interval", "1"], ["--slo", "slo.json"],
-        ["--backend", "threads"],
+        ["--backend", "threads"], ["--max-batch", "4"],
+        ["--window-ms", "1"],
     ])
     def test_removed_options_are_rejected(self, args, capsys):
         from repro.__main__ import _build_parser
@@ -477,14 +518,14 @@ class TestServeCLI:
 
         ns = _build_parser()[0].parse_args([
             "serve", "--host", "0.0.0.0", "--port", "0", "--p", "3",
-            "--capacity", "9", "--max-batch", "4", "--window-ms", "5",
-            "--small-cutover", "100", "--deadline-ms", "40",
+            "--capacity", "9", "--small-cutover", "100",
+            "--deadline-ms", "40",
             "--drain-timeout", "2", "--metrics-snapshot", "m.json",
             "--reprobe-interval", "0", "--no-control",
         ])
         assert _serve_config(ns) == ServeConfig(
-            host="0.0.0.0", port=0, p=3, capacity=9, max_batch=4,
-            window_s=0.005, small_cutover=100, default_deadline_ms=40.0,
+            host="0.0.0.0", port=0, p=3, capacity=9,
+            small_cutover=100, default_deadline_ms=40.0,
             drain_timeout_s=2.0, metrics_snapshot="m.json",
             reprobe_interval_s=0.0)
 
