@@ -41,9 +41,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import InputError
+from ..errors import InputError, NotSortedError
 from ..types import MergeStats
-from ..validation import as_array, check_mergeable, first_disorder
+from ..validation import (
+    as_array, check_mergeable, first_disorder, first_disorder_split,
+)
 from .merge_path import diagonal_intersections_vectorized
 
 __all__ = [
@@ -257,16 +259,22 @@ def merge_vectorized(
     Allocates the output and runs :func:`merge_into` on it: ``A`` and
     ``B`` are copied in, in that order, and a stable sort merges the two
     runs.  Ties keep ``A`` before equal ``B`` because the sort is stable
-    and ``A`` comes first.  Order is checked on the
-    :func:`merge_keys` (two bool arrays as their bytes), the order the
-    sort gives them.
+    and ``A`` comes first.  With ``check`` the kernel's own scan checks
+    the order of the :func:`merge_keys` (two bool arrays as their
+    bytes), the order the sort gives them, and an unsorted input raises
+    :class:`~repro.errors.NotSortedError` for the first descent of
+    ``A``, else of ``B``.
     """
     a, b = _prepare(a, b, False)
     ka, kb = merge_keys(a, b)
     if check:
-        check_mergeable(ka, kb)
+        check_mergeable(ka, kb, check_order=False)
     out = np.empty(len(a) + len(b), dtype=result_dtype(ka, kb))
-    merge_into(out, ka, kb)
+    i, j = merge_into(out, ka, kb, check=check)
+    if i is not None:
+        raise NotSortedError("A", i)
+    if j is not None:
+        raise NotSortedError("B", j)
     return out if ka is a else sorted_as(out, a)
 
 
@@ -336,16 +344,21 @@ def merge_into(
     ``merge`` and :func:`merge_vectorized` pass them.  The cuts are
     kernel work, like timsort's galloping, not partition probes.
 
-    With ``check`` the kernel also validates its input, while each
-    sub-block's slices are cache-hot: it returns ``(i, j)``, the first
-    descent of ``a`` and of ``b`` in NumPy's order
-    (:func:`~repro.validation.first_disorder`; ``None`` where there is
-    none).  After a descent it sorts nothing more, so an unsorted input
-    still costs O(N).  It stops at the first descent of ``a``, whose
-    error wins, and then ``j`` may be ``None`` although ``b`` has one;
-    after a descent of ``b`` alone it keeps scanning ``a``.  On a
-    reported descent ``out`` holds no meaningful result.  Without
-    ``check`` it returns ``(None, None)``.
+    With ``check`` the kernel also validates its input while it is
+    cache-hot: it returns ``(i, j)``, the first descent of ``a`` and of
+    ``b`` in NumPy's order (:func:`~repro.validation.first_disorder`;
+    ``None`` where there is none).  A whole-sort call whose ``a``, ``b``
+    and ``out`` share one dtype scans ``out`` right after the copy, both
+    sides in one comparison pass
+    (:func:`~repro.validation.first_disorder_split`); a promoted pair
+    scans ``a`` and then ``b`` before the cast, which could hide a
+    descent (two int64 past 2**53 that round to one float64).  The
+    sub-block walk scans each sub-block's two slices.  After a descent
+    it sorts nothing more, so an unsorted input still costs O(N).  A
+    descent of ``a`` wins, and then ``j`` may be ``None`` although
+    ``b`` has one; the walk keeps scanning ``a`` after a descent of
+    ``b`` alone.  On a reported descent ``out`` holds no meaningful
+    result.  Without ``check`` it returns ``(None, None)``.
 
     ``out`` may be exactly the ``[a | b]`` layout (``a`` already at
     ``out[:len(a)]`` and ``b`` right after it), in which case that side
@@ -369,7 +382,11 @@ def merge_into(
     b_placed = _in_place(out, b, la, "B")
     if (n * out.itemsize <= WHOLE_SORT_SUB_BLOCKS * SUB_BLOCK_BYTES
             or a_placed or b_placed):
-        if check:
+        # A promoted pair is scanned before the cast, which can hide a
+        # descent (int64 past 2**53 as float64); a same-dtype pair is
+        # scanned in ``out`` in one pass, right after the copy.
+        one_scan = check and a.dtype == b.dtype == out.dtype
+        if check and not one_scan:
             i = first_disorder(a)
             if i is not None:
                 return i, None
@@ -380,6 +397,10 @@ def merge_into(
             out[:la] = a
         if not b_placed:
             out[la:] = b
+        if one_scan:
+            i, j = first_disorder_split(out, la)
+            if i is not None or j is not None:
+                return i, j
         if la and lb:
             out.sort(kind="stable")
         return None, None

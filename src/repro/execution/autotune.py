@@ -28,7 +28,8 @@ Policy knobs (all overridable by environment):
 
 ``REPRO_AUTOTUNE=0``
     Kill switch — no calibration, no rerouting; requested backends are
-    used verbatim.
+    used verbatim.  A tuner reads it once, on its first consultation
+    after it is built, seeded or forgotten, not on every call.
 ``REPRO_AUTOTUNE_CACHE=/path/file.json``
     Where calibrated thresholds persist (default
     ``~/.cache/repro/autotune-<host>-py<maj>.<min>.json``).
@@ -138,6 +139,9 @@ class Autotuner:
         self._cache_path = cache_path
         self._lock = threading.Lock()
         self._thresholds: Thresholds | None = None
+        #: ``REPRO_AUTOTUNE`` as :meth:`choose_backend` last read it;
+        #: ``None`` until then, and again after :meth:`forget`.
+        self._enabled: bool | None = None
         #: Times a cache read found unparseable bytes (post-mortem
         #: evidence a writer skipped the atomic path or the disk lied).
         self.corrupt_loads = 0
@@ -205,6 +209,7 @@ class Autotuner:
         """Forget calibration in memory and on disk."""
         with self._lock:
             self._thresholds = None
+            self._enabled = None
             try:
                 self.cache_path.unlink()
             except OSError:
@@ -220,14 +225,15 @@ class Autotuner:
         """
         with self._lock:
             self._thresholds = None
+            self._enabled = None
 
     # -- calibration ---------------------------------------------------
 
     def thresholds(self) -> Thresholds:
         """Calibrated thresholds (fresh cache → probed → defaults)."""
-        with self._lock:
-            if self._thresholds is not None:
-                return self._thresholds
+        th = self._thresholds  # one reference read: no lock on a hit
+        if th is not None:
+            return th
         loaded = self._load()
         if loaded is not None:
             with self._lock:
@@ -275,17 +281,24 @@ class Autotuner:
         ``name``: a pooled name (``"threads"``, ``"processes"``) becomes
         ``"serial"`` below the serial cutover; every other request is
         returned unchanged."""
-        if name not in ("threads", "processes") or not autotune_enabled():
+        if name not in ("threads", "processes"):
+            return name
+        enabled = self._enabled
+        if enabled is None:
+            enabled = self._enabled = autotune_enabled()
+        if not enabled:
             return name
         return "serial" if n < self.thresholds().serial_cutover else name
 
     def seed(self, **overrides: int) -> None:
-        """Pin thresholds without probing (tests, bench pinning)."""
+        """Pin thresholds without probing (tests, bench pinning), and
+        read ``REPRO_AUTOTUNE`` afresh."""
         with self._lock:
             base = self._thresholds or Thresholds()
             self._thresholds = replace(
                 base, **overrides, calibrated=True, source="seeded"
             )
+            self._enabled = autotune_enabled()
 
 
 _GLOBAL = Autotuner()

@@ -117,19 +117,20 @@ class Execution:
         self._n = n
         self._resilience = resilience
         self._out_of_core = out_of_core
+        self._owned = False
+        #: ``(backend, previous tracer)`` for each backend the call's
+        #: tracer was installed on, restored on exit.
+        self._tracers: list[tuple[Backend, object]] = []
 
     def __enter__(self) -> "Execution":
         parent = _CURRENT.get()
         self._nested = parent is not None and self.backend is parent.backend
         self._outer = parent._outer if self._nested else self
-        self._owned = False
         if not self._nested:
             self._resolve()
-        self._tracers: list[tuple[Backend, object]] = []
-        if self.trace is not None and not self._nested:
-            self._install_tracer()
+            if self.trace is not None:
+                self._install_tracer()
         self._token = _CURRENT.set(self)
-        self._metrics_token = None
         if self.metrics is not None:
             self._metrics_token = CALL_METRICS.set(self.metrics)
         return self
@@ -194,7 +195,10 @@ class Execution:
 
     def __exit__(self, *exc_info: object) -> None:
         _CURRENT.reset(self._token)
-        if self._metrics_token is not None:
+        metrics = self.metrics
+        if metrics is None and not self._owned and not self._tracers:
+            return  # an untraced, uncounted call on a shared backend
+        if metrics is not None:
             CALL_METRICS.reset(self._metrics_token)
         for be, prev in self._tracers:
             if prev is _ABSENT:
@@ -202,7 +206,6 @@ class Execution:
             else:
                 be.tracer = prev
         try:
-            metrics = self.metrics
             if metrics is not None and self._op is not None:
                 metrics.counter(f"{self._op}.calls").inc()
             if metrics is not None and not self._nested:

@@ -46,6 +46,9 @@ def shared_backend(name: str, max_workers: int | None = None) -> Backend:
     if name not in POOLED_BACKENDS:
         return get_backend(name, max_workers=max_workers)
     key = (name, max_workers)
+    be = _CACHE.get(key)  # a hit takes no lock: dict reads are atomic
+    if be is not None:
+        return be
     with _LOCK:
         be = _CACHE.get(key)
         if be is None:

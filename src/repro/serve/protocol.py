@@ -65,6 +65,8 @@ from typing import Any
 
 import numpy as np
 
+from ..validation import first_disorder
+
 __all__ = [
     "OPS",
     "RequestError",
@@ -157,9 +159,14 @@ def _as_array(raw: Any, name: str, req_id: Any) -> np.ndarray:
 
 
 def _check_sorted(arr: np.ndarray, name: str, req_id: Any) -> None:
-    if len(arr) > 1 and bool(np.any(arr[1:] < arr[:-1])):
+    """Reject ``arr`` unless it is sorted in NumPy's order (NaN last),
+    the order the merges check and produce."""
+    i = first_disorder(arr)
+    if i is not None:
         raise RequestError(
-            "bad-request", f"field {name!r} must be sorted non-decreasing",
+            "bad-request",
+            f"field {name!r} must be sorted non-decreasing, NaN last; "
+            f"it descends at index {i}",
             req_id,
         )
 

@@ -22,6 +22,7 @@ __all__ = [
     "check_positive",
     "check_range",
     "first_disorder",
+    "first_disorder_split",
     "descends_at",
 ]
 
@@ -52,18 +53,39 @@ def first_disorder(arr: np.ndarray) -> int | None:
     That order puts NaN last, so for float arrays a NaN followed by a
     non-NaN is a descent too (``[1.0, nan, 0.5]`` is out of order at 1);
     every comparison with NaN is false, and ``>`` alone misses it.
-    Integer and bool arrays take the single comparison pass.  ``argmax``
-    finds the first descent without building an index array, and a
-    sorted input (no descent) reads as index 0 with ``gt[0]`` false.
+    Integer and bool arrays take the single comparison pass.
+    """
+    return first_disorder_split(arr, len(arr))[0]
+
+
+def first_disorder_split(
+    arr: np.ndarray, split: int
+) -> tuple[int | None, int | None]:
+    """:func:`first_disorder` of ``arr[:split]`` and of ``arr[split:]``
+    in one comparison pass over ``arr``, as ``(i, j)``.
+
+    The pair across ``split`` is not a descent of either side, so it is
+    excluded.  A descent of the first side wins: ``j`` is then ``None``
+    whether or not the second side has one, as in a scan of the first
+    side and then, only if it is sorted, of the second.  ``arr`` is the
+    concatenation of two merge inputs, so both sides are read in the
+    one pass while the copy that built it still has them in cache.
+    ``argmax`` finds the first descent without building an index array,
+    and a sorted input (no descent) reads as index 0 with ``gt[0]``
+    false.
     """
     if len(arr) < 2:
-        return None
+        return None, None
     gt = arr[:-1] > arr[1:]
     if arr.dtype.kind in _NAN_KINDS:
         nan = np.isnan(arr)
         gt |= nan[:-1] & ~nan[1:]
-    i = int(gt.argmax())
-    return i if gt[i] else None
+    if 0 < split < len(arr):
+        gt[split - 1] = False
+    k = int(gt.argmax())
+    if not gt[k]:
+        return None, None
+    return (k, None) if k < split else (None, k - split)
 
 
 def descends_at(arr: np.ndarray, i: int) -> bool:

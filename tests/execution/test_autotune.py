@@ -24,6 +24,28 @@ def test_kill_switch_disables_everything(monkeypatch):
     assert tuner.choose_backend("threads", 16) == "threads"
 
 
+def test_kill_switch_is_read_once_per_calibration(monkeypatch, tmp_path):
+    """``REPRO_AUTOTUNE`` is read when a tuner is seeded or first
+    consulted after it is built or forgotten, not on every call."""
+    from repro.execution import autotune as at
+
+    reads = []
+    real = at.autotune_enabled
+    monkeypatch.setattr(at, "autotune_enabled",
+                        lambda: reads.append(1) or real())
+    monkeypatch.setenv("REPRO_AUTOTUNE", "1")
+    tuner = Autotuner(cache_path=tmp_path / "tune.json")
+    tuner.seed(serial_cutover=1 << 20)
+    for _ in range(100):
+        assert tuner.choose_backend("threads", 512) == "serial"
+    assert len(reads) == 1
+    monkeypatch.setenv("REPRO_AUTOTUNE", "0")
+    tuner.forget()
+    assert tuner.choose_backend("threads", 512) == "threads"
+    assert tuner.choose_backend("threads", 512) == "threads"
+    assert len(reads) == 2
+
+
 def test_choose_backend_reroutes_small_to_serial(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_AUTOTUNE", "1")
     tuner = Autotuner(cache_path=tmp_path / "tune.json")

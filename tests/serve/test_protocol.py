@@ -69,6 +69,24 @@ class TestParseRequest:
             parse_request('{"op": "merge", "a": [3, 1], "b": []}')
         assert "sorted" in err.value.message
 
+    @pytest.mark.parametrize("op, extra", [("merge", ""), ("topk", ', "k": 2')])
+    @pytest.mark.parametrize("a, b", [
+        ("[1.0, NaN, 0.5]", "[0.25]"),
+        ("[0.25]", "[NaN, 1.0]"),
+    ])
+    def test_nan_before_a_number_rejected(self, op, extra, a, b):
+        """NumPy's order puts NaN last: a NaN followed by a number is a
+        descent, although ``<`` with NaN is always false."""
+        with pytest.raises(RequestError) as err:
+            parse_request(f'{{"op": "{op}", "a": {a}, "b": {b}{extra}}}')
+        assert err.value.kind == "bad-request"
+        assert "sorted" in err.value.message
+
+    def test_nan_last_accepted(self):
+        req = parse_request(
+            '{"op": "topk", "a": [0.5, NaN, NaN], "b": [-Infinity, 1.0], "k": 2}')
+        assert req.k == 2
+
     def test_nested_array_rejected(self):
         with pytest.raises(RequestError):
             parse_request('{"op": "sort", "data": [[1], [2]]}')

@@ -131,6 +131,18 @@ class TestBasicOps:
         assert resp["id"] == "bad"
         assert resp["error"]["code"] == 400
 
+    @pytest.mark.parametrize("op", ["merge", "topk"])
+    def test_nan_before_a_number_is_a_bad_request(self, server, op):
+        """``[1.0, NaN, 0.5]`` descends in NumPy's order (NaN last), as
+        ``parallel_merge`` reports; a topk over it must not answer."""
+        resp = request_sync(
+            server.host, server.port,
+            {"id": op, "op": op, "a": [1.0, float("nan"), 0.5], "b": [0.25],
+             "k": 2},
+        )
+        assert resp["ok"] is False
+        assert resp["error"]["kind"] == "bad-request"
+
     def test_malformed_json_answered_not_dropped(self, server):
         with ServeClient(server.host, server.port) as client:
             client._sock.sendall(b"{nonsense\n")
