@@ -15,15 +15,19 @@ matching the merge-path tie-break):
     TimSort.  Wins asymptotically on clustered data (e.g. the LB
     experiment's disjoint-range adversarial inputs); same worst case.
 ``merge_vectorized``
-    Copy ``A`` then ``B`` into the output and run numpy's stable sort
-    over it, one cache-sized sub-block of the output at a time
-    (:func:`merge_into`).  On numeric dtypes wider than 16 bits that
-    sort is timsort: it finds the two sorted runs and merges them with
-    galloping in linear time, with the GIL released (narrower types get
-    NumPy's radix sort, also linear).  Stability keeps ``A`` before
-    equal ``B``.  This is the production kernel, the ``seq_merge`` leaf
-    under the merge-path split, and plays the role numba-jitted loops
-    play in CPU merge-path libraries.
+    Copy ``A`` then ``B`` into the output and sort the part where the
+    two runs overlap with one NumPy sort, one cache-sized sub-block of
+    the output at a time (:func:`merge_into`).  The sort kind is
+    :func:`merge_kind`'s: for an integer dtype, ``"quicksort"`` where
+    this host's NumPy runs it as a SIMD sort that beats the stable sort
+    on a probe (integers that compare equal have identical bits, so the
+    bytes are the stable sort's); else ``"stable"``, which on numeric
+    dtypes wider than 16 bits is timsort, a galloping merge of the two
+    runs in linear time (narrower types get NumPy's radix sort).  The
+    GIL is released either way, and ``A`` stays before equal ``B``.
+    This is the production kernel, the ``seq_merge`` leaf under the
+    merge-path split (Algorithm 1 leaves the in-segment merge open), and
+    plays the role numba-jitted loops play in CPU merge-path libraries.
 
 Only the vectorized kernel runs in production: :func:`merge_into` writes
 it into a caller-provided output slice, which is how parallel workers
@@ -33,10 +37,22 @@ Python kernels are step-counting tools and references (``KERNELS``).
 :func:`sort_chunk` is the matching leaf of the sorts: every run the
 package forms (round 0 of the parallel sort, external run formation,
 the server's small sorts) is one call of it.
+
+Every NumPy sort kind the package picks is picked here.  The merge
+leaves (:func:`merge_into` and the k-way :func:`merge_runs_into`) take
+theirs from :func:`merge_kind`, which times the two kinds once per
+process and integer dtype: an unconditional ``"quicksort"`` would be
+6-10x slower than the stable sort on a host without a SIMD sort.  The
+answer is a property of the kernel on this host, not a routing
+threshold, so it is not part of the autotuner's cached thresholds; it
+can change the speed of a merge but never its bytes.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
+import time
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,6 +70,7 @@ __all__ = [
     "merge_vectorized",
     "merge_into",
     "merge_runs_into",
+    "merge_kind",
     "sort_chunk",
     "sort_keys",
     "merge_keys",
@@ -65,9 +82,17 @@ __all__ = [
 ]
 
 #: Output bytes per sub-block of :func:`merge_into`: small enough that a
-#: sub-block's two input slices, its output and the stable sort's
-#: scratch stay in a core's L2 cache, large enough that the per-block
-#: Python work is noise next to the sort.
+#: sub-block's two input slices, its output and the sort's scratch (a
+#: timsort merge buffer; quicksort needs none) stay in a core's L2
+#: cache, large enough that the per-block Python work, which holds the
+#: GIL, is noise next to the sort.  Re-measured with the SIMD quicksort
+#: on a 2-vCPU AVX-512 VM, merging 2 x 2^22 on one thread: 256 KiB was
+#: best or within noise of it for int32 (4.8-4.9 ns/elem; 64 KiB
+#: 4.8-6.0, 1 MiB 5.3-6.1) and for float64 (10.4-13.0; 64 KiB
+#: 13.4-15.1).  Merging 2 x 2^24 int32 at p=2, where smaller blocks
+#: mean more GIL-holding Python work per element, read
+#: ``speedup_vs_numpy`` 1.51 at 16 KiB, 2.39 at 32 KiB, 3.13 at 64 KiB,
+#: 3.14-3.93 at 128 KiB and 3.38-3.52 at 256 KiB.
 SUB_BLOCK_BYTES = 256 * 1024
 
 #: A call of at most this many sub-blocks (2 MiB of output at the
@@ -76,8 +101,149 @@ SUB_BLOCK_BYTES = 256 * 1024
 #: a scan per side, a sort call) is pure cost: measured against one
 #: checked sort on a 2-vCPU x86 VM with a 2 MiB L2 (int32, int64,
 #: float64), the checked walk was 4-10% slower at 4 and 8 sub-blocks,
-#: 0-4% slower at 16, 6-8% faster at 32 and 9-14% faster at 64.
+#: 0-4% slower at 16, 6-8% faster at 32 and 9-14% faster at 64.  With
+#: the SIMD quicksort (int32, three runs) the walk read 1.23-1.32x one
+#: sort's time at 4 sub-blocks, 0.87-1.10x at 8 and 0.98-1.01x at 12;
+#: float64 (stable) read 1.21-1.37x, 1.02-1.10x and 1.08-1.13x.
 WHOLE_SORT_SUB_BLOCKS = 8
+
+#: The merge leaves sort an integer dtype with ``"quicksort"`` only if
+#: it took less than this share of the stable sort's time on the probe
+#: (:func:`merge_kind`).  Where NumPy has no SIMD sort for the dtype,
+#: quicksort is introsort and reads 6-10x slower than the stable sort;
+#: where it has one, it read 0.52-0.75x on a sub-block of int32 on an
+#: AVX-512 VM (about 100 probes, some beside a running merge), and with
+#: AVX2 alone 0.82-0.96x, near enough a tie that either answer costs
+#: little.
+_QUICKSORT_SHARE = 0.85
+
+#: Length of one probe input: one sub-block, as the walk sorts it, or
+#: fewer elements of a dtype narrower than 4 bytes (to bound the probe's
+#: cost where quicksort is slow).  Bound at import, so that a test that
+#: shrinks ``SUB_BLOCK_BYTES`` does not shrink the probe.
+_PROBE_BYTES = SUB_BLOCK_BYTES
+_PROBE_MAX_ELEMENTS = 2**16
+
+#: Distinct probe inputs per sort kind; each kind keeps its best time.
+_PROBE_INPUTS = 2
+
+_PROBE_LOCK = threading.Lock()
+
+
+def _probe_runs(buf: np.ndarray, seed: int) -> None:
+    """Fill ``buf`` with two interleaved sorted runs of ``len(buf) // 2``
+    and the rest of its values, as two sorted samples of one uniform
+    range would be: cumulative sums of exponential gaps, so no sort
+    makes them.  The gaps come from a fixed integer hash of each
+    position (no random-number state, and no ``numpy.random`` import
+    in a process that has none), whose top 23 bits become a float32 in
+    ``[1, 2)`` in place: two half-length temporaries at most."""
+    info = np.iinfo(buf.dtype)
+    lo, hi = max(info.min, -2**30), min(info.max, 2**30)
+    half = len(buf) // 2
+    for k, run in enumerate((buf[:half], buf[half:])):
+        x = np.arange(len(run), dtype=np.uint32)
+        x += np.uint32((2 * seed + k) * 0x9E3779B9 % 2**32)
+        for shift, mul in ((16, 0x7FEB352D), (15, 0x846CA68B)):
+            x ^= x >> shift
+            x *= np.uint32(mul)
+        x >>= 9
+        x |= np.uint32(0x3F800000)
+        steps = x.view(np.float32)
+        np.subtract(2, steps, out=steps)  # uniform on (0, 1]
+        np.log(steps, out=steps)          # minus an exponential gap
+        np.cumsum(steps, out=steps)
+        steps *= (hi - lo) / steps[-1]
+        steps += lo
+        run[:] = steps
+        del x, steps  # freed before the next half allocates its own
+
+
+def _time_kinds(dtype: np.dtype) -> tuple[float, float]:
+    """Best seconds of the stable sort and of quicksort on the same
+    sub-blocks of two interleaved ``dtype`` runs.  Each input is fresh,
+    so neither time comes from a branch predictor trained on it.  A
+    quicksort that took over twice the stable sort's time ends the
+    probe early: no later input would turn that around.
+
+    Each kind sorts its own copy of an input, made again in the one
+    buffer rather than kept in a second: freed probe memory can stay
+    in the allocator's heap and count in the process's peak RSS."""
+    n = max(2, min(_PROBE_BYTES // dtype.itemsize, _PROBE_MAX_ELEMENTS))
+    best = {"stable": float("inf"), "quicksort": float("inf")}
+    buf = np.empty(n, dtype=dtype)
+    for seed in range(_PROBE_INPUTS):
+        for kind in best:
+            _probe_runs(buf, seed)
+            t0 = time.perf_counter()
+            buf.sort(kind=kind)
+            best[kind] = min(best[kind], time.perf_counter() - t0)
+        if best["quicksort"] > 2 * best["stable"]:
+            break
+    return best["stable"], best["quicksort"]
+
+
+@functools.cache
+def merge_kind(dtype: np.dtype) -> str:
+    """The NumPy sort kind every merge leaf uses for ``dtype``.
+
+    Integers that compare equal have identical bits, so for integer
+    dtypes (kinds ``'i'`` and ``'u'``) any sort kind gives the bytes of
+    the stable sort.  NumPy hands ``"quicksort"`` to a SIMD sort where
+    the CPU and the dtype have one, and then it beats timsort on two
+    runs (a 256 KiB sub-block of int32 on an AVX-512 VM: about 5 against
+    8 ns/elem); without one it is introsort and runs 6-10x slower.  So
+    the first call per dtype times both kinds on one sub-block of
+    interleaved runs (:func:`_time_kinds`, 3-5 ms) and answers
+    ``"quicksort"`` only if it took less than :data:`_QUICKSORT_SHARE`
+    of the stable sort's time.  The answer holds for the process.
+    Every other dtype answers ``"stable"`` without timing: equal floats
+    can differ in bits (``-0.0``/``0.0``, NaN payloads), and so can
+    equal bools.  The answer never changes a result, only the speed.
+    """
+    if dtype.kind not in "iu":
+        return "stable"
+    with _PROBE_LOCK:  # a concurrent first call waits for this answer
+        return _probed_kind(dtype)
+
+
+@functools.cache
+def _probed_kind(dtype: np.dtype) -> str:
+    """:func:`merge_kind` of an integer dtype, timed once per process."""
+    stable, quick = _time_kinds(dtype)
+    return "quicksort" if quick < _QUICKSORT_SHARE * stable else "stable"
+
+
+def _sort_runs(buf: np.ndarray, split: int, kind: str) -> None:
+    """Merge the sorted runs ``buf[:split]`` and ``buf[split:]`` in
+    place: sort ``buf`` with ``kind``, only where the runs overlap.
+
+    Timsort skips the head of ``A`` that precedes all of ``B`` and the
+    tail of ``B`` that follows all of ``A`` by itself; quicksort does
+    not, so the trim is done here.  A disjoint seam (``A``'s last <=
+    ``B``'s first) sorts nothing.  Otherwise two O(1) probes look for
+    at least an eighth of a side to trim before one ``searchsorted``
+    per side pays for it: the head of ``A`` <= ``B``'s first
+    (``"right"``: equal ``A`` first) and the tail of ``B`` >= ``A``'s
+    last (``"left"``) are already in place.  Comparisons and
+    ``searchsorted`` order values as the sort does (NaN last; bools as
+    their bytes), and a probe that meets a NaN fails, so the result is
+    the sort of the whole of ``buf``, bit for bit.
+    """
+    lb = len(buf) - split
+    if not split or not lb:
+        return
+    keys = sort_keys(buf)
+    a, b = keys[:split], keys[split:]
+    a_last, b_first = a[-1], b[0]
+    if a_last <= b_first:
+        return
+    lo, hi = 0, len(buf)
+    if b_first > a[split >> 3]:
+        lo = int(a.searchsorted(b_first, "right"))
+    if a_last < b[lb - 1 - (lb >> 3)]:
+        hi = split + int(b.searchsorted(a_last, "left"))
+    buf[lo:hi].sort(kind=kind)
 
 
 def result_dtype(a: np.ndarray, b: np.ndarray) -> np.dtype:
@@ -257,9 +423,10 @@ def merge_vectorized(
     """Linear-time stable merge into a new array (production kernel).
 
     Allocates the output and runs :func:`merge_into` on it: ``A`` and
-    ``B`` are copied in, in that order, and a stable sort merges the two
-    runs.  Ties keep ``A`` before equal ``B`` because the sort is stable
-    and ``A`` comes first.  With ``check`` the kernel's own scan checks
+    ``B`` are copied in, in that order, and one sort of their overlap
+    merges the two runs.  Ties keep ``A`` before equal ``B``: the sort
+    is stable, or an integer sort whose equal keys have identical bits
+    (:func:`merge_kind`).  With ``check`` the kernel's own scan checks
     the order of the :func:`merge_keys` (two bool arrays as their
     bytes), the order the sort gives them, and an unsorted input raises
     :class:`~repro.errors.NotSortedError` for the first descent of
@@ -321,13 +488,20 @@ def merge_into(
     on its disjoint output slice, so no locking is ever needed.
     ``out`` must have length ``len(a) + len(b)``.
 
-    The kernel copies ``a`` and then ``b`` into ``out`` and sorts it
-    with ``kind="stable"``.  For two sorted runs the stable sort is a
-    single galloping timsort merge: O(|A|+|B|) work, the GIL released
-    on numeric dtypes, and a scratch buffer no larger than the smaller
-    run.  (NumPy sorts types of 16 bits or less by radix sort instead,
-    also linear; a non-contiguous ``out`` is sorted through a
-    contiguous copy.)  A call of more than :data:`WHOLE_SORT_SUB_BLOCKS`
+    The kernel copies ``a`` and then ``b`` into ``out`` and sorts the
+    part where the two runs overlap (:func:`_sort_runs`: nothing on a
+    disjoint seam, and the head of ``a`` below ``b`` and the tail of
+    ``b`` above ``a`` are already in place) with the kind
+    :func:`merge_kind` chose for ``out``'s dtype.  For an integer
+    dtype on a host whose NumPy has a SIMD sort for it, that is
+    ``"quicksort"``: equal integers have identical bits, so it gives
+    the stable sort's bytes, at about 5 against 8 ns/elem on a sub-block
+    of int32 (AVX-512).  Otherwise it is ``"stable"``: for two sorted
+    runs a single galloping timsort merge, O(|A|+|B|) work with a
+    scratch buffer no larger than the smaller run (NumPy sorts types of
+    16 bits or less by radix sort instead, also linear).  The GIL is
+    released on numeric dtypes, and a non-contiguous ``out`` is sorted
+    through a contiguous copy.  A call of more than :data:`WHOLE_SORT_SUB_BLOCKS`
     sub-blocks does this one cache-sized sub-block of
     :data:`SUB_BLOCK_BYTES` at a time, the path blocks of the paper's
     Section IV.B: the sub-block ends are output ranks, cut on the merge
@@ -401,10 +575,10 @@ def merge_into(
             i, j = first_disorder_split(out, la)
             if i is not None or j is not None:
                 return i, j
-        if la and lb:
-            out.sort(kind="stable")
+        _sort_runs(out, la, merge_kind(out.dtype))
         return None, None
 
+    kind = merge_kind(out.dtype)
     step = max(1, SUB_BLOCK_BYTES // out.itemsize)
     ends = np.arange(step, n, step)
     cuts = diagonal_intersections_vectorized(a, b, ends).tolist()
@@ -429,8 +603,8 @@ def merge_into(
                 k = first_disorder(b[j0:j1 + 1])
                 if k is not None:
                     j = j0 + k
-        if j is None and i1 > i0 and j1 > j0:
-            block.sort(kind="stable")
+        if j is None:
+            _sort_runs(block, i1 - i0, kind)
         i0, d0 = i1, d1
     return None, j
 
@@ -438,12 +612,15 @@ def merge_into(
 def merge_runs_into(out: np.ndarray, runs: Sequence[np.ndarray]) -> None:
     """Stable merge of ``T`` sorted ``runs`` written into ``out``.
 
-    The k-way form of :func:`merge_into`: copies the runs
-    back to back into ``out`` and stable-sorts it in place.  Timsort
-    finds the ``T`` runs and merges them in ``O(n log T)``, and
-    stability emits equal keys in run order (run 0 first), so the
-    result equals ``np.sort(np.concatenate(runs), kind="stable")`` bit
-    for bit.
+    The k-way form of :func:`merge_into`: copies the runs back to back
+    into ``out`` and sorts it in place with the kind :func:`merge_kind`
+    chose for ``out``'s dtype.  The stable sort is timsort, which finds
+    the ``T`` runs, merges them in ``O(n log T)`` and emits equal keys
+    in run order (run 0 first); the SIMD quicksort an integer dtype may
+    get instead is ``O(n log n)`` but much faster per element (2^20
+    int32 in 16 runs on an AVX-512 VM: 5.6 against 23 ns/elem), and its
+    equal keys have identical bits.  Either way the result equals
+    ``np.sort(np.concatenate(runs), kind="stable")`` bit for bit.
     """
     pos = 0
     for run in runs:
@@ -451,7 +628,7 @@ def merge_runs_into(out: np.ndarray, runs: Sequence[np.ndarray]) -> None:
         pos += len(run)
     if pos != len(out):
         raise InputError(f"output length {len(out)} != total run length {pos}")
-    out.sort(kind="stable")
+    out.sort(kind=merge_kind(out.dtype))
 
 
 def sort_chunk(x: np.ndarray) -> np.ndarray:
@@ -481,7 +658,7 @@ def sort_keys(x: np.ndarray) -> np.ndarray:
     ``1``), while ``<=`` compares truth values, so a bool array is
     viewed as ``uint8``.  Every other array is returned as it is.
     """
-    return x.view(np.uint8) if x.dtype == np.bool_ else x
+    return x.view(np.uint8) if x.dtype.kind == "b" else x
 
 
 def merge_keys(

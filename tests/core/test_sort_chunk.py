@@ -2,7 +2,10 @@
 
 Integer chunks sort with NumPy's unstable quicksort and every other
 dtype stably, so every sort of the package must still produce exactly
-the bytes (and the dtype) of ``np.sort(x, kind="stable")``.  Equal
+the bytes (and the dtype) of ``np.sort(x, kind="stable")``.  The merge
+leaves sort integers with whichever kind this host's probe picked
+(:func:`~repro.core.sequential.merge_kind`); the k-way and external
+merges here also run with each kind forced.  Equal
 integers have identical bits; equal bools, floats (``-0.0``/``0.0``)
 and NaNs need not, which is what these inputs probe.  The merges of
 sorted runs of the same inputs give the bytes and dtype of
@@ -27,6 +30,7 @@ from repro.core.merge_path import (
     diagonal_intersection,
     diagonal_intersections_vectorized,
 )
+from repro.core import sequential
 from repro.core.sequential import merge_vectorized, sort_chunk
 from repro.errors import InputError
 from repro.external import external_sort, external_sort_file
@@ -140,6 +144,25 @@ def test_kway_merge_gives_the_stable_bytes(name):
     _same_merge(kway_merge(runs, 3, backend="threads"), runs)
 
 
+def _force_integer_kind(monkeypatch, kind: str) -> None:
+    """Every merge leaf sorts integer keys (bools merge as ``uint8``
+    keys) with ``kind``; other dtypes keep the stable sort."""
+    monkeypatch.setattr(sequential, "merge_kind",
+                        lambda dtype: kind if dtype.kind in "iu" else "stable")
+
+
+@pytest.mark.parametrize("kind", ["stable", "quicksort"])
+@pytest.mark.parametrize("name", INPUTS)
+def test_kway_merge_of_many_runs_gives_the_stable_bytes(name, kind,
+                                                        monkeypatch):
+    """Seven runs, with each sort kind forced on the integer k-way leaf
+    (``merge_runs_into``): the kind this host's probe did not pick must
+    give the same bytes too."""
+    _force_integer_kind(monkeypatch, kind)
+    runs = _sorted_runs(name, 7)
+    _same_merge(kway_merge(runs, 3, backend="threads"), runs)
+
+
 @pytest.mark.parametrize("name", INPUTS)
 def test_two_way_merges_give_the_stable_bytes(name):
     """Every two-way merge entry point follows one byte-order rule with
@@ -171,7 +194,7 @@ def test_external_sort_gives_the_stable_bytes(tmp_path):
     _same(external_sort(x, 64, directory=str(tmp_path)), x)  # processes
 
 
-@pytest.mark.parametrize("name", [">i4", "bool", "bool-two-one"])
+@pytest.mark.parametrize("name", INPUTS)
 def test_external_sort_gives_the_stable_bytes_of_every_kind(tmp_path, name):
     """Both entry points, in one pass and in several: intermediate runs
     hold the keys, and the sorted file has ``np.sort``'s dtype."""
@@ -185,6 +208,21 @@ def test_external_sort_gives_the_stable_bytes_of_every_kind(tmp_path, name):
                                       directory=str(tmp_path), fan_in=fan_in,
                                       backend="threads")
         _same(np.load(final.path), x)
+
+
+@pytest.mark.parametrize("kind", ["stable", "quicksort"])
+@pytest.mark.parametrize("name", INPUTS)
+def test_external_block_merges_give_the_stable_bytes_with_either_kind(
+        tmp_path, monkeypatch, name, kind):
+    """The external sort's block merges on in-process threads, with each
+    sort kind forced on their integer leaf (``merge_runs_into``)."""
+    _force_integer_kind(monkeypatch, kind)
+    x = INPUTS[name]()
+    in_path = str(tmp_path / "in.npy")
+    np.save(in_path, x)
+    final, _ = external_sort_file(in_path, memory_elements=64,
+                                  directory=str(tmp_path), backend="threads")
+    _same(np.load(final.path), x)
 
 
 class TestNaNLast:
