@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..backends import Backend
-from ..execution.context import Execution
+from ..execution.context import Execution, runs_inline
 from ..execution.engine import merge_whole, run_segments
 from ..types import Partition
 from ..validation import as_array, check_mergeable, check_positive
@@ -105,11 +105,12 @@ def parallel_merge(
         untraced calls — may be rerouted by the per-host autotuner
         (``"threads"`` → ``"serial"`` below the measured fork/join
         crossover; disable with ``REPRO_AUTOTUNE=0``).
-        A rerouted call without ``resilience`` merges as one segment
-        (:func:`repro.execution.engine.merge_whole`): no diagonal
-        search, one kernel call in a one-task batch on the serial
-        backend.  Explicit instances and ``"serial"`` are used verbatim
-        and never rerouted, so they keep ``p`` segments.
+        A rerouted call without ``resilience`` runs inline
+        (:func:`repro.execution.context.runs_inline`) and merges as one
+        segment (:func:`repro.execution.engine.merge_whole`): no
+        diagonal search, one kernel call in a one-task batch on the
+        serial backend.  Explicit instances and ``"serial"`` are used
+        verbatim and never rerouted, so they keep ``p`` segments.
     check:
         Validate input sortedness.  Dimensions and dtypes are checked
         up front, the order inside the segment tasks: each kernel call
@@ -159,34 +160,17 @@ def parallel_merge(
     a = as_array(a, "A")
     b = as_array(b, "B")
     check_mergeable(a, b, check_order=False)
+    n = len(a) + len(b)
+    if runs_inline(backend, n, resilience=resilience, trace=trace):
+        return merge_whole(a, b, p, check=check, metrics=metrics)
 
-    with Execution(
-        backend, p, op="merge", n=len(a) + len(b), resilience=resilience,
-        trace=trace, metrics=metrics,
-    ) as ex:
-        return _merge_in(
-            ex, a, b, None if ex.inline else p * oversubscribe, check, trace
-        )
-
-
-def _merge_in(
-    ex: Execution,
-    a: np.ndarray,
-    b: np.ndarray,
-    parts: int | None,
-    check: bool,
-    trace: "Tracer | None",
-) -> np.ndarray:
-    """Merge ``a`` and ``b`` inside ``ex``: as one segment
-    (:func:`~repro.execution.engine.merge_whole`) when ``parts`` is
-    ``None``, else over ``parts`` merge-path segments.  Both run on the
-    inputs' :func:`~repro.core.sequential.merge_keys`."""
     ka, kb = merge_keys(a, b)
-    if parts is None:
-        out = merge_whole(ex, ka, kb, check=check)
-    else:
+    with Execution(
+        backend, p, op="merge", n=n, resilience=resilience, trace=trace,
+        metrics=metrics,
+    ) as ex:
         partition = partition_merge_path(
-            ka, kb, parts, check=False, tracer=trace
+            ka, kb, p * oversubscribe, check=False, tracer=trace
         )
         out = np.empty(partition.total_length, dtype=result_dtype(ka, kb))
         run_segments(ex, [(out, ka, kb, partition)], label="merge.partition",
@@ -225,8 +209,7 @@ def merge(
         a = as_array(a, "A")
         b = as_array(b, "B")
         check_mergeable(a, b, check_order=False)
-        with Execution("serial", op="merge") as ex:
-            return _merge_in(ex, a, b, None, check, None)
+        return merge_whole(a, b, check=check)
     if backend == "auto":
         backend = "threads"
     return parallel_merge(a, b, p, backend=backend, check=check)

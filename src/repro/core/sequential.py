@@ -23,7 +23,9 @@ matching the merge-path tie-break):
     on a probe (integers that compare equal have identical bits, so the
     bytes are the stable sort's); else ``"stable"``, which on numeric
     dtypes wider than 16 bits is timsort, a galloping merge of the two
-    runs in linear time (narrower types get NumPy's radix sort).  The
+    runs in linear time (narrower types get NumPy's radix sort).  Runs
+    of very unequal length take ``"stable"`` whatever the probe said:
+    timsort gallops through the long one (:data:`GALLOP_RATIO`).  The
     GIL is released either way, and ``A`` stays before equal ``B``.
     This is the production kernel, the ``seq_merge`` leaf under the
     merge-path split (Algorithm 1 leaves the in-segment merge open), and
@@ -69,6 +71,7 @@ __all__ = [
     "merge_galloping",
     "merge_vectorized",
     "merge_into",
+    "merge_into_fresh",
     "merge_runs_into",
     "merge_kind",
     "sort_chunk",
@@ -78,6 +81,7 @@ __all__ = [
     "KERNELS",
     "SUB_BLOCK_BYTES",
     "WHOLE_SORT_SUB_BLOCKS",
+    "GALLOP_RATIO",
     "result_dtype",
 ]
 
@@ -116,6 +120,21 @@ WHOLE_SORT_SUB_BLOCKS = 8
 #: AVX2 alone 0.82-0.96x, near enough a tie that either answer costs
 #: little.
 _QUICKSORT_SHARE = 0.85
+
+#: Two runs to merge take ``"stable"``, whatever :func:`merge_kind`
+#: answers, once one is at least this many times the other (after the
+#: trim to their overlap, :func:`_sort_runs`).  Timsort then gallops:
+#: each element of the short run finds its place in the long one by an
+#: exponential search, O(m log(n/m)) comparisons for runs of m and n,
+#: while quicksort sorts all m + n elements.  Quicksort's time over the
+#: stable sort's, copy included, for two sorted uniform int32 runs
+#: whose short side held 2^6-2^13 elements, on a 2-vCPU AVX-512 VM
+#: (seven runs over distinct inputs): 0.51-1.05 at ratio 1, 0.82-1.47
+#: at 4, 0.94-1.52 at 6, 1.01-1.78 at 8, 1.06-2.03 at 16 and 1.19-3.10
+#: at 32.  Below 8 the answer depends on the size and the run, and in
+#: the bench's merge_small a ratio of 4 made its pairs of ratio 4-8
+#: slower (NumPy's time over the call's, 0.55-0.58 against 0.63-0.64).
+GALLOP_RATIO = 8
 
 #: Length of one probe input: one sub-block, as the walk sorts it, or
 #: fewer elements of a dtype narrower than 4 bytes (to bound the probe's
@@ -216,7 +235,9 @@ def _probed_kind(dtype: np.dtype) -> str:
 
 def _sort_runs(buf: np.ndarray, split: int, kind: str) -> None:
     """Merge the sorted runs ``buf[:split]`` and ``buf[split:]`` in
-    place: sort ``buf`` with ``kind``, only where the runs overlap.
+    place: sort ``buf`` with ``kind``, only where the runs overlap, and
+    with ``"stable"`` where one run of the overlap is at least
+    :data:`GALLOP_RATIO` times the other.
 
     Timsort skips the head of ``A`` that precedes all of ``B`` and the
     tail of ``B`` that follows all of ``A`` by itself; quicksort does
@@ -229,20 +250,26 @@ def _sort_runs(buf: np.ndarray, split: int, kind: str) -> None:
     ``searchsorted`` order values as the sort does (NaN last; bools as
     their bytes), and a probe that meets a NaN fails, so the result is
     the sort of the whole of ``buf``, bit for bit.
+
+    The kind changes only from ``"quicksort"``, which :func:`merge_kind`
+    answers for integer dtypes alone, to ``"stable"``: equal integers
+    have identical bits, so the bytes are the same either way.
     """
     lb = len(buf) - split
     if not split or not lb:
         return
     keys = sort_keys(buf)
-    a, b = keys[:split], keys[split:]
-    a_last, b_first = a[-1], b[0]
+    a_last, b_first = keys[split - 1], keys[split]
     if a_last <= b_first:
         return
     lo, hi = 0, len(buf)
-    if b_first > a[split >> 3]:
-        lo = int(a.searchsorted(b_first, "right"))
-    if a_last < b[lb - 1 - (lb >> 3)]:
-        hi = split + int(b.searchsorted(a_last, "left"))
+    if b_first > keys[split >> 3]:
+        lo = int(keys[:split].searchsorted(b_first, "right"))
+    if a_last < keys[hi - 1 - (lb >> 3)]:
+        hi = split + int(keys[split:].searchsorted(a_last, "left"))
+    na, nb = split - lo, hi - split
+    if na >= GALLOP_RATIO * nb or nb >= GALLOP_RATIO * na:
+        kind = "stable"
     buf[lo:hi].sort(kind=kind)
 
 
@@ -422,13 +449,16 @@ def merge_vectorized(
 ) -> np.ndarray:
     """Linear-time stable merge into a new array (production kernel).
 
-    Allocates the output and runs :func:`merge_into` on it: ``A`` and
-    ``B`` are copied in, in that order, and one sort of their overlap
-    merges the two runs.  Ties keep ``A`` before equal ``B``: the sort
-    is stable, or an integer sort whose equal keys have identical bits
-    (:func:`merge_kind`).  With ``check`` the kernel's own scan checks
-    the order of the :func:`merge_keys` (two bool arrays as their
-    bytes), the order the sort gives them, and an unsorted input raises
+    Allocates the output and runs :func:`merge_into_fresh` on it (a
+    fresh output cannot alias the inputs, so the alias probes are
+    skipped): ``A`` and ``B`` are copied in, in that order, and one sort
+    of their overlap merges the two runs.  Ties keep ``A`` before equal
+    ``B``: the sort is stable, or an integer sort whose equal keys have
+    identical bits (:func:`merge_kind`, or ``"stable"`` for runs of
+    very unequal length, :data:`GALLOP_RATIO`).  With ``check`` the
+    kernel's own scan checks the order of the :func:`merge_keys` (two
+    bool arrays as their bytes), the order the sort gives them, and an
+    unsorted input raises
     :class:`~repro.errors.NotSortedError` for the first descent of
     ``A``, else of ``B``.
     """
@@ -437,7 +467,7 @@ def merge_vectorized(
     if check:
         check_mergeable(ka, kb, check_order=False)
     out = np.empty(len(a) + len(b), dtype=result_dtype(ka, kb))
-    i, j = merge_into(out, ka, kb, check=check)
+    i, j = merge_into_fresh(out, ka, kb, check=check)
     if i is not None:
         raise NotSortedError("A", i)
     if j is not None:
@@ -499,8 +529,12 @@ def merge_into(
     of int32 (AVX-512).  Otherwise it is ``"stable"``: for two sorted
     runs a single galloping timsort merge, O(|A|+|B|) work with a
     scratch buffer no larger than the smaller run (NumPy sorts types of
-    16 bits or less by radix sort instead, also linear).  The GIL is
-    released on numeric dtypes, and a non-contiguous ``out`` is sorted
+    16 bits or less by radix sort instead, also linear).  Two runs of
+    very unequal length, one at least :data:`GALLOP_RATIO` times the
+    other after the trim, take ``"stable"`` whatever the dtype's kind:
+    timsort's galloping merge then does O(m log(n/m)) comparisons for
+    runs of m and n elements, where quicksort sorts all m + n.  The GIL
+    is released on numeric dtypes, and a non-contiguous ``out`` is sorted
     through a contiguous copy.  A call of more than :data:`WHOLE_SORT_SUB_BLOCKS`
     sub-blocks does this one cache-sized sub-block of
     :data:`SUB_BLOCK_BYTES` at a time, the path blocks of the paper's
@@ -539,21 +573,55 @@ def merge_into(
     is not copied and the call is one sort at any size.  Any other
     overlap of ``out`` with ``a`` or ``b`` raises
     :class:`~repro.errors.InputError`: copying the first side would
-    overwrite the second before it was read.
+    overwrite the second before it was read.  A caller that has just
+    allocated ``out`` calls :func:`merge_into_fresh`, which skips these
+    two alias probes.
 
     The kernel counts nothing: a segment's work is fixed by its lengths,
     so :func:`repro.execution.engine.run_segments` publishes it from the
     plan (``|A| + |B|`` moves and, with both sides non-empty,
     ``|A| + |B| - 1`` comparisons, the worst case of a linear merge).
     """
-    la, lb = len(a), len(b)
-    n = la + lb
+    return _merge_placed(out, a, b, _in_place(out, a, 0, "A"),
+                         _in_place(out, b, len(a), "B"), check)
+
+
+def merge_into_fresh(
+    out: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    *,
+    check: bool = False,
+) -> tuple[int | None, int | None]:
+    """:func:`merge_into` for an ``out`` the caller has just allocated.
+
+    A fresh array cannot overlap ``a`` or ``b``, so the two alias
+    probes of :func:`merge_into` (a ``np.may_share_memory`` call per
+    side, 0.8 µs in all, the cost of copying about 2000 int32) are
+    skipped; everything else, the checks included, is the same.  The
+    one-segment merges below the serial cutover
+    (:func:`repro.execution.engine.merge_whole`) and
+    :func:`merge_vectorized` call it on the output they allocate.
+    """
+    return _merge_placed(out, a, b, False, False, check)
+
+
+def _merge_placed(
+    out: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    a_placed: bool,
+    b_placed: bool,
+    check: bool,
+) -> tuple[int | None, int | None]:
+    """The body of :func:`merge_into`; ``a_placed`` and ``b_placed`` say
+    which side already sits at its place in ``out``."""
+    la = len(a)
+    n = la + len(b)
     if len(out) != n:
         raise InputError(
             f"output slice length {len(out)} != |A|+|B| = {n}"
         )
-    a_placed = _in_place(out, a, 0, "A")
-    b_placed = _in_place(out, b, la, "B")
     if (n * out.itemsize <= WHOLE_SORT_SUB_BLOCKS * SUB_BLOCK_BYTES
             or a_placed or b_placed):
         # A promoted pair is scanned before the cast, which can hide a

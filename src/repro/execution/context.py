@@ -20,11 +20,6 @@ bookkeeping, written once:
   so a supervising backend without a registry of its own counts its
   ``resilience.*`` totals into this call's registry, and a chain shared
   by concurrent calls is never rebound;
-* **decide inline** — a pooled name the autotuner reroutes to
-  ``"serial"``, with no ``resilience`` and no tracer, sets
-  :attr:`Execution.inline`: below the serial cutover Algorithm 1 has
-  nothing to split, so the entry point runs its merge as one segment
-  (no diagonal search), one task on the serial backend;
 * **install the tracer** on the backend chain for the call's duration;
 * **run batches** (:meth:`Execution.run`), counting each one and
   publishing the measured ``balance.task_time_imbalance``;
@@ -34,6 +29,14 @@ bookkeeping, written once:
 The call's ``merge.*`` counts are not kept here: the segment runner
 (:func:`repro.execution.engine.run_segments`) publishes them from the
 plan of each batch it runs.
+
+One merge opens no context at all: :func:`runs_inline` decides, once
+per call, that a merge requested on a pooled name runs below the serial
+cutover with nothing to supervise or trace.  Algorithm 1 then has
+nothing to split, and :func:`repro.execution.engine.merge_whole` runs
+it as one segment (no diagonal search) in one batch on the shared
+serial backend, publishing the same counts through
+:func:`publish_batch` and :func:`publish_call`.
 
 An entry point that calls another on its own resolved backend (the
 cache-efficient sort over the parallel sort and SPM, a sort over its
@@ -59,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
     from ..resilience import RetryPolicy
 
-__all__ = ["Execution"]
+__all__ = ["Execution", "runs_inline", "publish_batch", "publish_call"]
 
 _CURRENT: ContextVar["Execution | None"] = ContextVar(
     "repro_execution", default=None
@@ -81,8 +84,7 @@ class Execution:
         ``merge.calls``); ``None`` counts no calls.
     n:
         Element count for the autotuner's backend reroute.  Only
-        untraced calls that pass it may be rerouted, and a rerouted call
-        without ``resilience`` is :attr:`inline`.
+        untraced calls that pass it may be rerouted.
     resilience, trace, metrics:
         The standard execution surface of the entry points.
     out_of_core:
@@ -108,10 +110,6 @@ class Execution:
         #: Batches run by this call, nested contexts included (counted
         #: on the outermost context only).
         self.dispatches = 0
-        #: Whether the call was rerouted below the serial cutover with
-        #: nothing to supervise or trace: the entry point then merges in
-        #: one segment, skipping the diagonal search.  Set on entry.
-        self.inline = False
         self._p = p
         self._op = op
         self._n = n
@@ -157,7 +155,6 @@ class Execution:
             else:
                 if self._n is not None:
                     name = get_autotuner().choose_backend(name, self._n)
-                    self.inline = name != be and not self._resilience
                 be = shared_backend(name, self._p)
                 self._owned = name not in POOLED_BACKENDS
         if self._resilience:
@@ -184,13 +181,8 @@ class Execution:
         """Dispatch one batch (one fork/join barrier) on the backend."""
         self._outer.dispatches += 1
         results = self.backend.run_batch(batch)
-        if self.metrics is not None and results:
-            times = [r.elapsed_s for r in results]
-            mean = sum(times) / len(times)
-            if mean > 0:
-                self.metrics.gauge("balance.task_time_imbalance").set(
-                    max(times) / mean
-                )
+        if self.metrics is not None:
+            publish_batch(self.metrics, results)
         return results
 
     def __exit__(self, *exc_info: object) -> None:
@@ -206,11 +198,61 @@ class Execution:
             else:
                 be.tracer = prev
         try:
-            if metrics is not None and self._op is not None:
-                metrics.counter(f"{self._op}.calls").inc()
-            if metrics is not None and not self._nested:
-                metrics.counter("exec.dispatches").inc(self.dispatches)
-                metrics.gauge("exec.dispatches_per_call").set(self.dispatches)
+            if metrics is not None:
+                publish_call(metrics, self._op,
+                             None if self._nested else self.dispatches)
         finally:
             if self._owned:
                 self.backend.close()
+
+
+def runs_inline(
+    backend: Backend | str,
+    n: int,
+    *,
+    resilience: "RetryPolicy | bool | None" = None,
+    trace: "Tracer | None" = None,
+) -> bool:
+    """Whether an ``n``-element merge requested on ``backend`` runs
+    inline, as one segment without an :class:`Execution`
+    (:func:`repro.execution.engine.merge_whole`).
+
+    That is a pooled name the autotuner reroutes to ``"serial"`` (below
+    the serial cutover), on a call with no ``resilience`` and no tracer:
+    a supervised or traced call measures or guards the requested
+    configuration, so it keeps its partition.  ``"processes"`` never
+    runs inline, so that :class:`Execution` refuses it for in-memory
+    work at every size.
+    """
+    return (
+        trace is None and not resilience and isinstance(backend, str)
+        and backend != "processes"
+        and get_autotuner().choose_backend(backend, n) != backend
+    )
+
+
+def publish_batch(
+    metrics: "MetricsRegistry", results: list[TaskResult]
+) -> None:
+    """The measured ``balance.task_time_imbalance`` of one batch: its
+    slowest task's time over the mean task time."""
+    if not results:
+        return
+    times = [r.elapsed_s for r in results]
+    mean = sum(times) / len(times)
+    if mean > 0:
+        metrics.gauge("balance.task_time_imbalance").set(max(times) / mean)
+
+
+def publish_call(
+    metrics: "MetricsRegistry", op: str | None, dispatches: int | None
+) -> None:
+    """A call's own counts: ``<op>.calls`` (none when ``op`` is
+    ``None``) and, for an outermost call, the batches it ran
+    (``exec.dispatches`` and ``exec.dispatches_per_call``; ``None`` for
+    a nested call, whose batches its outermost call counts)."""
+    if op is not None:
+        metrics.counter(f"{op}.calls").inc()
+    if dispatches is not None:
+        metrics.counter("exec.dispatches").inc(dispatches)
+        metrics.gauge("exec.dispatches_per_call").set(dispatches)

@@ -28,8 +28,9 @@ one batch.
 
 Below the serial cutover a merge has nothing to split:
 :func:`merge_whole` runs the one-segment plan (Theorem 14 with one
-segment needs no diagonal search) as one task in one batch, and
-publishes the same plan counts.
+segment needs no diagonal search) as one task in one batch on the
+shared serial backend, without an :class:`Execution`, and publishes the
+same plan and call counts.
 
 Both validate the input inside the tasks when asked (``check``): each
 task's kernel scans its segment's slices while they are cache-hot
@@ -50,9 +51,13 @@ from ..errors import NotSortedError
 from ..obs.tracer import NULL_SPAN
 from ..types import Partition, Segment
 from ..core.merge_path import partition_merge_path
-from ..core.sequential import merge_into, result_dtype, sort_chunk
+from ..core.sequential import (
+    merge_into, merge_into_fresh, merge_keys, result_dtype, sort_chunk,
+    sorted_as,
+)
 from ..validation import descends_at
-from .context import Execution
+from .context import Execution, publish_batch, publish_call
+from .pool import shared_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry, Tracer
@@ -94,29 +99,50 @@ def run_segments(
 
 
 def merge_whole(
-    ex: Execution, a: np.ndarray, b: np.ndarray, *, check: bool = False
+    a: np.ndarray,
+    b: np.ndarray,
+    p: int = 1,
+    *,
+    check: bool = False,
+    metrics: "MetricsRegistry | None" = None,
 ) -> np.ndarray:
-    """Merge ``a`` and ``b`` as **one** segment, for an
-    :attr:`~repro.execution.context.Execution.inline` call.
+    """Merge ``a`` and ``b`` as **one** segment: a merge that runs
+    inline (:func:`~repro.execution.context.runs_inline`) and
+    ``merge(a, b)``.
 
-    No diagonal search, no per-segment closure: one
-    :func:`~repro.core.sequential.merge_into` task in one batch (so the
-    call still counts one dispatch), which validates the input when
-    ``check`` is set.  With ``metrics`` it publishes the one-segment
-    plan's counts: ``merge.segments`` 1, ``merge.moves`` ``n``,
-    ``merge.comparisons`` ``n - 1`` when both sides are non-empty,
-    ``merge.search_probes`` 0, ``balance.work_spread`` 0.
+    The inputs must be validated 1-D arrays of a mergeable dtype pair;
+    the merge runs on their :func:`~repro.core.sequential.merge_keys`.
+    No :class:`Execution`, no diagonal search, no per-segment closure:
+    one :func:`~repro.core.sequential.merge_into_fresh` task in one
+    batch on the shared serial backend of a ``p``-worker call (so the
+    call still counts one dispatch there and in ``metrics``), which
+    validates the input when ``check`` is set.  With ``metrics`` it
+    publishes what an :class:`Execution` around the one-segment plan
+    would: ``merge.calls`` 1, ``exec.dispatches`` 1, ``merge.segments``
+    1, ``merge.moves`` ``n``, ``merge.comparisons`` ``n - 1`` when both
+    sides are non-empty, ``merge.search_probes`` 0,
+    ``balance.work_spread`` 0.
     """
-    la, lb = len(a), len(b)
-    out = np.empty(la + lb, dtype=result_dtype(a, b))
-    tasks = [partial(merge_into, out, a, b, check=check)] if la + lb else []
-    if ex.metrics is not None:
+    ka, kb = merge_keys(a, b)
+    la, lb = len(ka), len(kb)
+    out = np.empty(la + lb, dtype=result_dtype(ka, kb))
+    tasks = ([partial(merge_into_fresh, out, ka, kb, check=check)]
+             if la + lb else [])
+    if metrics is not None:
         part = Partition(la, lb, (Segment(0, 0, la, 0, lb, 0, la + lb),))
-        _publish(ex.metrics, [(out, a, b, part)], len(tasks))
-    results = ex.run(TaskBatch(tasks, label="merge.partition"))
+        _publish(metrics, [(out, ka, kb, part)], len(tasks))
+    try:
+        results = shared_backend("serial", p).run_batch(
+            TaskBatch(tasks, "merge.partition")
+        )
+    finally:
+        if metrics is not None:
+            publish_call(metrics, "merge", 1)
+    if metrics is not None:
+        publish_batch(metrics, results)
     if check:
         _raise_first_descent(results)
-    return out
+    return out if ka is a else sorted_as(out, a)
 
 
 def merge_segment(

@@ -46,7 +46,8 @@ class LoadSpec:
     topk_every: int = 10  #: every Nth request is a top-k (0 = never).
     pipeline: int = 8  #: requests in flight per connection.
     #: > 0 loops the request list until time is up, reopening any
-    #: connection lost to a stall or disconnect meanwhile.
+    #: connection lost to a stall or disconnect meanwhile; past it, the
+    #: responses in flight get :data:`TAIL_GRACE_S` in all.
     duration_s: float = 0.0
     deadline_ms: float | None = None  #: attached to every request when set.
     recv_timeout_s: float = 30.0  #: per-read stall budget; see ``stalls``.
@@ -67,6 +68,8 @@ class LoadReport:
     unmatched: int = 0  #: responses whose id matched nothing in flight.
     disconnects: int = 0  #: connections the server/network dropped mid-run.
     stalls: int = 0  #: reads that hit ``recv_timeout_s`` (lost responses).
+    #: responses still in flight when a duration soak's tail grace ran out.
+    lost: int = 0
     reconnects: int = 0  #: connections reopened after a stall or disconnect.
     elapsed_s: float = 0.0
     latencies_ms: list[float] = field(default_factory=list)
@@ -83,6 +86,7 @@ class LoadReport:
         self.unmatched += other.unmatched
         self.disconnects += other.disconnects
         self.stalls += other.stalls
+        self.lost += other.lost
         self.reconnects += other.reconnects
         self.latencies_ms.extend(other.latencies_ms)
 
@@ -108,6 +112,7 @@ class LoadReport:
             "unmatched": self.unmatched,
             "disconnects": self.disconnects,
             "stalls": self.stalls,
+            "lost": self.lost,
             "reconnects": self.reconnects,
             "elapsed_s": round(self.elapsed_s, 3),
             "rps": round(self.sent / self.elapsed_s, 1)
@@ -186,15 +191,28 @@ def oracle(request: dict[str, Any]) -> list[int]:
 #: while reconnecting fails, up to the second value.
 _RECONNECT_PAUSE_S = (0.01, 0.2)
 
+#: Seconds past a duration soak's end that a client's reads may still
+#: take in all (``recv_timeout_s`` if that is shorter).  The responses
+#: still in flight then count as ``lost``: a frame a chaos proxy ate is
+#: gone, and waiting a full ``recv_timeout_s`` for it only stretches the
+#: soak.  A healthy server answers a pipeline of small requests in
+#: milliseconds, and a sort of 2 x 10^5 elements in tens of them.
+TAIL_GRACE_S = 1.0
+
+
+class _TailOver(Exception):
+    """A read was cut at the end of a duration soak's tail grace."""
+
 
 async def _run_client(
     host: str, port: int, spec: LoadSpec, client_index: int
 ) -> LoadReport:
     report = LoadReport()
     requests = build_requests(spec, client_index)
-    deadline = (
-        time.monotonic() + spec.duration_s if spec.duration_s > 0 else None
-    )
+    deadline = end = None
+    if spec.duration_s > 0:
+        deadline = time.monotonic() + spec.duration_s
+        end = deadline + min(TAIL_GRACE_S, spec.recv_timeout_s)
 
     def more() -> bool:
         # One pass over the list, or laps of it until time is up.
@@ -206,7 +224,7 @@ async def _run_client(
     try:
         while True:
             try:
-                await _drive(client, spec, requests, report, more)
+                await _drive(client, spec, requests, report, more, end)
                 return report
             except asyncio.TimeoutError:
                 # In-flight responses stopped arriving: the lost frames
@@ -251,17 +269,30 @@ async def _drive(
     requests: list[dict[str, Any]],
     report: LoadReport,
     more: Callable[[], bool],
+    end: float | None,
 ) -> None:
     """Send the requests after the ``report.sent`` already sent, keeping
     ``spec.pipeline`` in flight, while ``more()`` holds; then collect
-    the rest.  Raises on a stall or a lost connection."""
+    the rest.  Raises on a stall or a lost connection.
+
+    No read waits past ``end`` (a duration soak's end plus its tail
+    grace): a read cut there ends the drive and counts every response
+    still in flight as ``lost``."""
     inflight: dict[str, tuple[dict[str, Any], float]] = {}
 
     async def collect_one() -> None:
         # Bounded read: a response that never comes (a chaos proxy ate
         # the frame, or the server 400'd a corrupted request under its
         # own null id) must cost a counted stall, never a hung soak.
-        response = await asyncio.wait_for(client.recv(), spec.recv_timeout_s)
+        timeout = spec.recv_timeout_s
+        if end is not None:
+            timeout = min(timeout, end - time.monotonic())
+        try:
+            response = await asyncio.wait_for(client.recv(), timeout)
+        except asyncio.TimeoutError:
+            if timeout < spec.recv_timeout_s:
+                raise _TailOver from None
+            raise
         entry = inflight.pop(response.get("id"), None)
         if entry is None:
             # A response we never asked for (or already gave up on) —
@@ -272,17 +303,20 @@ async def _drive(
         req, t0 = entry
         _score(report, req, response, (time.monotonic() - t0) * 1e3)
 
-    while more():
-        lap, index = divmod(report.sent, len(requests))
-        base = requests[index]
-        req = base if lap == 0 else {**base, "id": f"{base['id']}-l{lap}"}
-        while len(inflight) >= max(1, spec.pipeline):
+    try:
+        while more():
+            lap, index = divmod(report.sent, len(requests))
+            base = requests[index]
+            req = base if lap == 0 else {**base, "id": f"{base['id']}-l{lap}"}
+            while len(inflight) >= max(1, spec.pipeline):
+                await collect_one()
+            inflight[req["id"]] = (req, time.monotonic())
+            await client.send(req)
+            report.sent += 1
+        while inflight:
             await collect_one()
-        inflight[req["id"]] = (req, time.monotonic())
-        await client.send(req)
-        report.sent += 1
-    while inflight:
-        await collect_one()
+    except _TailOver:
+        report.lost += len(inflight)
 
 
 def _score(

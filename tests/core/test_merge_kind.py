@@ -4,8 +4,9 @@ Every merge leaf (:func:`~repro.core.sequential.merge_into` on its
 whole-sort path and in each sub-block of its walk, and
 :func:`~repro.core.sequential.merge_runs_into`) sorts an integer dtype
 with the kind :func:`~repro.core.sequential.merge_kind` measured for this
-host, and sorts only where the two runs overlap.  Neither may change a
-byte: whichever kind runs, the output is
+host, and sorts only where the two runs overlap; two runs of very
+unequal length take the stable sort (``GALLOP_RATIO``).  None of it may
+change a byte: whichever kind runs, the output is
 ``np.sort(np.concatenate([a, b]), kind="stable")``.  The properties here
 force each kind in turn, so the branch this host does not take is
 checked too.
@@ -308,3 +309,111 @@ class TestCheckedDescents:
         assert i == first_disorder(a)
         if i is None:
             assert j == first_disorder(b)
+
+
+@st.composite
+def unbalanced_int_runs(draw):
+    """Two sorted integer runs whose lengths differ by a ratio of 1 to
+    4096, the long one on either side: values from the whole range, from
+    a pool of a few (heavy duplicates) or from the dtype's extremes."""
+    dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+    info = np.iinfo(dtype)
+    short = draw(st.integers(1, 6))
+    ratio = draw(st.sampled_from([1, 2, 4, 7, 8, 9, 16, 64, 512, 4096]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    source = draw(st.sampled_from(["range", "pool", "extremes"]))
+    if source == "range":
+        def values(n):
+            return g.integers(info.min, info.max, n, dtype=dtype,
+                              endpoint=True)
+    else:
+        pool = np.array([info.min, info.min + 1, info.max - 1, info.max]
+                        if source == "extremes"
+                        else g.integers(info.min, info.max, 3, dtype=dtype,
+                                        endpoint=True), dtype=dtype)
+
+        def values(n):
+            return g.choice(pool, n)
+    runs = [np.sort(values(short)), np.sort(values(short * ratio))]
+    if draw(st.booleans()):
+        runs.reverse()
+    return runs[0], runs[1]
+
+
+class TestTheRatioRule:
+    """Runs of very unequal length are merged with the stable sort,
+    whatever :func:`merge_kind` answers (``GALLOP_RATIO``), and the bytes
+    are the stable oracle's on every path."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(runs=unbalanced_int_runs())
+    def test_every_ratio_gives_the_stable_bytes(self, kind, path, runs):
+        a, b = runs
+        with pytest.MonkeyPatch.context() as mp:
+            _force(mp, kind)
+            out = _merge(a, b, path)
+        _assert_bytes(out, _oracle(a, b))
+
+    class _Spy(np.ndarray):
+        """An output whose sorts record their kind."""
+
+        kinds: list[str] = []
+
+        def sort(self, *args, kind=None, **kwargs):
+            self.kinds.append(kind)
+            super().sort(*args, kind=kind, **kwargs)
+
+    def _leaf_kinds(self, a, b) -> list[str]:
+        self._Spy.kinds = []
+        out = np.empty(len(a) + len(b), result_dtype(a, b)).view(self._Spy)
+        assert merge_into(out, a, b, check=True) == (None, None)
+        _assert_bytes(out.view(np.ndarray), _oracle(a, b))
+        return self._Spy.kinds
+
+    @staticmethod
+    def _overlapping(na: int, nb: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Runs of ``na`` and ``nb`` elements that share their first and
+        last value, so the trim keeps both whole."""
+        g = np.random.default_rng(na * 7919 + nb)
+        a, b = (np.sort(g.integers(1, 999, n)).astype(dtype) for n in (na, nb))
+        for run in (a, b):
+            run[0], run[-1] = 0, 1000
+        return a, b
+
+    @pytest.mark.parametrize("short, long", [
+        (40, 40), (40, 80), (40, 280), (40, 319), (40, 320), (40, 360),
+        (5, 5 * 4096), (2, 15), (2, 16),
+    ])
+    @pytest.mark.parametrize("long_side", "AB")
+    def test_stable_from_the_ratio_on(self, monkeypatch, short, long, long_side):
+        _force(monkeypatch, "quicksort")
+        na, nb = (long, short) if long_side == "A" else (short, long)
+        a, b = self._overlapping(na, nb, np.int32)
+        want = ("stable" if long >= sequential.GALLOP_RATIO * short
+                else "quicksort")
+        assert self._leaf_kinds(a, b) == [want]
+
+    def test_the_ratio_is_taken_after_the_trim(self, monkeypatch):
+        """4000 against 40 elements, of which only 400 of the long run
+        overlap the short one: a ratio of 10 after the trim."""
+        _force(monkeypatch, "quicksort")
+        a = np.arange(4000, dtype=np.int32)
+        b = np.linspace(3600, 3999, 40).astype(np.int32)
+        assert self._leaf_kinds(a, b) == ["stable"]
+        b = np.linspace(3900, 3999, 40).astype(np.int32)  # ratio 2.5
+        assert self._leaf_kinds(a, b) == ["quicksort"]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.bool_])
+    @pytest.mark.parametrize("ratio", [1, 4, 8, 100])
+    def test_float_and_bool_stay_stable(self, dtype, ratio):
+        a, b = (run.astype(dtype)
+                for run in self._overlapping(40 * ratio, 40, np.int64))
+        assert self._leaf_kinds(a, b) == ["stable"]
+
+    @pytest.mark.parametrize("ratio", [1, 8, 100])
+    def test_the_rule_never_picks_quicksort(self, monkeypatch, ratio):
+        _force(monkeypatch, "stable")
+        a, b = self._overlapping(40 * ratio, 40, np.int32)
+        assert self._leaf_kinds(a, b) == ["stable"]

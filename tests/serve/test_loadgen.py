@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import asyncio
+import json
+import time
+
 import pytest
 
+from repro.workloads import loadgen
 from repro.workloads.loadgen import (
     LoadReport,
     LoadSpec,
     build_requests,
     oracle,
+    run_load,
     run_load_sync,
 )
 
@@ -137,3 +143,45 @@ class TestAgainstLiveServer:
         assert report.deadline_misses == report.sent == 6
         assert report.errors == 0
         assert report.incorrect == 0
+
+
+async def _soak_until_silent(spec: LoadSpec, silent_after_s: float):
+    """Run ``spec`` against a local server that answers every request
+    with the oracle's result for ``silent_after_s`` and then answers
+    nothing, keeping its connections open.  Returns the report and the
+    soak's wall time."""
+    t0 = time.monotonic()
+
+    async def handle(reader, writer):
+        while line := await reader.readline():
+            req = json.loads(line)
+            if time.monotonic() - t0 < silent_after_s:
+                writer.write(json.dumps(
+                    {"id": req["id"], "ok": True, "result": oracle(req)}
+                ).encode() + b"\n")
+                await writer.drain()
+        writer.close()
+
+    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    async with server:
+        start = time.monotonic()
+        report = await run_load("127.0.0.1", port, spec)
+        return report, time.monotonic() - start
+
+
+class TestSoakTail:
+    def test_unanswered_last_frames_cost_one_grace_budget(self, monkeypatch):
+        """Past ``duration_s`` a client waits for the frames in flight at
+        most ``TAIL_GRACE_S`` in all, not ``recv_timeout_s`` per read,
+        and counts what never came as lost rather than as stalls."""
+        monkeypatch.setattr(loadgen, "TAIL_GRACE_S", 0.3)
+        spec = LoadSpec(clients=2, requests_per_client=5, seed=13,
+                        small_max=32, large_every=0, topk_every=0,
+                        duration_s=0.6, recv_timeout_s=30.0)
+        report, wall = asyncio.run(_soak_until_silent(spec, 0.3))
+        assert wall < spec.duration_s + 0.3 + 1.0
+        assert report.ok > 0 and report.incorrect == 0
+        assert report.lost > 0
+        assert report.stalls == report.disconnects == 0
+        assert report.ok + report.lost == report.sent

@@ -33,13 +33,13 @@ primitives ``sequential.py``, ``merge_path.py`` and ``selection.py``
 keep ``MergeStats``.
 
 One-segment-versus-partitioned is decided in one place.  Below the
-serial cutover :class:`~repro.execution.Execution` sets ``inline`` and
-the merge runs as one segment, so no module under ``repro/core``,
+serial cutover :func:`repro.execution.context.runs_inline` answers true
+and the merge runs as one segment, so no module under ``repro/core``,
 ``repro/external`` or ``repro/serve`` calls ``choose_backend`` or reads
 ``serial_cutover`` to route around it.  A production merge reaches the
 kernel only through the engine: outside ``core/sequential.py``, only
 ``execution/engine.py`` (segment tasks and :func:`merge_whole`) calls
-``merge_into`` or hands it on as a task.
+``merge_into`` or ``merge_into_fresh`` or hands one on as a task.
 
 In-memory work runs in-process, and the process pool serves only the
 external sort, whose tasks carry file paths and offsets.  So nothing
@@ -96,6 +96,7 @@ ROUTING_FREE_MODULES = sorted(
     for path in (SRC / pkg).glob("*.py")
 )
 KERNEL_CALLERS = ("execution/engine.py",)
+KERNEL_ENTRIES = ("merge_into", "merge_into_fresh")
 SORT_KIND_FREE_MODULES = sorted(
     path
     for pkg in ("core", "execution", "external", "serve")
@@ -171,13 +172,14 @@ def _routing_references(tree: ast.AST) -> list[str]:
 
 
 def _kernel_uses(tree: ast.AST) -> list[str]:
-    """Every call of ``merge_into`` and every other use of the name
+    """Every call of a kernel entry (``merge_into``,
+    ``merge_into_fresh``) and every other use of the name
     (``partial(merge_into, ...)`` hands it on as a task)."""
     return [
-        f"line {node.lineno}: uses merge_into"
+        f"line {node.lineno}: uses a kernel entry"
         for node in ast.walk(tree)
-        if (isinstance(node, ast.Name) and node.id == "merge_into")
-        or (isinstance(node, ast.Attribute) and node.attr == "merge_into")
+        if (isinstance(node, ast.Name) and node.id in KERNEL_ENTRIES)
+        or (isinstance(node, ast.Attribute) and node.attr in KERNEL_ENTRIES)
     ]
 
 
@@ -422,9 +424,10 @@ def test_guard_catches_each_violation():
         "merge_into(out, a, b)\n"
         "sequential.merge_into(out[lo:hi], a, b)\n"
         "task = partial(merge_into, out, a, b)\n"
+        "task = partial(sequential.merge_into_fresh, out, a, b)\n"
         "merge_vectorized(a, b)\n"
     )
-    assert len(_kernel_uses(kernel_uses)) == 3
+    assert len(_kernel_uses(kernel_uses)) == 4
     staging = ast.parse(
         "from multiprocessing import shared_memory\n"
         "from multiprocessing.shared_memory import SharedMemory\n"
