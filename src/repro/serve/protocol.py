@@ -27,7 +27,10 @@ Error ``kind``/``code`` pairs (HTTP-flavoured so dashboards can reuse
 status-code buckets):
 
 ``bad-request`` / 400
-    Malformed JSON, unknown op, missing or non-numeric fields,
+    Malformed JSON (an integer longer than Python's
+    ``int_max_str_digits`` and nesting deeper than ``json`` can follow
+    among it), unknown op, missing or non-numeric fields, a
+    ``deadline_ms`` that is not a positive number a float can hold,
     unsorted inputs to ``merge``/``topk``, ``k`` out of range.
 ``too-large`` / 413
     More elements than the server's ``max_request_elems``.
@@ -42,7 +45,9 @@ status-code buckets):
 ``deadline`` / 504
     The per-request deadline expired before a result was ready.
 ``internal`` / 500
-    The compute path raised after every resilience layer gave up.
+    The compute path raised after every resilience layer gave up, or
+    answering one request line raised where no check expected it (that
+    line alone gets this answer; its connection stays open).
 ``draining`` / 503
     The server received SIGTERM/SIGINT and is draining: in-flight
     requests finish, new data requests get this typed rejection
@@ -54,6 +59,18 @@ Arrays are JSON numbers; all-integer arrays round-trip as int64 and
 any float promotes the array to float64 (numpy's own coercion), so a
 response is bit-identical to the serial ``merge()`` oracle run on the
 same JSON values.
+
+A line of at least ``NUMPY_PARSE_MIN_BYTES`` characters, all ASCII, is
+read by a small object scanner over ``json``'s own string and value
+scanners.  Each ``a``, ``b`` or ``data`` value in it that is a flat
+run of integers is parsed with ``np.fromstring(..., sep=",")`` once a
+vectorised check of its bytes shows the JSON grammar: digits, a
+leading ``-`` allowed, no leading zero, single commas between numbers,
+no whitespace, at most 18 digits a number (so every value is exact in
+int64).  Everything else (whitespace, floats, exponents, ``NaN``,
+nesting, strings, empty arrays) goes through ``json``, and a line the
+scanner cannot read whole goes to ``json.loads``, so the parse gives
+the same dtype and values, or the same error, as ``json.loads``.
 """
 
 from __future__ import annotations
@@ -61,6 +78,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from json.decoder import WHITESPACE, JSONDecoder, scanstring
 from typing import Any
 
 import numpy as np
@@ -136,6 +154,8 @@ class Request:
 
 
 def _as_array(raw: Any, name: str, req_id: Any) -> np.ndarray:
+    if isinstance(raw, np.ndarray):  # parsed by _int_run: int64, non-empty
+        return raw
     if not isinstance(raw, list):
         raise RequestError(
             "bad-request", f"field {name!r} must be a JSON array", req_id
@@ -171,6 +191,132 @@ def _check_sorted(arr: np.ndarray, name: str, req_id: Any) -> None:
         )
 
 
+#: Request lines of at least this many characters read their array
+#: fields through :func:`_scan_object`; shorter lines go straight to
+#: ``json.loads``.  ``parse_request`` of one ``merge`` of two sorted
+#: runs of values below 10^6 in magnitude, median over 8 lines of the
+#: best of 20-200 parses, on a 2-vCPU AVX-512 VM (Python 3.11, NumPy
+#: 2.4):
+#:
+#: =============  ==========  ==========  ==========
+#: values a side  line bytes  json µs     NumPy µs
+#: =============  ==========  ==========  ==========
+#: 64             982         25          58
+#: 256            3,829       69          75
+#: 512            7,575       122         89
+#: 1,024          15,193      236         119
+#: 4,096          60,606      860         290
+#: 32,768         484,226     7,566       1,900
+#: =============  ==========  ==========  ==========
+NUMPY_PARSE_MIN_BYTES = 1 << 12
+
+#: The fields whose flat integer runs :func:`_scan_object` parses itself.
+_ARRAY_FIELDS = frozenset(("a", "b", "data"))
+#: Bytes of an integer run :func:`_run_bytes_ok` checks at once.
+_RUN_BLOCK = 1 << 16
+_scan_value = JSONDecoder().scan_once
+_skip_ws = WHITESPACE.match
+
+
+def _int_run(buf: bytes, start: int, stop: int) -> np.ndarray | None:
+    """``buf[start:stop]`` as int64 when it is a non-empty run of JSON
+    integers of at most 18 digits joined by single commas, else ``None``.
+
+    The run's bytes must spell exactly what ``json.loads`` reads as
+    integers: digits, a ``-`` only at a number's start, no leading
+    zero, no whitespace.  Eighteen digits keep every value exact in
+    int64, so the result equals ``np.asarray(json.loads(...))``.
+    """
+    n = stop - start
+    if n <= 0:
+        return None
+    v = np.frombuffer(buf, np.uint8, n, start)
+    if v[0] == 44 or not 48 <= v[-1] <= 57:  # "," first, or no digit last
+        return None
+    if v[0] == 48 and n > 1 and 48 <= v[1] <= 57:  # "01"
+        return None
+    # Blocks keep the checks' boolean temporaries a few times the block,
+    # not the run; they overlap by 18 bytes, so the bytes of every
+    # check (at most 19 in a row) lie in one block.
+    for lo in range(0, n, _RUN_BLOCK):
+        if not _run_bytes_ok(v[lo:lo + _RUN_BLOCK + 18]):
+            return None
+    return np.fromstring(buf[start:stop], dtype=np.int64, sep=",")
+
+
+def _run_bytes_ok(v: np.ndarray) -> bool:
+    """Whether the bytes ``v`` can lie inside a run :func:`_int_run`
+    accepts: only ``[0-9,-]``, a ``-`` only after a ``,``, a ``,`` only
+    after a digit, no ``0`` after a non-digit and before a digit, and no
+    19 digits in a row.  The first byte is not checked as the start of a
+    number: it is the run's first byte, which the caller checks, or one
+    the previous block checked."""
+    digit = (v - 48) < 10  # wraps below "0"
+    comma = v == 44
+    minus = v == 45
+    if (np.count_nonzero(digit) + np.count_nonzero(comma)
+            + np.count_nonzero(minus) != len(v)):
+        return False
+    if np.greater(minus[1:], comma[:-1]).any():  # "--", "1-"
+        return False
+    if np.greater(comma[1:], digit[:-1]).any():  # ",,", "-,"
+        return False
+    lead = v[1:-1] == 48
+    np.greater(lead, digit[:-2], out=lead)  # a "0" that starts a number
+    if (lead & digit[2:]).any():  # ... and has digits after it
+        return False
+    # Widen each non-digit over the 18 bytes before it: a byte left
+    # uncovered starts 19 digits in a row.
+    sep = np.logical_not(digit, out=digit)
+    for width in (1, 2, 4, 8, 3):
+        sep = sep[:-width] | sep[width:]
+    return bool(sep.all())
+
+
+def _scan_object(line: str, buf: bytes) -> dict[str, Any] | None:
+    """The request object of an ASCII ``line`` (``buf`` its bytes), with
+    each ``a``, ``b`` or ``data`` value that :func:`_int_run` accepts
+    already an int64 array; ``None`` wherever ``json.loads`` must decide.
+
+    Keys and other values go through ``json``'s own scanners, so a
+    ``"data":[`` inside a string is just string bytes and a repeated
+    key keeps its last value, as in ``json.loads``.  Every value the
+    scan returns is the one ``json.loads`` returns for that line, and
+    a line ``json.loads`` rejects returns ``None``.
+    """
+    end = len(line)
+    idx = _skip_ws(line, 0).end()
+    if line[idx:idx + 1] != "{":
+        return None
+    obj: dict[str, Any] = {}
+    idx = _skip_ws(line, idx + 1).end()
+    try:
+        while line[idx:idx + 1] == '"':
+            key, idx = scanstring(line, idx + 1)
+            idx = _skip_ws(line, idx).end()
+            if line[idx:idx + 1] != ":":
+                return None
+            idx = _skip_ws(line, idx + 1).end()
+            arr = None
+            if key in _ARRAY_FIELDS and line[idx:idx + 1] == "[":
+                close = line.find("]", idx)
+                if close >= 0:
+                    arr = _int_run(buf, idx + 1, close)
+            if arr is not None:
+                obj[key], idx = arr, close + 1
+            else:
+                obj[key], idx = _scan_value(line, idx)
+            idx = _skip_ws(line, idx).end()
+            if line[idx:idx + 1] == "}":
+                return obj if _skip_ws(line, idx + 1).end() == end else None
+            if line[idx:idx + 1] != ",":
+                return None
+            idx = _skip_ws(line, idx + 1).end()
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return None
+
+
 def parse_request(
     line: bytes | str,
     *,
@@ -184,11 +330,20 @@ def parse_request(
     response can still be correlated.
     """
     if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise RequestError("bad-request", f"invalid JSON: {exc}") from exc
+        buf, line = line, line.decode("utf-8", errors="replace")
+    else:
+        buf = None
+    raw = None
+    if len(line) >= NUMPY_PARSE_MIN_BYTES and line.isascii():
+        raw = _scan_object(line, buf if buf is not None else line.encode())
+    if raw is None:
+        try:
+            raw = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            # Besides a JSONDecodeError, json raises a plain ValueError
+            # for an integer past int_max_str_digits and RecursionError
+            # for nesting deeper than it can follow.
+            raise RequestError("bad-request", f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise RequestError("bad-request", "request must be a JSON object")
     req_id = raw.get("id")
@@ -207,7 +362,12 @@ def parse_request(
             raise RequestError(
                 "bad-request", "deadline_ms must be a positive number", req_id
             )
-        deadline_ms = float(deadline_ms)
+        try:
+            deadline_ms = float(deadline_ms)
+        except OverflowError:  # an integer of about 309 digits or more
+            raise RequestError(
+                "bad-request", "deadline_ms is past the float range", req_id
+            ) from None
 
     req = Request(op=op, req_id=req_id, deadline_ms=deadline_ms)
     if op == "merge" or op == "topk":

@@ -17,6 +17,17 @@ scheduler.  The moving parts, each separately testable:
   (``parallel_merge`` / ``parallel_merge_sort``) on the supervised
   backend, so a stray 100M-element sort coexists with millions of tiny
   merges;
+* one write per read batch.  A connection's handler parses each line
+  on the loop and answers every request that needs no executor on the
+  spot, without a task: the inline computes, ``ping``/``metrics``, and
+  every bad-request, shed, draining or expired-deadline rejection.
+  These responses collect in a list that goes out in one
+  ``writer.write`` as soon as no whole line is left buffered, which is
+  before the handler would wait for the peer, so batching adds no
+  latency.  The handler waits on ``drain()`` only while the transport
+  holds more than its high-water mark, so a peer that stops reading
+  stops its own connection's reads and nothing else.  A request above
+  the cutover is a task that writes its own response the same way;
 * a :class:`~repro.resilience.DegradingBackend` execution chain —
   every large request runs under per-task retry supervision (the
   server's policy sets no deadline and no speculation) and falls back
@@ -116,6 +127,10 @@ class _LineReader:
     bounded at one chunk past the cap) and reported so the server can
     answer a typed 413 ``line-too-long``, while bytes after the
     offending newline are preserved for the next call.
+
+    Each line is copied once, out of the buffer, and the newline search
+    resumes where the last one stopped, so a line that arrives in many
+    chunks is scanned once, not once per chunk.
     """
 
     _CHUNK = 1 << 16
@@ -124,7 +139,29 @@ class _LineReader:
         self._reader = reader
         self.max_bytes = max_bytes
         self._buf = bytearray()
+        self._scanned = 0  #: leading bytes of ``_buf`` holding no newline
         self._eof = False
+
+    def _newline(self) -> int:
+        """Index of the first buffered newline, or -1."""
+        i = self._buf.find(b"\n", self._scanned)
+        self._scanned = len(self._buf) if i < 0 else i
+        return i
+
+    def _drop(self, end: int) -> None:
+        del self._buf[:end]
+        self._scanned = 0
+
+    def _take(self, end: int) -> bytes:
+        with memoryview(self._buf) as view:
+            line = view[:end].tobytes()
+        self._drop(end)
+        return line
+
+    def has_line(self) -> bool:
+        """Whether a whole line is buffered, so that :meth:`readline`
+        returns it without waiting for the peer."""
+        return self._newline() >= 0
 
     async def readline(self) -> tuple[bytes | None, bool]:
         """Next request line as ``(line, oversized)``.
@@ -135,25 +172,22 @@ class _LineReader:
         """
         discarding = False
         while True:
-            newline = self._buf.find(b"\n")
+            newline = self._newline()
             if newline >= 0:
-                line = bytes(self._buf[:newline])
-                del self._buf[:newline + 1]
-                if discarding or len(line) > self.max_bytes:
+                if discarding or newline > self.max_bytes:
+                    self._drop(newline + 1)
                     return b"", True
-                return line + b"\n", False
+                return self._take(newline + 1), False
             if discarding:
-                self._buf.clear()
+                self._drop(len(self._buf))
             elif len(self._buf) > self.max_bytes:
-                self._buf.clear()
+                self._drop(len(self._buf))
                 discarding = True
             if self._eof:
                 if discarding:
                     return b"", True
                 if self._buf:
-                    line = bytes(self._buf)
-                    self._buf.clear()
-                    return line, False
+                    return self._take(len(self._buf)), False
                 return None, False
             chunk = await self._reader.read(self._CHUNK)
             if not chunk:
@@ -348,6 +382,16 @@ class MergeServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Answer one connection's requests, one write per read batch.
+
+        Every line is parsed here, on the loop.  A request that needs
+        no executor (an inline compute, ``ping``/``metrics``, any error,
+        shed, draining or expired-deadline answer) is answered at once
+        into ``out``; a larger one becomes a task that writes its own
+        response.  ``out`` goes out in one ``write`` whenever no whole
+        line is left buffered, that is before the handler would wait
+        for the peer, so batching adds no latency.
+        """
         self.registry.counter("serve.connections").inc()
         # start_server holds these tasks only weakly; track them so
         # stop() can cancel handlers parked on readline.
@@ -359,8 +403,11 @@ class MergeServer:
         request_tasks: set[asyncio.Task] = set()
         loop = asyncio.get_running_loop()
         lines = _LineReader(reader, self.config.max_line_bytes)
+        out: list[bytes] = []
         try:
             while True:
+                if out and not lines.has_line():
+                    await self._flush(writer, write_lock, out)
                 try:
                     line, oversized = await lines.readline()
                 except ConnectionError:
@@ -369,22 +416,34 @@ class MergeServer:
                     break
                 if oversized:
                     self.registry.counter("serve.oversize_lines").inc()
-                    await self._write(
-                        writer, write_lock, error_response(RequestError(
-                            "line-too-long",
-                            f"request line exceeded "
-                            f"{self.config.max_line_bytes} bytes and was "
-                            f"discarded",
-                        ))
-                    )
+                    out.append(error_response(RequestError(
+                        "line-too-long",
+                        f"request line exceeded "
+                        f"{self.config.max_line_bytes} bytes and was "
+                        f"discarded",
+                    )))
                     continue
-                if not line.strip():
+                if line.isspace():
+                    continue
+                try:
+                    answer = self._answer(line)
+                except Exception as exc:  # noqa: BLE001 - one line, one answer
+                    # A defect no check names costs its own request,
+                    # never the connection and the answers in ``out``.
+                    self.registry.counter("serve.errors").inc()
+                    answer = error_response(RequestError(
+                        "internal", f"{type(exc).__name__}: {exc}"
+                    ))
+                if isinstance(answer, bytes):
+                    out.append(answer)
                     continue
                 task = loop.create_task(
-                    self._handle_line(line, writer, write_lock)
+                    self._answer_large(answer, writer, write_lock)
                 )
                 request_tasks.add(task)
                 task.add_done_callback(request_tasks.discard)
+            if out:
+                await self._flush(writer, write_lock, out)
             if request_tasks:
                 await asyncio.gather(*list(request_tasks),
                                      return_exceptions=True)
@@ -402,24 +461,30 @@ class MergeServer:
             except (ConnectionError, asyncio.CancelledError):
                 pass
 
-    async def _write(
-        self, writer: asyncio.StreamWriter, lock: asyncio.Lock, line: bytes
+    @staticmethod
+    async def _flush(
+        writer: asyncio.StreamWriter, lock: asyncio.Lock, out: list[bytes]
     ) -> None:
-        async with lock:
-            if writer.is_closing():
-                return
-            writer.write(line)
-            try:
-                await writer.drain()
-            except ConnectionError:
-                pass
+        """Write the responses in ``out`` at once and clear it; wait for
+        the peer only while the transport holds more than its high-water
+        mark, so a client that stops reading stops its own reads.  The
+        wait takes ``lock``: one ``drain()`` at a time per connection."""
+        if not writer.is_closing():
+            writer.write(b"".join(out))
+            transport = writer.transport
+            if (transport.get_write_buffer_size()
+                    > transport.get_write_buffer_limits()[1]):
+                async with lock:
+                    try:
+                        await writer.drain()
+                    except ConnectionError:
+                        pass
+        out.clear()
 
-    async def _handle_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
+    def _answer(self, line: bytes) -> bytes | Request:
+        """The response to one request line, computed on the loop; or,
+        for a request above ``small_cutover``, the request itself,
+        admitted, for :meth:`_answer_large`."""
         reg = self.registry
         try:
             request = parse_request(
@@ -429,85 +494,102 @@ class MergeServer:
             )
         except RequestError as exc:
             reg.counter("serve.bad_requests").inc()
-            await self._write(writer, write_lock, error_response(exc))
-            return
+            return error_response(exc)
 
         # Introspection ops bypass admission: they must answer even
         # (especially) when the data path is saturated.
         if request.op == "ping":
-            await self._write(
-                writer, write_lock, ok_response(request.req_id, "pong")
-            )
-            return
+            return ok_response(request.req_id, "pong")
         if request.op == "metrics":
-            await self._write(
-                writer, write_lock,
-                ok_response(request.req_id, reg.snapshot()),
-            )
-            return
+            return ok_response(request.req_id, reg.snapshot())
 
         reg.counter("serve.requests").inc()
         if self._draining:
             reg.counter("serve.drain_rejects").inc()
-            await self._write(writer, write_lock, error_response(RequestError(
+            return error_response(RequestError(
                 "draining",
                 "server is draining; retry against another replica",
                 request.req_id,
-            )))
-            return
+            ))
         if not self.admission.try_admit():
             # counted as serve.shed by the admission controller
-            await self._write(writer, write_lock, error_response(RequestError(
+            return error_response(RequestError(
                 "shed",
                 f"admission queue at capacity "
                 f"({self.admission.capacity} in flight); retry with backoff",
                 request.req_id,
-            )))
-            return
+            ))
+        remaining = request.remaining_s()
+        if remaining is not None and remaining <= 0:
+            self.admission.release()
+            return self._failed(request, asyncio.TimeoutError())
+        if request.n_elems > self.config.small_cutover:
+            return request
 
         t0 = time.monotonic()
         try:
-            remaining = request.remaining_s()
-            if remaining is not None and remaining <= 0:
-                raise asyncio.TimeoutError
-            if request.n_elems <= self.config.small_cutover:
-                # Less work than one pool round trip: no hop, no backend.
-                result = self._compute_small(request)
-            else:
+            # Less work than one pool round trip: no hop, no backend.
+            return self._ok(request, self._compute_small(request), t0)
+        except Exception as exc:  # noqa: BLE001 - reported to the client
+            return self._failed(request, exc)
+        finally:
+            self.admission.release()
+
+    async def _answer_large(
+        self,
+        request: Request,
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+    ) -> None:
+        """Compute an admitted request above ``small_cutover`` in the
+        executor, write its response and release its slot."""
+        t0 = time.monotonic()
+        try:
+            try:
                 result = await asyncio.wait_for(
                     asyncio.get_running_loop().run_in_executor(
                         None, self._compute_large, request
                     ),
-                    remaining,
+                    request.remaining_s(),
                 )
-            # Every compute serves one request; the histogram stays for
-            # the readers of ``serve.batch_size_mean``.
-            reg.histogram("serve.batch_size").observe(1)
-            elapsed_ms = (time.monotonic() - t0) * 1e3
-            reg.histogram("serve.latency_ms").observe(elapsed_ms)
-            reg.counter("serve.responses").inc()
-            await self._write(writer, write_lock, ok_response(
-                request.req_id, result,
-                n=len(result), elapsed_ms=round(elapsed_ms, 3),
-            ))
-        except asyncio.TimeoutError:
+                response = self._ok(request, result, t0)
+            except Exception as exc:  # noqa: BLE001 - reported to the client
+                response = self._failed(request, exc)
+            await self._flush(writer, write_lock, [response])
+        finally:
+            self.admission.release()
+
+    def _ok(self, request: Request, result: np.ndarray, t0: float) -> bytes:
+        reg = self.registry
+        # Every compute serves one request; the histogram stays for the
+        # readers of ``serve.batch_size_mean``.
+        reg.histogram("serve.batch_size").observe(1)
+        elapsed_ms = (time.monotonic() - t0) * 1e3
+        reg.histogram("serve.latency_ms").observe(elapsed_ms)
+        reg.counter("serve.responses").inc()
+        return ok_response(
+            request.req_id, result,
+            n=len(result), elapsed_ms=round(elapsed_ms, 3),
+        )
+
+    def _failed(self, request: Request, exc: Exception) -> bytes:
+        reg = self.registry
+        if isinstance(exc, asyncio.TimeoutError):
             reg.counter("serve.deadline_misses").inc()
-            await self._write(writer, write_lock, error_response(RequestError(
+            exc = RequestError(
                 "deadline",
                 f"deadline of {request.deadline_ms:g} ms expired",
                 request.req_id,
-            )))
-        except RequestError as exc:
+            )
+        elif isinstance(exc, RequestError):
             kind = "errors" if exc.kind == "internal" else "bad_requests"
             reg.counter(f"serve.{kind}").inc()
-            await self._write(writer, write_lock, error_response(exc))
-        except Exception as exc:  # noqa: BLE001 - reported to the client
+        else:
             reg.counter("serve.errors").inc()
-            await self._write(writer, write_lock, error_response(RequestError(
+            exc = RequestError(
                 "internal", f"{type(exc).__name__}: {exc}", request.req_id,
-            )))
-        finally:
-            self.admission.release()
+            )
+        return error_response(exc)
 
     # -- compute -------------------------------------------------------
 

@@ -2,13 +2,15 @@
 
 With ``REPRO_AUTOTUNE=1`` and a seeded tuner whose cutover exceeds every
 input here, ``backend="threads"`` is rerouted to ``"serial"``, and
-:class:`repro.execution.Execution` marks the call ``inline``:
-``parallel_merge`` makes no diagonal search and runs one ``merge_into``
-task in one batch on the shared serial backend.  The outputs must equal
-the partitioned path's bit for bit, the validation must be the same,
-and calls that are supervised, traced, named ``"serial"`` or given an
-explicit backend must still partition into ``p`` segments.  A rerouted
-sort keeps its rounds, run on the shared serial backend.
+:func:`repro.execution.context.runs_inline` decides that the call runs
+inline, without an :class:`repro.execution.Execution`:
+``parallel_merge`` makes no diagonal search and runs one
+``merge_into_fresh`` task in one batch on the shared serial backend.
+The outputs must equal the partitioned path's bit for bit, the
+validation must be the same, and calls that are supervised, traced,
+named ``"serial"`` or given an explicit backend must still partition
+into ``p`` segments.  A rerouted sort keeps its rounds, run on the
+shared serial backend.
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ read-mostly tests; tests that assert registry deltas or shedding use
 
 from __future__ import annotations
 
+import asyncio
+import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -15,6 +18,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends.base import Backend
 from repro.serve import (
@@ -23,6 +28,8 @@ from repro.serve import (
     ServerThread,
     request_sync,
 )
+from repro.serve.protocol import encode_line
+from repro.serve.server import _LineReader
 from repro.workloads.loadgen import LoadSpec, oracle, run_load_sync
 
 from ..conftest import reference_merge
@@ -149,6 +156,62 @@ class TestBasicOps:
             resp = client.recv()
         assert resp["ok"] is False
         assert resp["error"]["kind"] == "bad-request"
+
+    def test_too_deep_json_answered_and_connection_kept(self, server):
+        with ServeClient(server.host, server.port) as client:
+            client._sock.sendall(b"[" * 100_000 + b"\n")
+            resp = client.recv()
+            assert client.request({"id": 9, "op": "ping"})["result"] == "pong"
+        assert resp["error"]["kind"] == "bad-request"
+
+    @pytest.mark.parametrize("line, bad_id", [
+        (b'{"id":1,"op":"sort","data":[' + b"7" * 5000 + b"]}", None),
+        (b'{"id":1,"op":"ping","deadline_ms":1' + b"0" * 400 + b"}", 1),
+    ], ids=["5000-digit-integer", "deadline-past-float-range"])
+    def test_unparsable_number_answered_and_connection_kept(
+        self, server, line, bad_id
+    ):
+        """A merge pipelined before the bad line is still answered, and
+        the connection still serves the ping after it.  (A line json
+        cannot read has no id to echo.)"""
+        with ServeClient(server.host, server.port) as client:
+            client._sock.sendall(
+                encode_line({"id": 0, "op": "merge", "a": [1], "b": [0]})
+                + line + b"\n" + encode_line({"id": 2, "op": "ping"})
+            )
+            got = {}
+            for _ in range(3):
+                resp = client.recv()
+                got[resp["id"]] = resp
+        assert got[0]["result"] == [0, 1]
+        assert got[bad_id]["error"]["kind"] == "bad-request"
+        assert got[2]["result"] == "pong"
+
+    def test_unexpected_error_costs_only_its_line(
+        self, fresh_server, monkeypatch
+    ):
+        """Whatever answering one line raises, that line gets a 500 and
+        the connection keeps the answers around it."""
+        from repro.serve import server as server_mod
+
+        parse = server_mod.parse_request
+
+        def parse_or_raise(line, **kwargs):
+            if b"boom" in line:
+                raise ArithmeticError("boom")
+            return parse(line, **kwargs)
+
+        monkeypatch.setattr(server_mod, "parse_request", parse_or_raise)
+        with ServeClient(fresh_server.host, fresh_server.port) as client:
+            client._sock.sendall(
+                encode_line({"id": 0, "op": "merge", "a": [1], "b": [0]})
+                + b'{"id":"boom"}\n' + encode_line({"id": 2, "op": "ping"})
+            )
+            got = [client.recv() for _ in range(3)]
+        assert [r["id"] for r in got] == [0, None, 2]
+        assert got[1]["error"]["kind"] == "internal"
+        assert got[2]["result"] == "pong"
+        assert fresh_server.registry.value("serve.errors") == 1
 
     def test_blank_lines_ignored(self, server):
         with ServeClient(server.host, server.port) as client:
@@ -434,10 +497,6 @@ class TestOversizeLines:
 
     @staticmethod
     def _read_all(payload: bytes, max_bytes: int):
-        import asyncio
-
-        from repro.serve.server import _LineReader
-
         async def go():
             reader = asyncio.StreamReader()
             reader.feed_data(payload)
@@ -469,6 +528,59 @@ class TestOversizeLines:
         out = self._read_all(b"tail", 16)
         assert out == [(b"tail", False)]
 
+    @given(
+        lines=st.lists(st.binary(max_size=40), max_size=12),
+        tail=st.binary(max_size=40),
+        cuts=st.lists(st.integers(1, 48), min_size=1, max_size=16),
+        max_bytes=st.integers(1, 32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_line_reader_any_chunking(self, lines, tail, cuts, max_bytes):
+        """However the bytes arrive, the reader yields each line (with
+        its newline) or an oversize flag for it, then the unterminated
+        tail; and whenever it reports a whole line buffered, readline
+        returns without waiting."""
+        lines = [line.replace(b"\n", b"") for line in lines]
+        tail = tail.replace(b"\n", b"")
+        payload = b"".join(line + b"\n" for line in lines) + tail
+        expected = [
+            (b"", True) if len(line) > max_bytes else (line + b"\n", False)
+            for line in lines
+        ]
+        if tail:
+            expected.append(
+                (b"", True) if len(tail) > max_bytes else (tail, False))
+
+        async def feed(reader):
+            pos, k = 0, 0
+            while pos < len(payload):
+                step = cuts[k % len(cuts)]
+                reader.feed_data(payload[pos:pos + step])
+                pos, k = pos + step, k + 1
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        async def go():
+            reader = asyncio.StreamReader()
+            feeder = asyncio.ensure_future(feed(reader))
+            lines_ = _LineReader(reader, max_bytes)
+            out = []
+            while True:
+                if lines_.has_line():
+                    coro = lines_.readline()
+                    with pytest.raises(StopIteration) as done:
+                        coro.send(None)  # finishes without suspending
+                    item = done.value.value
+                else:
+                    item = await lines_.readline()
+                if item[0] is None:
+                    break
+                out.append(item)
+            await feeder
+            return out
+
+        assert asyncio.run(go()) == expected
+
     def test_oversize_line_gets_typed_413_and_connection_survives(self):
         with ServerThread(ServeConfig(
             capacity=8, max_line_bytes=4096,
@@ -490,6 +602,116 @@ class TestOversizeLines:
         # the bad frame cost one request, not the connection
         assert second["ok"] is True and second["result"] == [1, 2]
         assert snapshot["serve.oversize_lines"] == 1
+
+
+def _merge_body(rng: np.random.Generator, n: int) -> tuple[bytes, list]:
+    """A merge request line without its id (``'"op":...}\\n'``) and its
+    expected result, for ``b'{"id":%d,' % i + body``."""
+    a = np.sort(rng.integers(-10**6, 10**6, n))
+    b = np.sort(rng.integers(-10**6, 10**6, n))
+    body = encode_line({"op": "merge", "a": a.tolist(), "b": b.tolist()})
+    return body[1:], reference_merge(a, b).tolist()
+
+
+def _read_responses(sock: socket.socket, n: int) -> dict:
+    """``n`` response lines from ``sock``, keyed by id."""
+    got = {}
+    with sock.makefile("rb") as f:
+        for _ in range(n):
+            resp = json.loads(f.readline())
+            got[resp["id"]] = resp
+    return got
+
+
+class TestWritePath:
+    """Responses computed on the loop leave in one write per read batch,
+    before the handler waits for the peer; a peer that stops reading
+    pauses its own connection only."""
+
+    @pytest.fixture()
+    def writes(self, monkeypatch):
+        """Every ``StreamWriter.write`` as ``(bytes, buffered after)``."""
+        seen = []
+        write = asyncio.StreamWriter.write
+
+        def spy(writer, data):
+            write(writer, data)
+            seen.append((bytes(data), writer.transport.get_write_buffer_size()))
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", spy)
+        return seen
+
+    def test_pipelined_small_requests_share_writes(self, writes):
+        k = 64
+        with ServerThread(ServeConfig(capacity=256, p=2)) as handle:
+            with socket.create_connection((handle.host, handle.port),
+                                          timeout=10.0) as sock:
+                sock.sendall(b"".join(
+                    encode_line({"id": i, "op": "merge", "a": [i],
+                                 "b": [i + 1]})
+                    for i in range(k)))
+                got = _read_responses(sock, k)
+        assert {i: r["result"] for i, r in got.items()} == {
+            i: [i, i + 1] for i in range(k)}
+        assert 1 <= len(writes) < k
+        assert b"".join(data for data, _ in writes).count(b"\n") == k
+
+    def test_a_lone_request_is_answered_without_more_input(self, server):
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10.0) as sock:
+            for i in range(3):  # the connection stays open and idle
+                sock.sendall(encode_line(
+                    {"id": i, "op": "merge", "a": [1], "b": [0]}))
+                assert _read_responses(sock, 1)[i]["result"] == [0, 1]
+
+    def test_a_large_request_in_a_pipeline_is_answered_by_id(self):
+        rng = np.random.default_rng(8)
+        bodies = [_merge_body(rng, n) for n in (3, 700, 5, 2_000, 0, 9)]
+        with ServerThread(ServeConfig(
+            capacity=64, p=2, small_cutover=1 << 10,
+        )) as handle:
+            with socket.create_connection((handle.host, handle.port),
+                                          timeout=60.0) as sock:
+                sock.sendall(b"".join(
+                    b'{"id":%d,' % i + body
+                    for i, (body, _) in enumerate(bodies)))
+                got = _read_responses(sock, len(bodies))
+        assert {i: r["result"] for i, r in got.items()} == {
+            i: want for i, (_, want) in enumerate(bodies)}
+
+    def test_a_peer_that_stops_reading_is_paused(self, writes):
+        """About 15 MB of responses to a peer that reads none of them:
+        past the kernel's socket buffers the server stops answering it,
+        with little held in its own transport, and keeps serving others;
+        once the peer reads, every response arrives."""
+        body, want = _merge_body(np.random.default_rng(9), 1_500)
+        n = 600
+        payload = b"".join(b'{"id":%d,' % i + body for i in range(n))
+        with ServerThread(ServeConfig(capacity=64, p=2)) as handle:
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 14)
+            sock.settimeout(60.0)
+            sock.connect((handle.host, handle.port))
+            with sock:
+                sender = threading.Thread(target=sock.sendall,
+                                          args=(payload,), daemon=True)
+                sender.start()
+                answered = -1
+                while answered != handle.registry.value("serve.responses"):
+                    answered = handle.registry.value("serve.responses")
+                    time.sleep(0.5)
+                assert answered < n
+                resp = request_sync(handle.host, handle.port,
+                                    {"id": "other", "op": "merge",
+                                     "a": [1], "b": [2]})
+                assert resp["result"] == [1, 2]
+                got = _read_responses(sock, n)
+                sender.join(timeout=30.0)
+        assert sorted(got) == list(range(n))
+        assert all(r["result"] == want for r in got.values())
+        # The transport holds at most a read batch's answers past its
+        # 64 KiB high-water mark.
+        assert max(buffered for _, buffered in writes) < 1 << 20
 
 
 class TestServeCLI:
