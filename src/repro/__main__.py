@@ -20,11 +20,9 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .experiments.registry import EXPERIMENTS, run_experiment
-from .types import ExperimentResult
-
 if TYPE_CHECKING:
     from .serve import ServeConfig
+    from .types import ExperimentResult
 
 #: Flags the pre-argparse era accepted anywhere on the line.
 _LEGACY_FLAGS = ("--quick", "--full", "--chart", "--chaos")
@@ -43,6 +41,10 @@ def _fig5_chart(result: ExperimentResult) -> str:
 
 
 def _print_listing() -> None:
+    # The experiment registry (and SciPy with it) loads only here and in
+    # ``run``: ``serve`` and the other verbs start without it.
+    from .experiments.registry import EXPERIMENTS
+
     print("usage: python -m repro SUBCOMMAND ...\n")
     print("subcommands (python -m repro SUBCOMMAND -h for options):")
     for name, verb in _VERBS.items():
@@ -241,6 +243,8 @@ _PARSER, _VERBS = _build_parser()
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
+    from .experiments.registry import EXPERIMENTS, run_experiment
+
     if not ns.ids:
         _print_listing()
         return 0

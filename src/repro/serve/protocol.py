@@ -71,6 +71,17 @@ int64).  Everything else (whitespace, floats, exponents, ``NaN``,
 nesting, strings, empty arrays) goes through ``json``, and a line the
 scanner cannot read whole goes to ``json.loads``, so the parse gives
 the same dtype and values, or the same error, as ``json.loads``.
+
+A response line is ``json``'s, byte for byte: ``encode_line`` of
+``{"id": ..., "ok": true, "result": ..., **extra}`` with an array
+result as its ``tolist()``.  ``ok_response`` dumps the id, the result
+and the extras with ``json``, each on its own, and splices them into
+the line.  A sorted integer array of at least
+``NUMPY_WRITE_MIN_ELEMS`` values is written by NumPy: its two-digit
+pairs come from a 100-entry table, and each run of values with one
+sign and one digit count, contiguous in a sorted array, is written as
+one block of fixed-width rows.  Any other array is written by
+``json.dumps`` of its ``tolist()``.
 """
 
 from __future__ import annotations
@@ -168,7 +179,7 @@ def _as_array(raw: Any, name: str, req_id: Any) -> np.ndarray:
         ) from exc
     if arr.size == 0:
         return np.empty(0, dtype=np.int64)
-    if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.number):
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
         raise RequestError(
             "bad-request",
             f"field {name!r} must be a flat array of numbers "
@@ -398,15 +409,130 @@ def parse_request(
     return req
 
 
+#: ``json.dumps(value, separators=(",", ":"))``, without building an
+#: encoder on every call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _dumps(value: Any) -> bytes:
+    return _encode(value).encode()
+
+
 def encode_line(payload: dict[str, Any]) -> bytes:
     """One response (or request) as a compact JSON line."""
-    return json.dumps(payload, separators=(",", ":")).encode() + b"\n"
+    return _dumps(payload) + b"\n"
+
+
+#: ``ok_response`` writes a sorted integer result of at least this many
+#: values (at least 1) with :func:`_int_text`; shorter ones go through
+#: ``json``.
+#: ``ok_response`` of one sorted int64 result of values below 10^7 in
+#: magnitude, median over 8 results of the best of 5 calls, on a
+#: 2-vCPU AVX-512 VM (Python 3.11, NumPy 2.4):
+#:
+#: ========  =======  ========
+#: values    json µs  NumPy µs
+#: ========  =======  ========
+#: 128       28       62
+#: 256       43       63
+#: 512       75       73
+#: 1,024     134      89
+#: 4,096     478      145
+#: 65,536    10,294   1,303
+#: ========  =======  ========
+#:
+#: In two more rounds, on the same VM under more load, ``json`` won at
+#: 512 values by 20 µs and NumPy won from 768 up.
+NUMPY_WRITE_MIN_ELEMS = 1 << 10
+
+#: "00" to "99", one ``uint16`` an entry, so one ``take`` writes a
+#: value's two-digit pair (tens byte first, on either byte order).
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+#: The classes of :func:`_int_text` by dtype kind: class ``i``,
+#: ``_CLASSES[i]`` as ``(digits, 1 for a "-")``, holds the values from
+#: ``_EDGES[i - 1]`` up to below ``_EDGES[i]`` (from the smallest value
+#: for the first class, to the largest for the last).  An int64 has at
+#: most 19 digits, a uint64 at most 20.
+_EDGES = {
+    "i": np.array([1 - 10 ** k for k in range(18, 0, -1)]
+                  + [0] + [10 ** k for k in range(1, 19)], np.int64),
+    "u": np.array([10 ** k for k in range(1, 20)], np.uint64),
+}
+_CLASSES = {
+    "i": [(k, 1) for k in range(19, 0, -1)] + [(k, 0) for k in range(1, 20)],
+    "u": [(k, 0) for k in range(1, 21)],
+}
+
+
+def _int_text(x: np.ndarray) -> np.ndarray:
+    """The bytes of ``json.dumps(x.tolist(), separators=(",", ":"))``
+    for a non-empty, sorted, 1-D integer array ``x``, as ``uint8``.
+
+    In a sorted array the values with one sign and one digit count (a
+    class) are contiguous: the negatives lead, their digit counts
+    falling, and the rest follow with theirs rising.  So each class is
+    one block of fixed-width rows, ``-`` (for negatives), the digits,
+    ``,``, copied in a few column writes from the rows of two-digit
+    pairs.  No Python code runs per element.
+    """
+    n, kind = len(x), x.dtype.kind
+    x = x.astype(np.uint64 if kind == "u" else np.int64, copy=False)
+    edges = [0, *x.searchsorted(_EDGES[kind]).tolist(), n]
+    # (start, stop, digits, sign width) of each non-empty class, in order.
+    classes = [(lo, hi, k, s)
+               for lo, hi, (k, s) in zip(edges, edges[1:], _CLASSES[kind])
+               if lo < hi]
+    neg = sum(hi - lo for lo, hi, _, s in classes if s)
+    digits = max(k for _, _, k, _ in classes)
+    # Magnitudes in uint64 (so -2^63 has one), then their two-digit
+    # pairs, the least significant first, in preallocated buffers: a
+    # fresh temporary per pass costs more in page faults than the pass.
+    u, q, r = np.empty((3, n), np.uint64)
+    np.negative(x[:neg].view(np.uint64), out=u[:neg])
+    u[neg:] = x[neg:].view(np.uint64)
+    pairs = np.empty(((digits + 1) // 2, n), np.uint16)
+    for row in pairs:
+        np.floor_divide(u, 100, out=q)
+        np.multiply(q, 100, out=r)
+        np.subtract(u, r, out=r)
+        _PAIRS.take(r.view(np.int64), out=row)
+        u, q = q, u
+    units = pairs.view(np.uint8)[:, 1::2]  # each pair's second digit
+
+    # Every byte a class row leaves unwritten is its ",".
+    size = 1 + sum((hi - lo) * (s + k + 1) for lo, hi, k, s in classes)
+    out = np.full(size, 44, np.uint8)
+    at = 1
+    for lo, hi, k, s in classes:
+        count, width = hi - lo, s + k + 1
+        rows = out[at:at + count * width].reshape(count, width)
+        if s:
+            rows[:, 0] = 45  # "-"
+        if k & 1:
+            rows[:, s] = units[k // 2, lo:hi]
+        if k > 1:  # the whole pairs, the most significant first
+            np.ndarray((count, k // 2), np.uint16, out, at + s + (k & 1),
+                       (width, 2))[...] = pairs[k // 2 - 1::-1, lo:hi].T
+        at += count * width
+    out[0], out[-1] = 91, 93  # "[", and "]" for the last ","
+    return out
 
 
 def ok_response(req_id: Any, result: Any, **extra: Any) -> bytes:
-    if isinstance(result, np.ndarray):
-        result = result.tolist()
-    return encode_line({"id": req_id, "ok": True, "result": result, **extra})
+    """The response line for ``result``, byte for byte
+    ``encode_line({"id": req_id, "ok": True, "result": ..., **extra})``
+    with an array result as its ``tolist()``: the id, the result and
+    the extras are each dumped on their own and spliced."""
+    if not isinstance(result, np.ndarray):
+        body = _dumps(result)
+    elif (result.ndim == 1 and len(result) >= NUMPY_WRITE_MIN_ELEMS
+            and result.dtype.kind in "iu" and first_disorder(result) is None):
+        body = _int_text(result)
+    else:
+        body = _dumps(result.tolist())
+    tail = b"," + _dumps(extra)[1:] if extra else b"}"
+    return b"".join((b'{"id":', _dumps(req_id), b',"ok":true,"result":',
+                     body, tail, b"\n"))
 
 
 def error_response(exc: RequestError) -> bytes:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -131,6 +132,21 @@ class TestParseRequest:
     def test_bool_array_rejected(self):
         with pytest.raises(RequestError):
             parse_request('{"op": "sort", "data": [true, false]}')
+
+    @pytest.mark.parametrize("data", [
+        "[true, false]", '["a", "b"]', '[1, "2"]',
+        "[[1], [2]]", "[[1], [2, 3]]", "[1, null]", "[null]", "[1, {}]",
+        "[18446744073709551616]", "[1.5, 18446744073709551616]",
+    ])
+    @pytest.mark.parametrize("op", ["sort", "merge"])
+    def test_non_number_arrays_rejected(self, op, data):
+        """Bool, string, nested and object arrays are no arrays of
+        numbers, whichever field carries them."""
+        fields = (f'"data": {data}' if op == "sort"
+                  else f'"a": {data}, "b": [1]')
+        with pytest.raises(RequestError) as err:
+            parse_request(f'{{"op": "{op}", {fields}}}')
+        assert err.value.kind == "bad-request"
 
     @pytest.mark.parametrize("k", [-1, 4, "2", None, True])
     def test_topk_bad_k_rejected(self, k):
@@ -346,3 +362,149 @@ class TestNumPyArrayParse:
         obj = protocol._scan_object(line, line.encode())
         if obj is not None:
             assert isinstance(obj["data"], list)
+
+
+def _line_of(req_id, result, **extra) -> bytes:
+    """The response line as ``json`` writes it, the reference for
+    every path ``ok_response`` takes."""
+    return encode_line({"id": req_id, "ok": True, "result": result.tolist(),
+                        **extra})
+
+
+#: Values at the writer's class edges: every digit count's first and
+#: last value on both signs, and the int64 extremes.
+_DIGIT_EDGES = sorted({v for k in range(19) for v in
+                       (10**k, 10**k - 1, -10**k, 1 - 10**k)}
+                      | {-2**63, 2**63 - 1, -2**63 + 1, 2**63 - 2})
+_int64s = st.one_of(st.integers(-2**63, 2**63 - 1),
+                    st.sampled_from(_DIGIT_EDGES), st.integers(-200, 200))
+_uint64s = st.one_of(st.integers(0, 2**64 - 1),
+                     st.sampled_from([0, 9, 10, 10**18, 10**19 - 1, 10**19,
+                                      2**63, 2**64 - 1]))
+#: A value of every JSON type, for ids and non-array results: strings
+#: with quotes, escapes and non-ASCII, integers of any size, floats,
+#: null, nested values.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text() | st.sampled_from(['"', '\\"', "é€", "\n\t", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_extras = st.sampled_from([{}, {"n": 3, "elapsed_ms": 0.25},
+                           {"n": 0, "elapsed_ms": 1e-05}])
+
+
+class TestIntWriter:
+    """``ok_response`` writes sorted integer arrays of at least
+    ``NUMPY_WRITE_MIN_ELEMS`` values with ``_int_text``; every line it
+    writes is byte for byte the ``json`` line of the array's
+    ``tolist()``.  The tests set the threshold to 1 to drive the
+    writer on small arrays."""
+
+    @pytest.fixture(autouse=True)
+    def every_array(self, monkeypatch):
+        monkeypatch.setattr(protocol, "NUMPY_WRITE_MIN_ELEMS", 1)
+
+    @pytest.fixture()
+    def writes(self, monkeypatch):
+        """The arrays ``_int_text`` is called with."""
+        seen = []
+        write = protocol._int_text
+
+        def spy(x):
+            seen.append(x)
+            return write(x)
+
+        monkeypatch.setattr(protocol, "_int_text", spy)
+        return seen
+
+    @given(values=st.lists(_int64s, max_size=60), req_id=_json_values,
+           extra=_extras)
+    @settings(max_examples=400, deadline=None)
+    def test_int64_matches_json(self, values, req_id, extra):
+        x = np.array(sorted(values), dtype=np.int64)
+        assert ok_response(req_id, x, **extra) == _line_of(req_id, x, **extra)
+
+    @given(values=st.lists(_uint64s, min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_uint64_matches_json(self, values):
+        x = np.array(sorted(values), dtype=np.uint64)
+        assert ok_response(1, x, n=len(x)) == _line_of(1, x, n=len(x))
+
+    @given(values=st.lists(st.integers(-2**31, 2**31 - 1), min_size=1,
+                           max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_int32_matches_json(self, values):
+        x = np.array(sorted(values), dtype=np.int32)
+        assert ok_response("i", x) == _line_of("i", x)
+
+    @pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "int64",
+                                       "uint8", "uint16", "uint32", "uint64",
+                                       ">i8", ">u4"])
+    def test_whole_range_of_each_dtype(self, dtype, writes):
+        native = np.dtype(dtype).newbyteorder("=")
+        info = np.iinfo(native)
+        rng = np.random.default_rng(7)
+        x = np.sort(np.concatenate([
+            rng.integers(info.min, info.max, 3000, dtype=native),
+            np.array([info.min, info.max], dtype=native),
+        ])).astype(dtype)
+        assert ok_response(9, x, n=len(x)) == _line_of(9, x, n=len(x))
+        assert len(writes) == 1
+
+    @pytest.mark.parametrize("values", [
+        [0], [-1], [7], [-2**63], [2**63 - 1], [5] * 50, [-3] * 7,
+        [0] * 9, [-1, 0], [-1, 0, 1], [-10, -9, -1, 0, 9, 10],
+        list(range(-1000, 1001)), [-2**63, 0, 2**63 - 1],
+        [-2**63] * 3 + [2**63 - 1] * 3,
+    ])
+    def test_edges(self, values, writes):
+        x = np.array(values, dtype=np.int64)
+        assert ok_response(None, x, n=len(x)) == _line_of(None, x, n=len(x))
+        assert len(writes) == 1
+
+    def test_empty_array_is_json(self, writes):
+        x = np.array([], dtype=np.int64)
+        assert ok_response(0, x, n=0) == b'{"id":0,"ok":true,"result":[],"n":0}\n'
+        assert not writes
+
+    @pytest.mark.parametrize("x", [
+        np.array([3, 1, 2]), np.array([0, -1]), np.array([2**63 - 1, -2**63]),
+        np.array([1.0, 2.5, 3.0]), np.array([-0.0, 0.0, 1e300]),
+        np.array([1.0, np.nan]), np.array([False, True]),
+        np.array([[1, 2], [3, 4]]), np.array(5),
+    ], ids=repr)
+    def test_unsorted_and_non_integer_arrays_take_json(self, x, writes):
+        assert ok_response("u", x, n=3) == _line_of("u", x, n=3)
+        assert not writes
+
+    @given(result=_json_values, req_id=_json_values, extra=_extras)
+    @settings(max_examples=100, deadline=None)
+    def test_other_results_are_json(self, result, req_id, extra):
+        assert ok_response(req_id, result, **extra) == encode_line(
+            {"id": req_id, "ok": True, "result": result, **extra})
+
+    def test_threshold_keeps_small_arrays_on_json(self, monkeypatch, writes):
+        monkeypatch.setattr(protocol, "NUMPY_WRITE_MIN_ELEMS", 1 << 10)
+        small = np.arange(-511, 512)
+        large = np.arange(-512, 512)
+        assert ok_response(1, small) == _line_of(1, small)
+        assert not writes
+        assert ok_response(1, large) == _line_of(1, large)
+        assert len(writes) == 1
+
+    def test_large_sort_from_a_live_server(self, server):
+        """A 2^16 sort answered by a running server (the parallel path)
+        is the ``json`` line of the sorted values, byte for byte."""
+        rng = np.random.default_rng(11)
+        data = rng.integers(-10**7, 10**7, 1 << 16)
+        with socket.create_connection((server.host, server.port),
+                                      timeout=120) as sock:
+            sock.sendall(encode_line({"id": "bigé", "op": "sort",
+                                      "data": data.tolist()}))
+            with sock.makefile("rb") as f:
+                line = f.readline()
+        elapsed_ms = json.loads(line)["elapsed_ms"]
+        assert line == _line_of("bigé", np.sort(data), n=len(data),
+                                elapsed_ms=elapsed_ms)

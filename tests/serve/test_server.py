@@ -785,3 +785,18 @@ class TestServeCLI:
         chain's pool level is always the shared thread pool."""
         with pytest.raises(TypeError):
             ServeConfig(backend="processes")
+
+    def test_serve_starts_without_the_experiment_registry(self):
+        """``serve`` loads neither the experiment registry nor SciPy:
+        they load only for ``run`` and the listing."""
+        import repro
+
+        code = ("import sys, repro.__main__ as cli; "
+                "cli._serve_config(cli._PARSER.parse_args(['serve'])); "
+                "print([m for m in ('repro.experiments', 'scipy') "
+                "if m in sys.modules])")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "[]"
